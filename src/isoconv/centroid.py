@@ -10,30 +10,41 @@ classical inclusion/projection identities hold EXACTLY at the empirical level
 what the deterministic checks below exploit: no tolerance debates, just
 floating-point round-off.
 
-Large p is evaluated in the log domain; zero dot products drop out of the
-log-sum-exp but keep their 1/N mass, which is exactly the right thing since
-0^p contributes nothing to the sum.
+Every p shares one kernel: each block of |<x_i, theta>| is divided by its
+column max M before the p-th power, so h = M (mean (|<x,theta>|/M)^p)^{1/p}
+can only underflow, never overflow, up to the p cap.  At p = 2 the exact
+identity h_{Z_2}(theta)^2 = theta^T Sigma theta with Sigma = X^T X / N skips
+the (N, m) product altogether.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bodies import ConvexBody
 from .measures import SampleSet, project_samples
 from .seeds import sphere_directions
 
 P_CAP = float(2**20)
-_LOG_DOMAIN_P = 32.0
-_DOT_BLOCK = 1 << 24  # cap on N * directions-per-block scratch size
+_DOT_BLOCK = 1 << 21  # doubles (16 MB) held by all (N, b) temporaries of one block
+
+
+def _blocks(n_points: int, n_dirs: int, temporaries: int):
+    """Direction slices whose `temporaries` (N, b) arrays fit in _DOT_BLOCK."""
+    step = max(1, _DOT_BLOCK // (n_points * temporaries))
+    for start in range(0, n_dirs, step):
+        yield slice(start, start + step)
 
 
 def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarray:
     """h_{Z_p}(theta) for one direction (dim,) or a batch (m, dim).
 
-    Direct power mean for p <= 32; log-mean-exp above that (overflow-safe up
-    to the p cap).  A direction orthogonal to every sample gives 0.
+    p = 1 is the mean of |X theta|; p = 2 is sqrt(theta^T Sigma theta); any
+    other p is a power mean scaled by each column's max (overflow-safe up to
+    the p cap).  A direction orthogonal to every sample gives 0, at p = 2 up
+    to round-off: the quadratic form carries an error of order
+    eps * ||Sigma||, so there a direction of tiny spread is resolved only to
+    about sqrt(eps) times the largest sample spread.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -49,19 +60,24 @@ def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarr
         )
     pts = samples.points
     n = samples.count
+    if p == 2.0:
+        sigma = pts.T @ pts / n
+        quad = ((theta @ sigma) * theta).sum(axis=1)
+        out = np.sqrt(np.maximum(quad, 0.0))
+        return out[0] if single else out
     out = np.empty(theta.shape[0])
-    block = max(1, _DOT_BLOCK // n)
-    log_n = np.log(n)
-    for start in range(0, theta.shape[0], block):
-        dots = pts @ theta[start : start + block].T  # (N, b)
-        if p <= _LOG_DOMAIN_P:
-            vals = (np.abs(dots) ** p).mean(axis=0) ** (1.0 / p)
+    for cols in _blocks(n, theta.shape[0], 1):
+        dots = pts @ theta[cols].T  # (N, b)
+        np.abs(dots, out=dots)
+        if p == 1.0:
+            out[cols] = dots.mean(axis=0)
         else:
-            with np.errstate(divide="ignore"):
-                logs = p * np.log(np.abs(dots))  # zeros -> -inf, dropped by lse
-            lse = logsumexp(logs, axis=0)
-            vals = np.exp((lse - log_n) / p)
-        out[start : start + block] = vals
+            scale = dots.max(axis=0)
+            scale[scale == 0.0] = 1.0  # an all-zero column stays 0
+            dots /= scale
+            np.power(dots, p, out=dots)
+            out[cols] = scale * dots.mean(axis=0) ** (1.0 / p)
+        del dots  # free the block before the next product is formed
     return out[0] if single else out
 
 
@@ -82,18 +98,22 @@ def zp_touching_points(samples: SampleSet, p: float, directions: np.ndarray) -> 
     pts = samples.points
     n = samples.count
     out = np.empty_like(theta)
-    block = max(1, _DOT_BLOCK // n)
-    for start in range(0, theta.shape[0], block):
-        dots = pts @ theta[start : start + block].T  # (N, b)
-        scale = np.abs(dots).max(axis=0)
+    for cols in _blocks(n, theta.shape[0], 3):
+        dots = pts @ theta[cols].T  # (N, b)
+        sign = np.sign(dots)
+        np.abs(dots, out=dots)
+        scale = dots.max(axis=0)
         if np.any(scale == 0):
             raise ValueError("a direction is orthogonal to every sample")
-        u = dots / scale
-        wp = np.abs(u) ** p
-        h = scale * (wp.mean(axis=0)) ** (1.0 / p)
-        wpm1 = np.abs(u) ** (p - 1.0) * np.sign(u)
-        touch = (pts.T @ wpm1) / wp.sum(axis=0) * (h / scale)  # (dim, b)
-        out[start : start + block] = touch.T
+        dots /= scale  # |u|
+        w = np.power(dots, p - 1.0)  # |u|^{p-1}
+        dots *= w  # |u|^p
+        wp_sum = dots.sum(axis=0)
+        h = scale * (wp_sum / n) ** (1.0 / p)
+        w *= sign
+        touch = (pts.T @ w) / wp_sum * (h / scale)  # (dim, b)
+        out[cols] = touch.T
+        del dots, sign, w  # free the block before the next product is formed
     return out
 
 

@@ -3,7 +3,8 @@
 Heavy imports happen inside the command handlers so that ISOCONV_THREADS can
 cap the BLAS pool before numpy loads, and so --help stays instant.
 
-Exit codes: 0 success, 1 verify-suite assertion failure, 2 usage error.
+Exit codes: 0 success, 1 verify-suite assertion failure, 2 usage or any other
+error (one line on stderr, no traceback).
 Every run is replayable: a missing --seed is generated, announced on stderr,
 and embedded in all emitted artifacts.
 """
@@ -262,11 +263,13 @@ def _cmd_verify(args) -> int:
         p_values=tuple(_parse_values(args.p_values)) if args.p_values else None,
     )
     result = run_suite(args.suite, args.dims, cfg)
+    path, fmt = _resolve_out(args.out, args.format)
+    # a report on stdout keeps it parseable: PASS/FAIL lines move to stderr
+    log = sys.stderr if fmt is not None and path is None else sys.stdout
     for a in result.assertions:
-        print(f"{'PASS' if a.passed else 'FAIL'} {a.name}: {a.detail}")
-    if args.out:
-        fmt = args.format or ("json" if args.out.endswith(".json") else "csv")
-        emit_report(result, fmt, args.out)
+        print(f"{'PASS' if a.passed else 'FAIL'} {a.name}: {a.detail}", file=log)
+    if fmt is not None:
+        emit_report(result, fmt, path)
     return 0 if result.passed else 1
 
 
@@ -399,8 +402,12 @@ def main(argv=None) -> int:
         parser.error("--dims must name at least one dimension")
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # exit 1 is reserved for suite failures; any error is one line and exit 2.
+        # Bad input (ValueError, OSError) speaks for itself, the rest names its type.
+        lines = str(exc).strip().splitlines() or [""]
+        kind = "" if isinstance(exc, (ValueError, OSError)) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{lines[0]}", file=sys.stderr)
         return 2
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
@@ -550,16 +551,18 @@ def rows_to_records(rows) -> list:
     return recs
 
 
-def emit_report(result: SuiteResult, fmt: str, path: str) -> None:
-    """Write a SuiteResult as csv (rows only) or json (rows + meta)."""
+def emit_report(result: SuiteResult, fmt: str, path: Optional[str]) -> None:
+    """Write a SuiteResult as csv (rows only) or json (rows + meta).
+
+    The report goes to `path`, or to stdout when path is None.
+    """
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+        def dump(fh):
             w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             w.writeheader()
             for rec in rows_to_records(result.rows):
                 w.writerow(rec)
-        return
-    if fmt == "json":
+    elif fmt == "json":
         payload = {
             "meta": {
                 "version": _version(),
@@ -571,11 +574,17 @@ def emit_report(result: SuiteResult, fmt: str, path: str) -> None:
             "assertions": [asdict(a) for a in result.assertions],
             "rows": [asdict(r) for r in result.rows],
         }
-        with open(path, "w") as fh:
+
+        def dump(fh):
             json.dump(payload, fh, indent=2)
             fh.write("\n")
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    if path is None:
+        dump(sys.stdout)
         return
-    raise ValueError(f"unknown report format {fmt!r}")
+    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+        dump(fh)
 
 
 def _version() -> str:

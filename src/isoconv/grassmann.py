@@ -33,7 +33,7 @@ class Subspace:
     seed: int
 
     def __post_init__(self):
-        B = np.asarray(self.basis, dtype=float)
+        B = np.asarray(self.basis, dtype=float).view()  # freeze a view, not the caller's array
         if B.shape != (self.ambient, self.k):
             raise ValueError(f"basis shape {B.shape} != ({self.ambient}, {self.k})")
         gram = B.T @ B

@@ -40,7 +40,7 @@ class SampleSet:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"SampleSet needs count >= 1, got {self.count}")
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.asarray(self.points, dtype=float).view()  # freeze a view, not the caller's array
         if pts.shape != (self.count, self.dim):
             raise ValueError(
                 f"points shape {pts.shape} != (count, dim) = ({self.count}, {self.dim})"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,19 +54,41 @@ def test_zp_support_mixed_mass_example():
     e1 = np.array([1.0, 0.0])
     assert zp_support(s, 1.0, e1) == pytest.approx(0.5, rel=1e-12)
     assert zp_support(s, 2.0, e1) == pytest.approx(math.sqrt(0.5), rel=1e-12)
-    # log-domain path must apply the same 1/N weighting
+    # the max-scaled power mean keeps the 1/N mass of the zero dot product
     assert zp_support(s, 64.0, e1) == pytest.approx(0.5 ** (1.0 / 64.0), rel=1e-12)
 
 
-def test_zp_support_log_domain_agrees_with_direct():
-    s = draw_samples(gaussian_measure(3), 5000, seed=1)
-    dirs = sphere_directions(3, 200, seed=2)
-    # p = 32 sits at the switch; evaluate both paths explicitly
-    direct = ((np.abs(s.points @ dirs.T) ** 32.0).mean(axis=0)) ** (1.0 / 32.0)
-    assert np.allclose(zp_support(s, 32.0, dirs), direct, rtol=1e-10)
-    # just above the switch the log path must agree with the direct formula
-    direct33 = ((np.abs(s.points @ dirs.T) ** 33.0).mean(axis=0)) ** (1.0 / 33.0)
-    assert np.allclose(zp_support(s, 33.0, dirs), direct33, rtol=1e-10)
+def test_zp_support_agrees_with_direct_power_mean():
+    # samples fill [-1, 1]^2 x {0} and the directions lie in that plane, so
+    # max |<x, theta>| is in [1, sqrt 2] (up to sampling): the direct p-th
+    # powers up to p = 512 neither overflow nor lose their leading terms.
+    # e3 is orthogonal to every sample.
+    square = draw_samples(uniform_body_measure(cube(2, side=2.0)), 5000, seed=1)
+    s = _sample_set(np.hstack([square.points, np.zeros((square.count, 1))]))
+    dirs = np.hstack([sphere_directions(2, 200, seed=2), np.zeros((200, 1))])
+    orth = np.array([0.0, 0.0, 1.0])
+    for p in (1.0, 1.5, 2.0, 3.0, 8.0, 32.0, 33.0, 64.0, 512.0):
+        direct = (np.abs(s.points @ dirs.T) ** p).mean(axis=0) ** (1.0 / p)
+        np.testing.assert_allclose(zp_support(s, p, dirs), direct, rtol=1e-12, atol=0.0)
+        single = zp_support(s, p, dirs[0])
+        assert np.ndim(single) == 0
+        assert single == pytest.approx(direct[0], rel=1e-12)
+        assert zp_support(s, p, orth) == 0.0
+        assert zp_support(s, p, np.vstack([dirs[:3], orth]))[3] == 0.0
+
+
+@pytest.mark.parametrize("m", [800, 8000])
+def test_zp_kernels_memory_does_not_grow_with_directions(m):
+    s = draw_samples(gaussian_measure(8), 20_000, seed=30)
+    dirs = sphere_directions(8, m, seed=31)
+    for kernel in (zp_support, zp_touching_points):
+        tracemalloc.start()
+        try:
+            kernel(s, 3.0, dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, (kernel.__name__, peak)
 
 
 def test_zp_support_huge_p_no_overflow():

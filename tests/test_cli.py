@@ -177,3 +177,29 @@ def test_thread_cap_env_is_accepted(monkeypatch, capsys):
     monkeypatch.setenv("ISOCONV_THREADS", "1")
     rc = cli.main(["meanwidth", "--body", "ball:3", "--seed", "9"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_out_format_word_goes_to_stdout(fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["verify", "--suite", "theorem1", "--dims", "4,8", "--samples",
+                   "2000", "--sphere-samples", "500", "--seed", "1", "--out", fmt])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert not (tmp_path / fmt).exists()
+    assert "PASS" in captured.err and "PASS" not in captured.out
+    if fmt == "json":
+        payload = json.loads(captured.out)
+        assert payload["meta"]["suite"] == "theorem1" and payload["rows"]
+    else:
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert rows and all(r["suite"] == "theorem1" for r in rows)
+
+
+def test_unexpected_error_is_one_line_exit_2(capsys):
+    # the unit-volume cross-polytope's volume underflows to 0 at n = 256
+    rc = cli.main(["verify", "--suite", "b1-scaling", "--dims", "256", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ZeroDivisionError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -83,6 +83,14 @@ def test_project_cube_onto_diagonal():
     assert volume_radius_lowdim(P).value == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
+def test_subspace_leaves_callers_array_writeable():
+    B = np.eye(3)[:, :2]
+    F = Subspace(ambient=3, k=2, basis=B, seed=0)
+    assert B.flags.writeable
+    assert not F.basis.flags.writeable
+    assert np.shares_memory(F.basis, B)  # frozen without a copy
+
+
 def test_projection_composition_consistency():
     # projecting samples then bodies commutes through supports
     K = cube(4, side=1.0)

@@ -173,3 +173,11 @@ def test_sample_set_rejects_nonfinite():
     with pytest.raises(ValueError):
         measures.SampleSet(dim=2, count=1, points=np.array([[np.nan, 0.0]]),
                            seed=0, provenance="test")
+
+
+def test_sample_set_leaves_callers_array_writeable():
+    pts = np.zeros((3, 2))
+    s = measures.SampleSet(dim=2, count=3, points=pts, seed=0, provenance="test")
+    assert pts.flags.writeable
+    assert not s.points.flags.writeable
+    assert np.shares_memory(s.points, pts)  # frozen without a copy
