@@ -458,69 +458,6 @@ def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
     )
 
 
-def sym_hull(body: ConvexBody) -> ConvexBody:
-    """conv(K u -K): h(theta) = max(h_K(theta), h_K(-theta))."""
-    inner = body.support
-
-    def sup(theta):
-        arr = np.asarray(theta, dtype=float)
-        return np.maximum(inner(arr), inner(-arr))
-
-    analytic = {}
-    if body.symmetric and "volume" in body.analytic:
-        analytic["volume"] = body.analytic["volume"]
-    return ConvexBody(
-        dim=body.dim,
-        support=sup,
-        membership=None,
-        family=f"sym-hull({body.family})",
-        symmetric=True,
-        analytic=analytic,
-        sample_exact=body.sample_exact if body.symmetric else None,
-    )
-
-
-def gauge(body: ConvexBody, x: np.ndarray, tol: float = 1e-10, r0: float = None) -> float:
-    """Minkowski functional ||x||_K by bisection on the ray through x.
-
-    Needs a membership oracle and an inradius r0 (taken from the body's
-    analytic table when not passed).  Returns t with x in tK and
-    x not in (1-tol)tK; gauge(0) = 0.
-    """
-    if body.membership is None:
-        raise UnsupportedOracleError(
-            f"gauge needs a membership oracle; family {body.family!r} has none"
-        )
-    if r0 is None:
-        r0 = body.analytic.get("inradius")
-    if r0 is None or r0 <= 0:
-        raise ValueError("gauge needs a positive inradius r0 (pass r0 or set analytic)")
-    x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        return 0.0
-    hi = norm / r0  # ||x||_K <= |x|/r0 since r0*B_2 subset K
-    if not body.membership(x / hi):
-        # widen once in case the supplied r0 was optimistic
-        cap = 1e6 * max(hi, 1.0)
-        while not body.membership(x / hi):
-            hi *= 2.0
-            if hi > cap:
-                raise ValueError(
-                    f"gauge bisection not bracketed within cap {cap:g}; body may be unbounded from origin"
-                )
-    lo = 0.0
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if mid == 0.0:
-            break
-        if body.membership(x / mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 # ---------------------------------------------------------------------------
 # descriptor parsing (CLI surface: family:dim:params)
 # ---------------------------------------------------------------------------

@@ -150,23 +150,6 @@ def zp_monotonicity_check(
     return float(((h_p - h_q) / scale).max())
 
 
-def borell_ratio(
-    samples: SampleSet, p: float, q: float, directions: np.ndarray
-) -> float:
-    """Max over directions of h_{Z_q}(theta) / ((q/p) h_{Z_p}(theta)).
-
-    Empirical estimate of the constant in the reverse inclusion
-    Z_q subset C (q/p) Z_p; recorded, never asserted (C is not pinned).
-    """
-    if not 1 <= p <= q:
-        raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
-    h_p = zp_support(samples, p, directions)
-    h_q = zp_support(samples, q, directions)
-    if np.any(h_p <= 0):
-        raise ValueError("degenerate denominator: h_{Z_p} vanishes in a tested direction")
-    return float((h_q / ((q / p) * h_p)).max())
-
-
 def projection_identity_check(
     samples: SampleSet, p: float, subspace, directions: np.ndarray
 ) -> float:
@@ -211,26 +194,3 @@ def z2_deviation_from_ball(samples: SampleSet, n_directions: int, seed: int) -> 
     """
     dirs = sphere_directions(samples.dim, n_directions, seed)
     return float(np.abs(zp_support(samples, 2.0, dirs) - 1.0).max())
-
-
-def zn_vs_symhull(
-    body: ConvexBody, n_samples: int, n_directions: int, seed: int
-):
-    """(min, max) over directions of h_{Z_n(uniform on K)} / h_{conv(K u -K)}.
-
-    K should be unit-volume so the uniform measure is the natural one; dim n
-    plays the role of p.  Both ratios are recorded (the comparison holds up
-    to dimension-free constants, never asserted at a fixed value).
-    """
-    from .bodies import sym_hull
-    from .measures import draw_samples, uniform_body_measure
-    from .seeds import child_seed
-
-    n = body.dim
-    mu = uniform_body_measure(body)
-    samples = draw_samples(mu, n_samples, child_seed(seed, 0))
-    dirs = sphere_directions(n, n_directions, child_seed(seed, 1))
-    h_zn = zp_support(samples, float(n), dirs)
-    h_hull = sym_hull(body).support(dirs)
-    ratios = h_zn / h_hull
-    return float(ratios.min()), float(ratios.max())

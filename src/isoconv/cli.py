@@ -6,17 +6,15 @@ cap the BLAS pool before numpy loads, and so --help stays instant.
 Exit codes: 0 success, 1 verify-suite assertion failure, 2 usage or any other
 error (one line on stderr, no traceback).
 Every run is replayable: a missing --seed is generated, announced on stderr,
-and embedded in all emitted artifacts.
+and embedded in all emitted artifacts.  Every command reports through
+experiments.emit_report, so all reports share one csv and one json shape.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 
@@ -29,60 +27,6 @@ def _apply_thread_cap():
         os.environ.setdefault(var, cap)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of every knob that shaped a run; embedded in all reports."""
-
-    command: str
-    seed: int
-    body: Optional[str] = None
-    measure: Optional[str] = None
-    dims: Optional[list] = None
-    p: Optional[float] = None
-    p_values: Optional[list] = None
-    samples: Optional[int] = None
-    sphere_samples: Optional[int] = None
-    directions: Optional[int] = None
-    trials: Optional[int] = None
-    k: Optional[int] = None
-    rad: Optional[str] = None
-    suite: Optional[str] = None
-    extra: dict = field(default_factory=dict)
-
-
-def write_csv(rows, path: Optional[str]) -> None:
-    """Rows in the shared schema -> csv file, or stdout when path is None."""
-    from .experiments import CSV_COLUMNS, rows_to_records
-
-    def dump(fh):
-        w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        w.writeheader()
-        for rec in rows_to_records(rows):
-            w.writerow(rec)
-
-    if path is None:
-        dump(sys.stdout)
-        return
-    try:
-        with open(path, "w", newline="") as fh:
-            dump(fh)
-    except OSError as exc:
-        raise OSError(f"cannot write csv to {path!r}: {exc}") from exc
-
-
-def write_json(payload: dict, path: Optional[str]) -> None:
-    if path is None:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write json to {path!r}: {exc}") from exc
-
-
 def _resolve_out(out: Optional[str], fmt: Optional[str]):
     """--out takes a path, or the literal words csv/json meaning stdout."""
     if out in ("csv", "json"):
@@ -92,20 +36,21 @@ def _resolve_out(out: Optional[str], fmt: Optional[str]):
     return out, fmt
 
 
-def _meta(config: RunConfig) -> dict:
-    from . import __version__
+def _report(args, seed: int, rows, fitted=None) -> None:
+    """Emit a command's rows as a SuiteResult named after the command.
 
-    return {"version": __version__, "config": asdict(config)}
-
-
-def _emit(rows, config: RunConfig, out: Optional[str], fmt: Optional[str]):
-    if out is None and fmt is None:
+    Its config echo is the command's parsed arguments with the resolved seed.
+    """
+    path, fmt = _resolve_out(args.out, args.format)
+    if fmt is None:
         return
-    path, fmt = _resolve_out(out, fmt)
-    if fmt == "csv":
-        write_csv(rows, path)
-    else:
-        write_json({"meta": _meta(config), "rows": [asdict(r) for r in rows]}, path)
+    from .experiments import SuiteResult, emit_report
+
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "fn", "out", "format")}
+    config["seed"] = seed
+    emit_report(SuiteResult(suite=args.command, rows=tuple(rows), assertions=(),
+                            fitted=fitted or {}, config=config), fmt, path)
 
 
 def _resolve_seed(args) -> int:
@@ -140,10 +85,8 @@ def _cmd_meanwidth(args) -> int:
     body = parse_body(args.body)
     est = mean_width(body, args.sphere_samples, seed)
     print(f"{est.value:.10g}")
-    cfg = RunConfig(command="meanwidth", seed=seed, body=args.body,
-                    sphere_samples=args.sphere_samples)
-    _emit([Row("meanwidth", body.dim, None, "mstar", est.value, est.std_error,
-               est.direction, seed, est.n_samples)], cfg, args.out, args.format)
+    _report(args, seed, [Row("meanwidth", body.dim, None, "mstar", est.value,
+                             est.std_error, est.direction, seed, est.n_samples)])
     return 0
 
 
@@ -154,16 +97,13 @@ def _cmd_zp(args) -> int:
     from .seeds import child_seed, sphere_directions
 
     seed = _resolve_seed(args)
-    mu = parse_measure(args.measure, mcmc=args.mcmc)
+    mu = parse_measure(args.measure)
     samples = draw_samples(mu, args.samples, child_seed(seed, 0))
     dirs = sphere_directions(mu.dim, args.directions, child_seed(seed, 1))
     h = zp_support(samples, args.p, dirs)
     print(f"{h.mean():.10g}")
-    cfg = RunConfig(command="zp", seed=seed, measure=args.measure, p=args.p,
-                    samples=args.samples, directions=args.directions)
-    rows = [Row("zp", mu.dim, args.p, f"h-zp-dir{i}", float(v), 0.0, "mc",
-                seed, args.samples) for i, v in enumerate(h)]
-    _emit(rows, cfg, args.out, args.format)
+    _report(args, seed, [Row("zp", mu.dim, args.p, f"h-zp-dir{i}", float(v), 0.0, "mc",
+                             seed, args.samples) for i, v in enumerate(h)])
     return 0
 
 
@@ -173,38 +113,21 @@ def _cmd_isotropy(args) -> int:
     from .measures import draw_samples, parse_measure
 
     seed = _resolve_seed(args)
-    mu = parse_measure(args.measure, mcmc=args.mcmc)
+    mu = parse_measure(args.measure)
     samples = draw_samples(mu, args.samples, seed)
     summary = estimate_moments(samples)
-    l_value = None
-    if mu.density_sup is not None:
-        l_value = isotropic_constant(summary, mu.density_sup).value
+    facts = [(f"barycenter-{i}", v) for i, v in enumerate(summary.barycenter)]
+    facts += [(f"eigenvalue-{i}", v) for i, v in enumerate(summary.eigenvalues)]
+    facts.append(("det-root", summary.det_root))
     print(f"det_root: {summary.det_root:.10g}")
-    print(f"L: {l_value:.10g}" if l_value is not None else "L: unavailable (no density sup)")
-    cfg = RunConfig(command="isotropy", seed=seed, measure=args.measure,
-                    samples=args.samples)
-    path, fmt = _resolve_out(args.out, args.format)
-    if fmt == "json":
-        payload = {
-            "meta": _meta(cfg),
-            "result": {
-                "barycenter": summary.barycenter.tolist(),
-                "eigenvalues": summary.eigenvalues.tolist(),
-                "det_root": summary.det_root,
-                "L": l_value,
-            },
-        }
-        write_json(payload, path)
-    elif fmt == "csv" or path is not None:
-        rows = [Row("isotropy", mu.dim, None, f"eigenvalue-{i}", float(v), 0.0,
-                    "mc", seed, args.samples)
-                for i, v in enumerate(summary.eigenvalues)]
-        rows.append(Row("isotropy", mu.dim, None, "det-root", summary.det_root,
-                        0.0, "mc", seed, args.samples))
-        if l_value is not None:
-            rows.append(Row("isotropy", mu.dim, None, "l-mu", l_value, 0.0,
-                            "mc", seed, args.samples))
-        write_csv(rows, path)
+    if mu.density_sup is None:
+        print("L: unavailable (no density sup)")
+    else:
+        l_value = isotropic_constant(summary, mu.density_sup).value
+        print(f"L: {l_value:.10g}")
+        facts.append(("l-mu", l_value))
+    _report(args, seed, [Row("isotropy", mu.dim, None, q, float(v), 0.0, "mc", seed,
+                             args.samples) for q, v in facts])
     return 0
 
 
@@ -217,10 +140,8 @@ def _cmd_vk(args) -> int:
     body = parse_body(args.body)
     est = vk_estimate(body, args.k, args.trials, seed)
     print(f"{est.value:.10g}")
-    cfg = RunConfig(command="vk", seed=seed, body=args.body, k=args.k,
-                    trials=args.trials)
-    _emit([Row("vk", body.dim, None, f"vk-k{args.k}", est.value, est.std_error,
-               est.direction, seed, args.trials)], cfg, args.out, args.format)
+    _report(args, seed, [Row("vk", body.dim, None, f"vk-k{args.k}", est.value,
+                             est.std_error, est.direction, seed, args.trials)])
     return 0
 
 
@@ -292,10 +213,7 @@ def _cmd_scaling(args) -> int:
     print(f"slope: {slope:.6f} +- {half:.6f}")
     rows.append(Row("scaling", 0, None, "slope", slope, half / 2.0, "mc", seed,
                     len(pairs)))
-    cfg = RunConfig(command="scaling", seed=seed, body=args.body,
-                    dims=list(args.dims), sphere_samples=args.sphere_samples,
-                    extra={"intercept": intercept})
-    _emit(rows, cfg, args.out, args.format)
+    _report(args, seed, rows, fitted={"intercept": intercept})
     return 0
 
 
@@ -338,15 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--samples", type=int, default=50_000)
     p.add_argument("--directions", type=int, default=1000)
-    p.add_argument("--mcmc", action="store_true",
-                   help="authorize hit-and-run for bodies without exact samplers")
     add_common(p)
     p.set_defaults(fn=_cmd_zp)
 
     p = sub.add_parser("isotropy", help="moments, whitening data and L of a measure")
     p.add_argument("--measure", required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--mcmc", action="store_true")
     add_common(p)
     p.set_defaults(fn=_cmd_isotropy)
 

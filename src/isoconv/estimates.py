@@ -32,15 +32,3 @@ class Estimate:
             raise ValueError(
                 f"exact estimates carry std_error 0, got {self.std_error}"
             )
-
-    def scaled(self, t: float) -> "Estimate":
-        """t * estimate for t > 0 (direction is preserved)."""
-        if t <= 0:
-            raise ValueError(f"scale must be positive, got {t}")
-        return Estimate(
-            value=t * self.value,
-            std_error=t * self.std_error,
-            n_samples=self.n_samples,
-            seed=self.seed,
-            direction=self.direction,
-        )

@@ -129,6 +129,13 @@ def _unit_bodies(n: int):
     return (("cube", cube(n, side=1.0)), ("cross", unit_volume_copy(cross_polytope(n))))
 
 
+def _one_dim(suite: str, dims) -> int:
+    """The single dimension of a suite that runs at one n."""
+    if len(dims) != 1:
+        raise ValueError(f"{suite} runs at one dimension, got dims {list(dims)}")
+    return int(dims[0])
+
+
 def _default_p_grid(n: int, cfg: SuiteConfig):
     if cfg.p_values is not None:
         return [float(p) for p in cfg.p_values]
@@ -246,7 +253,7 @@ def _aniso_spectrum(kind: str, n: int) -> np.ndarray:
 def _suite_thm_main_aniso(dims, cfg: SuiteConfig):
     """Spectral-shape transfer: one constant, fitted on the flat spectrum, must
     cover the decaying and spiked spectra within factor 1.5."""
-    n = int(dims[0])
+    n = _one_dim("thm-main-aniso", dims)
     ps = [float(p) for p in (cfg.p_values or (2.0, 8.0, float(n)))]
     rows = []
     measured = {}
@@ -356,7 +363,7 @@ def _suite_kubota(dims, cfg: SuiteConfig):
     from .bodies import ball_volume
     from .centroid import zp_touching_points
 
-    n = int(dims[0])
+    n = _one_dim("kubota", dims)
     rows, assertions = [], []
     for i, p in enumerate((2, 3)):
         seed = child_seed(cfg.seed, i)
@@ -552,13 +559,15 @@ def rows_to_records(rows) -> list:
 
 
 def emit_report(result: SuiteResult, fmt: str, path: Optional[str]) -> None:
-    """Write a SuiteResult as csv (rows only) or json (rows + meta).
+    """Write a SuiteResult, the report of every command.
 
-    The report goes to `path`, or to stdout when path is None.
+    csv holds the rows under the CSV_COLUMNS header, each line ended by a bare
+    line feed; json is {meta: {version, suite, config, fitted, passed}, assertions,
+    rows}.  The report goes to `path`, or to stdout when path is None.
     """
     if fmt == "csv":
         def dump(fh):
-            w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+            w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
             w.writeheader()
             for rec in rows_to_records(result.rows):
                 w.writerow(rec)
@@ -583,7 +592,7 @@ def emit_report(result: SuiteResult, fmt: str, path: Optional[str]) -> None:
     if path is None:
         dump(sys.stdout)
         return
-    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+    with open(path, "w", newline="") as fh:
         dump(fh)
 
 

@@ -230,25 +230,3 @@ def vk_estimate(
         if est.value > best:
             best, best_se = est.value, est.std_error
     return Estimate(best, best_se, trials, seed, "lower")
-
-
-def mstar_projected(
-    body: ConvexBody, m: int, trials: int, seed: int, sphere_samples: int = 10_000
-) -> Estimate:
-    """Sampled inf of M*(P_F K) over Haar F in G_{n,m}: an UPPER bound."""
-    from .functionals import mean_width  # lazy: functionals imports this module
-
-    if not 1 <= m <= body.dim:
-        raise ValueError(f"need 1 <= m <= dim, got m={m}, dim={body.dim}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    best = math.inf
-    best_se = 0.0
-    for i in range(trials):
-        F = random_subspace(body.dim, m, child_seed(seed, i))
-        est = mean_width(
-            project_body(body, F), sphere_samples, child_seed(seed, trials + i)
-        )
-        if est.value < best:
-            best, best_se = est.value, est.std_error
-    return Estimate(best, best_se, trials, seed, "upper")

@@ -19,8 +19,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bodies import ConvexBody, UnsupportedOracleError, unit_volume_copy
-from .measures import LogConcaveMeasure, SampleSet, draw_samples, uniform_body_measure
+from .bodies import ConvexBody, UnsupportedOracleError
+from .measures import LogConcaveMeasure, SampleSet, draw_samples
 from .seeds import child_seed
 
 
@@ -152,34 +152,6 @@ def isotropic_constant_estimate(
         s = draw_samples(measure, per, child_seed(seed, i))
         vals[i] = isotropic_constant(estimate_moments(s), measure.density_sup).value
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(batches))
-
-
-def affine_invariance_check(
-    body: ConvexBody, T: np.ndarray, n_samples: int, seed: int
-) -> float:
-    """L(TK)/L(K) from matched-seed draws; exactly 1 in distribution.
-
-    T must be volume preserving so both bodies stay unit volume.  The same
-    seed drives both estimates: for T orthogonal the ratio is then exactly 1,
-    since rotating every sample rotates the empirical covariance.
-    """
-    T = np.asarray(T, dtype=float)
-    sign, logabsdet = np.linalg.slogdet(T)
-    if sign == 0 or abs(logabsdet) > 1e-10:
-        raise ValueError(f"T must satisfy |det T| = 1, got log|det| = {logabsdet:g}")
-    K = unit_volume_copy(body) if abs(body.analytic.get("volume", 1.0) - 1.0) > 1e-9 else body
-    mu = uniform_body_measure(K)
-    base = draw_samples(mu, n_samples, seed)
-    mapped = SampleSet(
-        dim=base.dim,
-        count=base.count,
-        points=base.points @ T.T,
-        seed=base.seed,
-        provenance=f"affine-image({base.provenance})",
-    )
-    l_base = isotropic_constant(estimate_moments(base), 1.0).value
-    l_mapped = isotropic_constant(estimate_moments(mapped), 1.0).value
-    return l_mapped / l_base
 
 
 # exact isotropic constants used as oracles across the test suite

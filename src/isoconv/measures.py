@@ -3,8 +3,7 @@
 A measure is a deterministic oracle (count, seed) -> points, tagged with
 whatever analytic facts survive the construction (sup of the density, exact
 covariance).  Exact samplers exist for the gaussian, coordinate products and
-the lp-ball families; everything else goes through hit-and-run, which is
-never substituted silently -- callers must ask for it.
+the bodies that carry one; a body without an exact sampler is rejected.
 
 Determinism contract: same (measure, N, seed) gives bit-identical output
 within a build.  Chunked draws derive chunk seeds via the frozen splitting
@@ -67,7 +66,6 @@ class LogConcaveMeasure:
     label: str
     density_sup: Optional[float] = None
     analytic_cov: Optional[np.ndarray] = None
-    approximate: bool = False  # True for MCMC-backed samplers
 
 
 def draw_samples(
@@ -91,8 +89,8 @@ def draw_samples(
         done += take
         index += 1
     pts = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-    tag = measure.label + (" [approximate]" if measure.approximate else "")
-    return SampleSet(dim=measure.dim, count=count, points=pts, seed=seed, provenance=tag)
+    return SampleSet(dim=measure.dim, count=count, points=pts, seed=seed,
+                     provenance=measure.label)
 
 
 # ---------------------------------------------------------------------------
@@ -152,46 +150,18 @@ def _analytic_body_cov(body: ConvexBody) -> Optional[np.ndarray]:
     return None
 
 
-def uniform_body_measure(body: ConvexBody, mcmc: bool = False) -> LogConcaveMeasure:
-    """Uniform probability measure on a body.
-
-    Uses the body's exact sampler when it has one.  A body without one is
-    rejected unless mcmc=True, in which case hit-and-run (marked approximate)
-    is used with default burn-in/thinning.
-    """
+def uniform_body_measure(body: ConvexBody) -> LogConcaveMeasure:
+    """Uniform probability measure on a body with an exact sampler."""
+    if body.sample_exact is None:
+        raise UnsupportedOracleError(f"no exact sampler for family {body.family!r}")
     vol = body.analytic.get("volume")
-    density_sup = None if vol is None else 1.0 / vol
-    label = f"uniform-body({body.family})"
-    if body.sample_exact is not None:
-        return LogConcaveMeasure(
-            dim=body.dim,
-            sampler=body.sample_exact,
-            family="uniform-body",
-            label=label,
-            density_sup=density_sup,
-            analytic_cov=_analytic_body_cov(body),
-        )
-    if not mcmc:
-        raise UnsupportedOracleError(
-            f"no exact sampler for family {body.family!r}; pass mcmc=True to "
-            "authorize the hit-and-run fallback"
-        )
-    if body.membership is None:
-        raise UnsupportedOracleError(
-            f"hit-and-run needs a membership oracle; family {body.family!r} has none"
-        )
-
-    def sampler(count, seed):
-        return hit_and_run(body, count, seed).points
-
     return LogConcaveMeasure(
         dim=body.dim,
-        sampler=sampler,
+        sampler=body.sample_exact,
         family="uniform-body",
-        label=label + " via hit-and-run",
-        density_sup=density_sup,
-        analytic_cov=None,
-        approximate=True,
+        label=f"uniform-body({body.family})",
+        density_sup=None if vol is None else 1.0 / vol,
+        analytic_cov=_analytic_body_cov(body),
     )
 
 
@@ -228,97 +198,6 @@ def pushforward_measure(
         if base.density_sup is None
         else base.density_sup / math.exp(logabsdet),
         analytic_cov=cov,
-        approximate=base.approximate,
-    )
-
-
-# ---------------------------------------------------------------------------
-# hit-and-run
-# ---------------------------------------------------------------------------
-
-_CHAINS = 256  # parallel chains; membership is evaluated batched across them
-_BISECT_STEPS = 46  # 2^-46 relative chord resolution
-
-
-def hit_and_run(
-    body: ConvexBody,
-    count: int,
-    seed: int,
-    burn_in: Optional[int] = None,
-    thin: Optional[int] = None,
-    start: Optional[np.ndarray] = None,
-) -> SampleSet:
-    """Approximately uniform samples from a bounded body with membership.
-
-    Runs parallel chains (membership calls are batched across chains); each
-    step picks a uniform direction, brackets the chord through the current
-    point by doubling + bisection, and jumps to a uniform point on it.
-    Defaults: burn_in = 10*dim^2, thin = dim.  Output provenance is marked
-    approximate by the measure wrapper; this function returns raw samples.
-    """
-    if body.membership is None:
-        raise UnsupportedOracleError(
-            f"hit-and-run needs a membership oracle; family {body.family!r} has none"
-        )
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
-    n = body.dim
-    if burn_in is None:
-        burn_in = 10 * n * n
-    if thin is None:
-        thin = n
-    if burn_in < 1 or thin < 1:
-        raise ValueError("burn_in and thin must be >= 1")
-    x0 = np.zeros(n) if start is None else np.asarray(start, dtype=float)
-    if not bool(body.membership(x0)):
-        raise ValueError("hit-and-run starting point is not inside the body")
-
-    chains = min(count, _CHAINS)
-    per_chain = -(-count // chains)  # ceil
-    rng = rng_from(seed)
-    x = np.tile(x0, (chains, 1))
-    # chord half-length never exceeds 2*circumradius; fall back to doubling
-    r_cap = body.analytic.get("circumradius")
-
-    def chord_extent(pts, dirs, sgn):
-        """Per-chain sup{t>0 : pts + sgn*t*dirs in body}, by doubling + bisection."""
-        lo = np.zeros(chains)
-        hi = np.full(chains, 1e-3 if r_cap is None else 2.0 * r_cap * (1 + 1e-6))
-        if r_cap is None:
-            inside = body.membership(pts + sgn * hi[:, None] * dirs)
-            for _ in range(80):
-                if not inside.any():
-                    break
-                hi[inside] *= 2.0
-                inside = body.membership(pts + sgn * hi[:, None] * dirs)
-            if inside.any():
-                raise ValueError("hit-and-run chord unbounded; body must be bounded")
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            inside = body.membership(pts + sgn * mid[:, None] * dirs)
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        return lo
-
-    kept = []
-    steps_total = burn_in + thin * per_chain
-    for step in range(steps_total):
-        dirs = rng.standard_normal((chains, n))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        t_plus = chord_extent(x, dirs, +1.0)
-        t_minus = chord_extent(x, dirs, -1.0)
-        u = rng.uniform(0.0, 1.0, size=chains)
-        t = -t_minus + u * (t_plus + t_minus)
-        x = x + t[:, None] * dirs
-        if step >= burn_in and (step - burn_in) % thin == thin - 1:
-            kept.append(x.copy())
-    pts = np.concatenate(kept, axis=0)[:count]
-    return SampleSet(
-        dim=n,
-        count=count,
-        points=pts,
-        seed=seed,
-        provenance=f"hit-and-run({body.family}, burn_in={burn_in}, thin={thin})",
     )
 
 
@@ -354,7 +233,7 @@ def project_samples(samples: SampleSet, subspace) -> SampleSet:
 # ---------------------------------------------------------------------------
 
 
-def make_measure(family: str, dim: int, params=(), mcmc: bool = False) -> LogConcaveMeasure:
+def make_measure(family: str, dim: int, params=()) -> LogConcaveMeasure:
     """Build a measure by family name; see parse_measure for the grammar."""
     if family == "gaussian":
         return gaussian_measure(dim)
@@ -362,11 +241,11 @@ def make_measure(family: str, dim: int, params=(), mcmc: bool = False) -> LogCon
         return exponential_product_measure(dim)
     if family == "uniform":
         body_desc = ":".join(str(p) for p in params)
-        return uniform_body_measure(bodies.parse_body(body_desc), mcmc=mcmc)
+        return uniform_body_measure(bodies.parse_body(body_desc))
     raise ValueError(f"unknown measure family {family!r}")
 
 
-def parse_measure(descriptor: str, mcmc: bool = False) -> LogConcaveMeasure:
+def parse_measure(descriptor: str) -> LogConcaveMeasure:
     """Build a measure from a descriptor string.
 
     Grammar: `gaussian:<n>`, `exponential:<n>`, or `uniform:<body-descriptor>`
@@ -389,5 +268,5 @@ def parse_measure(descriptor: str, mcmc: bool = False) -> LogConcaveMeasure:
         rest = parts[1:]
         if rest[0].lower() == "cube" and len(rest) == 2:
             rest = rest + ["1"]  # unit cube in measure context
-        return make_measure("uniform", int(rest[1]), rest, mcmc=mcmc)
+        return make_measure("uniform", int(rest[1]), rest)
     raise ValueError(f"unknown measure descriptor {descriptor!r}")

@@ -12,14 +12,12 @@ from isoconv.bodies import (
     cross_polytope,
     cube,
     ellipsoid,
-    gauge,
     linear_image_body,
     lp_ball,
     lp_ball_volume,
     parse_body,
     product_body,
     scale_body,
-    sym_hull,
     unit_volume_copy,
     v_polytope,
 )
@@ -176,34 +174,6 @@ def test_product_body_membership():
     assert P.membership(np.array([0.9, 0.3, 0.3]))
     assert not P.membership(np.array([1.1, 0.0, 0.0]))
     assert not P.membership(np.array([0.0, 1.0, 0.5]))
-
-
-def test_sym_hull_of_shifted_segment():
-    # segment [0, 1] in R^1 -> hull of itself and its reflection = [-1, 1]
-    seg = v_polytope(np.array([[0.0], [1.0]]))
-    S = sym_hull(seg)
-    assert S.support(np.array([1.0])) == pytest.approx(1.0, rel=1e-14)
-    assert S.support(np.array([-1.0])) == pytest.approx(1.0, rel=1e-14)
-    assert S.symmetric
-
-
-# ---------------------------------------------------------------------------
-# gauge
-# ---------------------------------------------------------------------------
-
-
-def test_gauge_matches_norms():
-    K = ball(3)
-    x = np.array([0.3, -0.4, 1.2])
-    assert gauge(K, x) == pytest.approx(np.linalg.norm(x), rel=1e-9)
-    C = cube(3, side=2.0)
-    assert gauge(C, x) == pytest.approx(np.abs(x).max(), rel=1e-9)
-    X = cross_polytope(3)
-    assert gauge(X, x) == pytest.approx(np.abs(x).sum(), rel=1e-9)
-
-
-def test_gauge_at_origin():
-    assert gauge(ball(2), np.zeros(2)) == 0.0
 
 
 # ---------------------------------------------------------------------------

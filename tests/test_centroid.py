@@ -4,14 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isoconv.bodies import cube, unit_volume_copy, cross_polytope
+from isoconv.bodies import cube
 from isoconv.centroid import (
     P_CAP,
-    borell_ratio,
     centroid_body,
     projection_identity_check,
     z2_deviation_from_ball,
-    zn_vs_symhull,
     zp_monotonicity_check,
     zp_support,
     zp_touching_points,
@@ -139,16 +137,6 @@ def test_monotonicity_rejects_bad_order():
         zp_monotonicity_check(s, 3.0, 2.0, sphere_directions(2, 4, 12))
 
 
-def test_borell_ratio_gaussian():
-    # for the gaussian, h_{Z_q}/h_{Z_p} = c_q/c_p uniformly; with p=2, q=4:
-    # ratio over (q/p) = 3^(1/4)/2 ~ 0.658
-    s = draw_samples(gaussian_measure(3), 100_000, seed=13)
-    dirs = sphere_directions(3, 100, seed=14)
-    r = borell_ratio(s, 2.0, 4.0, dirs)
-    assert r == pytest.approx(3.0**0.25 / 2.0, rel=0.02)
-    assert r <= 1.0  # reverse inclusion with C = 1 holds here
-
-
 def test_projection_identity_exact_both_coordinate_styles():
     s = draw_samples(gaussian_measure(5), 2000, seed=15)
     F = random_subspace(5, 2, seed=16)
@@ -184,16 +172,3 @@ def test_touching_points_euler_relation():
         probe = sphere_directions(3, 50, seed=25)
         hp = zp_support(s, p, probe)
         assert np.all(T @ probe.T <= hp[None, :] + 1e-10)
-
-
-def test_zn_vs_symhull_cube():
-    # for K = unit cube and p = n the empirical Z_n sits inside conv(K u -K)
-    # at a dimension-dependent depth; ratios must be in (0, 1]
-    lo, hi = zn_vs_symhull(cube(3, side=1.0), 50_000, 500, seed=26)
-    assert 0.3 < lo <= hi <= 1.0 + 1e-9
-
-
-def test_zn_vs_symhull_cross():
-    K = unit_volume_copy(cross_polytope(3))
-    lo, hi = zn_vs_symhull(K, 50_000, 500, seed=27)
-    assert 0.2 < lo <= hi <= 1.0 + 1e-9

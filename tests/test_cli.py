@@ -77,16 +77,19 @@ def test_zp_csv_to_stdout(capsys):
     assert rec["suite"] == "zp" and rec["n"] == "3" and rec["seed"] == "3"
 
 
+def _isotropy_rows(out):
+    payload = json.loads(out[out.index("{"):])
+    return payload, {r["quantity"]: r["value"] for r in payload["rows"]}
+
+
 def test_isotropy_json_fields(capsys):
     rc = cli.main(["isotropy", "--measure", "uniform:cube:3", "--samples",
                    "5000", "--seed", "7", "--out", "json"])
     assert rc == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{"):])
-    res = payload["result"]
-    assert set(res) == {"barycenter", "eigenvalues", "det_root", "L"}
-    assert len(res["eigenvalues"]) == 3
-    assert res["L"] == pytest.approx(12.0**-0.5, abs=0.02)
+    payload, rows = _isotropy_rows(capsys.readouterr().out)
+    assert set(rows) == {*(f"{q}-{i}" for q in ("barycenter", "eigenvalue") for i in range(3)),
+                         "det-root", "l-mu"}
+    assert rows["l-mu"] == pytest.approx(12.0**-0.5, abs=0.02)
     assert payload["meta"]["config"]["seed"] == 7
 
 
@@ -96,10 +99,9 @@ def test_isotropy_gaussian_l_value(capsys):
     rc = cli.main(["isotropy", "--measure", "gaussian:2", "--samples", "50000",
                    "--seed", "1", "--out", "json"])
     assert rc == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{"):])
-    assert payload["result"]["L"] == pytest.approx((2 * 3.141592653589793) ** -0.5,
-                                                   abs=0.01)
+    _, rows = _isotropy_rows(capsys.readouterr().out)
+    assert rows["l-mu"] == pytest.approx((2 * 3.141592653589793) ** -0.5, abs=0.01)
+    assert {"eigenvalue-0", "eigenvalue-1"} <= set(rows)
 
 
 def test_meanwidth_out_csv_file(tmp_path, capsys):
@@ -203,3 +205,46 @@ def test_unexpected_error_is_one_line_exit_2(capsys):
     assert rc == 2
     assert err.startswith("error: ZeroDivisionError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+REPORT_COMMANDS = {
+    "meanwidth": ["--body", "ball:3", "--sphere-samples", "200"],
+    "zp": ["--measure", "gaussian:3", "--p", "3", "--samples", "500", "--directions", "4"],
+    "isotropy": ["--measure", "gaussian:2", "--samples", "500"],
+    "vk": ["--body", "ball:4", "--k", "2", "--trials", "2"],
+    "scaling": ["--body", "b1tilde:{n}", "--dims", "4,6,8,12", "--sphere-samples", "200"],
+    "verify": ["--suite", "theorem1", "--dims", "4,8", "--samples", "2000",
+               "--sphere-samples", "500"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_every_command_writes_the_one_report_shape(command, fmt, tmp_path, capsys):
+    header = "suite,n,p,quantity,value,std_error,direction,seed,samples"
+    suite = "theorem1" if command == "verify" else command
+    path = tmp_path / f"x.{fmt}"
+    for out in (fmt, str(path)):
+        rc = cli.main([command, *REPORT_COMMANDS[command], "--seed", "1", "--out", out])
+        assert rc == 0
+        text = capsys.readouterr().out if out == fmt else open(path, newline="").read()
+        if fmt == "csv":
+            assert "\r" not in text
+            body = text[text.index(header):]
+            rows = list(csv.DictReader(body.splitlines()))
+            assert rows and all(r["suite"] == suite for r in rows)
+        else:
+            payload = json.loads(text[text.index("{"):])
+            assert set(payload) == {"meta", "assertions", "rows"}
+            assert set(payload["meta"]) == {"version", "suite", "config", "fitted", "passed"}
+            assert payload["meta"]["suite"] == suite
+            assert payload["meta"]["config"]["seed"] == 1 and payload["rows"]
+
+
+@pytest.mark.parametrize("suite", ["kubota", "thm-main-aniso"])
+def test_single_dimension_suites_reject_several_dims(suite, capsys):
+    rc = cli.main(["verify", "--suite", suite, "--dims", "3,4", "--samples", "1000",
+                   "--sphere-samples", "100", "--trials", "2", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "one dimension" in err and err.count("\n") == 1

@@ -14,7 +14,6 @@ from isoconv.bodies import (
 from isoconv.grassmann import (
     VOLUME_DIM_CAP,
     Subspace,
-    mstar_projected,
     project_body,
     random_subspace,
     vk_estimate,
@@ -182,15 +181,3 @@ def test_vk_monotone_in_trials():
     a = vk_estimate(cube(3, side=2.0), 2, trials=4, seed=9).value
     b = vk_estimate(cube(3, side=2.0), 2, trials=32, seed=9).value
     assert b >= a * 0.98
-
-
-def test_mstar_projected_below_full_mstar():
-    # mean width of a projection is at most the full mean width in these
-    # normalized families
-    K = cube(5, side=2.0)
-    est = mstar_projected(K, 3, trials=8, seed=10, sphere_samples=2000)
-    assert est.direction == "upper"
-    from isoconv.functionals import mean_width
-
-    full = mean_width(K, sphere_samples=20_000, seed=11)
-    assert est.value <= full.value * 1.05

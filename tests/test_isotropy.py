@@ -6,7 +6,6 @@ import pytest
 from isoconv.bodies import ball, cross_polytope, cube
 from isoconv.isotropy import (
     DegenerateCovarianceError,
-    affine_invariance_check,
     apply_whitening,
     estimate_moments,
     exact_isotropic_constant,
@@ -121,25 +120,6 @@ def test_isotropic_constant_estimate_matches_exact():
     est, se = isotropic_constant_estimate(uniform_body_measure(K), 40_000, seed=9)
     assert abs(est - math.sqrt(1.0 / 12.0)) < 3.0 * se + 1e-3
     assert se < 0.01
-
-
-def test_affine_invariance_rotation_exact():
-    # rotations leave L untouched sample-by-sample
-    c, s = math.cos(0.7), math.sin(0.7)
-    R = np.array([[c, -s], [s, c]])
-    ratio = affine_invariance_check(cube(2), R, 5000, seed=10)
-    assert ratio == pytest.approx(1.0, abs=1e-10)
-
-
-def test_affine_invariance_volume_preserving_shear():
-    T = np.array([[2.0, 0.0], [0.0, 0.5]])
-    ratio = affine_invariance_check(cube(2), T, 200_000, seed=11)
-    assert ratio == pytest.approx(1.0, abs=0.02)
-
-
-def test_affine_invariance_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        affine_invariance_check(cube(2), np.diag([2.0, 2.0]), 100, seed=1)
 
 
 def test_isotropic_constant_lower_bound_ball_is_min():

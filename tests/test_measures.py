@@ -10,7 +10,6 @@ from isoconv.measures import (
     draw_samples,
     exponential_product_measure,
     gaussian_measure,
-    hit_and_run,
     parse_measure,
     project_samples,
     pushforward_measure,
@@ -97,29 +96,10 @@ def test_uniform_lp_ball_sampler_inside():
     assert np.median(norms) == pytest.approx(2.0 ** (-1.0 / 3.0), abs=0.01)
 
 
-def test_uniform_requires_exact_sampler_or_mcmc_flag():
+def test_uniform_requires_exact_sampler():
     P = bodies.v_polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
     with pytest.raises(UnsupportedOracleError):
         uniform_body_measure(P)
-    mu = uniform_body_measure(P, mcmc=True)
-    assert mu.approximate
-
-
-def test_hit_and_run_square_moments():
-    # [-1,1]^2 via the membership oracle only; compare with exact moments
-    P = bodies.v_polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
-    s = hit_and_run(P, 20_000, seed=10)
-    assert s.count == 20_000
-    assert np.abs(s.points).max() <= 1.0 + 1e-6
-    assert np.abs(s.points.mean(axis=0)).max() < 0.03
-    assert np.abs(s.points.var(axis=0) - 1.0 / 3.0).max() < 0.02
-
-
-def test_hit_and_run_deterministic():
-    P = bodies.v_polytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
-    a = hit_and_run(P, 500, seed=3)
-    b = hit_and_run(P, 500, seed=3)
-    assert np.array_equal(a.points, b.points)
 
 
 def test_pushforward_measure_covariance():
