@@ -50,14 +50,13 @@ class ConvexBody:
     support: theta -> h_K(theta), positively homogeneous and subadditive.
     membership: x -> bool, optional.
     analytic: known exact quantities keyed by name (volume, inradius,
-        circumradius, ball_radius, isotropic_constant, dbm_to_ball).
+        ball_radius, isotropic_constant).
     sample_exact: optional (count, seed) -> (count, dim) exact uniform sampler.
     """
 
     dim: int
     support: Callable[[np.ndarray], np.ndarray]
     family: str
-    symmetric: bool
     membership: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic: Mapping[str, float] = field(default_factory=dict)
     sample_exact: Optional[Callable[[int, int], np.ndarray]] = None
@@ -112,14 +111,11 @@ def ball(dim: int, radius: float = 1.0) -> ConvexBody:
         support=_vectorize_rows(lambda t: r * np.linalg.norm(t, axis=1)),
         membership=_vectorize_rows(lambda x: np.linalg.norm(x, axis=1) <= r * (1 + 1e-12)),
         family=f"ball({r:g})" if r != 1.0 else "ball",
-        symmetric=True,
         analytic={
             "volume": vol,
             "inradius": r,
-            "circumradius": r,
             "ball_radius": r,
             "isotropic_constant": unit_r / math.sqrt(dim + 2),
-            "dbm_to_ball": 1.0,
         },
         sample_exact=_lp_ball_sampler(dim, 2.0, r),
     )
@@ -142,14 +138,11 @@ def cube(dim: int, side: float = 2.0) -> ConvexBody:
             lambda x: np.abs(x).max(axis=1) <= half * (1 + 1e-12)
         ),
         family=f"cube({side:g})",
-        symmetric=True,
         analytic={
             "volume": side**dim,
             "inradius": half,
-            "circumradius": half * math.sqrt(dim),
             # side^2/12 per coordinate; L_K is scale invariant
             "isotropic_constant": math.sqrt(1.0 / 12.0),
-            "dbm_to_ball": math.sqrt(dim),
         },
         sample_exact=sampler,
     )
@@ -181,8 +174,6 @@ def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
     analytic = {
         "volume": vol,
         "inradius": r * min(1.0, dim ** (0.5 - 1.0 / p)),
-        "circumradius": r * max(1.0, dim ** (0.5 - 1.0 / p)),
-        "dbm_to_ball": float(dim ** abs(0.5 - 1.0 / p)),
     }
     if p == 1.0:
         # unit-volume copy has radius r1 = (n!/2^n)^{1/n}; E x1^2 = 2 r^2/((n+1)(n+2))
@@ -206,7 +197,6 @@ def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
         if p != 1.0
         else _vectorize_rows(lambda x: np.abs(x).sum(axis=1) <= r * (1 + 1e-12)),
         family=family,
-        symmetric=True,
         analytic=analytic,
         sample_exact=_lp_ball_sampler(dim, p, r),
     )
@@ -248,11 +238,9 @@ def ellipsoid(matrix: np.ndarray) -> ConvexBody:
             lambda x: np.linalg.norm(x @ A_inv.T, axis=1) <= 1 + 1e-12
         ),
         family="ellipsoid",
-        symmetric=True,
         analytic={
             "volume": vol,
             "inradius": float(np.linalg.svd(A, compute_uv=False).min()),
-            "circumradius": float(np.linalg.svd(A, compute_uv=False).max()),
         },
         sample_exact=_ellipsoid_sampler(n, A),
     )
@@ -265,58 +253,6 @@ def _ellipsoid_sampler(dim, A):
         return inner(count, seed) @ A.T
 
     return sampler
-
-
-def v_polytope(vertices: np.ndarray) -> ConvexBody:
-    """Convex hull of a vertex list; support is the max dot product.
-
-    Membership comes from the qhull facet representation when the dimension
-    is small enough to build it (<= 8); otherwise only the support oracle.
-    """
-    V = np.asarray(vertices, dtype=float)
-    if V.ndim != 2 or V.shape[0] < 1:
-        raise BodyConstructionError(f"vertices must be a (m, dim) array, got {V.shape}")
-    if V.shape[0] > 10**6:
-        raise BodyConstructionError(f"vertex count {V.shape[0]} exceeds the 1e6 cap")
-    if not np.all(np.isfinite(V)):
-        raise BodyConstructionError("vertices contain non-finite entries")
-    dim = V.shape[1]
-    if np.linalg.matrix_rank(V - V[0]) < dim:
-        raise BodyConstructionError("vertex set is not full-dimensional")
-    symmetric = _vertex_set_symmetric(V)
-
-    membership = None
-    volume = None
-    if dim <= 8 and V.shape[0] > dim:
-        try:
-            from scipy.spatial import ConvexHull
-
-            hull = ConvexHull(V)
-            eq = hull.equations  # rows [a, b] with a.x + b <= 0 inside
-            a, b = eq[:, :-1], eq[:, -1]
-            membership = _vectorize_rows(
-                lambda x: (x @ a.T + b <= 1e-9).all(axis=1)
-            )
-            volume = float(hull.volume)
-        except Exception:
-            membership = None
-
-    analytic = {"circumradius": float(np.linalg.norm(V, axis=1).max())}
-    if volume is not None:
-        analytic["volume"] = volume
-    return ConvexBody(
-        dim=dim,
-        support=_vectorize_rows(lambda t: (t @ V.T).max(axis=1)),
-        membership=membership,
-        family="v-polytope",
-        symmetric=symmetric,
-        analytic=analytic,
-    )
-
-
-def _vertex_set_symmetric(V: np.ndarray) -> bool:
-    rounded = {tuple(np.round(v, 9)) for v in V}
-    return all(tuple(np.round(-np.asarray(v), 9)) in rounded for v in rounded)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +270,11 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
     for key, power in (
         ("volume", body.dim),
         ("inradius", 1),
-        ("circumradius", 1),
         ("ball_radius", 1),
     ):
         if key in analytic:
             analytic[key] = analytic[key] * t**power
-    # isotropic_constant and dbm_to_ball are scale invariant
+    # isotropic_constant is scale invariant
     return ConvexBody(
         dim=body.dim,
         support=lambda theta: t * inner_sup(theta),
@@ -347,7 +282,6 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
         if inner_mem
         else None,
         family=f"scaled({body.family})",
-        symmetric=body.symmetric,
         analytic=analytic,
         sample_exact=(lambda count, seed: t * inner_samp(count, seed))
         if inner_samp
@@ -363,43 +297,6 @@ def unit_volume_copy(body: ConvexBody) -> ConvexBody:
             f"unit_volume_copy needs an analytic volume for family {body.family!r}"
         )
     return scale_body(body, vol ** (-1.0 / body.dim))
-
-
-def linear_image_body(body: ConvexBody, T: np.ndarray) -> ConvexBody:
-    """T K for invertible T: h_{TK}(theta) = h_K(T^T theta)."""
-    T = _check_square_matrix(T, "T")
-    if T.shape[0] != body.dim:
-        raise BodyConstructionError(
-            f"T is {T.shape[0]}x{T.shape[1]} but body has dim {body.dim}"
-        )
-    sign, logabsdet = np.linalg.slogdet(T)
-    if sign == 0 or logabsdet < math.log(1e-12):
-        raise BodyConstructionError("T is singular (|det| below 1e-12)")
-    T_inv = np.linalg.inv(T)
-    inner_sup, inner_mem, inner_samp = body.support, body.membership, body.sample_exact
-
-    def sup(theta):
-        arr = np.asarray(theta, dtype=float)
-        return inner_sup(arr @ T)  # rows theta^T T = (T^T theta)^T
-
-    analytic = {}
-    if "volume" in body.analytic:
-        analytic["volume"] = body.analytic["volume"] * math.exp(logabsdet)
-    if "isotropic_constant" in body.analytic:
-        analytic["isotropic_constant"] = body.analytic["isotropic_constant"]
-    return ConvexBody(
-        dim=body.dim,
-        support=sup,
-        membership=(lambda x: inner_mem(np.asarray(x, dtype=float) @ T_inv.T))
-        if inner_mem
-        else None,
-        family=f"linear-image({body.family})",
-        symmetric=body.symmetric,
-        analytic=analytic,
-        sample_exact=(lambda count, seed: inner_samp(count, seed) @ T.T)
-        if inner_samp
-        else None,
-    )
 
 
 def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
@@ -452,7 +349,6 @@ def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
         support=sup,
         membership=membership,
         family=f"product({K.family},{L.family})",
-        symmetric=K.symmetric and L.symmetric,
         analytic=analytic,
         sample_exact=sampler,
     )
@@ -474,9 +370,9 @@ def _load_matrix_param(token: str) -> np.ndarray:
 def parse_body(descriptor: str) -> ConvexBody:
     """Build a body from a `family:dim[:params]` string.
 
-    Families: ball, cube (side 2), cross, lpball:<dim>:<p>, ellipsoid:<dim>:@file,
-    simplex-free v-polytopes are not exposed here.  Prefix `unit` variants
-    (unitball, unitcube, unitcross, b1tilde) are the unit-volume homothets.
+    Families: ball, cube (side 2), cross, lpball:<dim>:<p>, ellipsoid:<dim>:@file.
+    Prefix `unit` variants (unitball, unitcube, unitcross, b1tilde) are the
+    unit-volume homothets.
     """
     parts = descriptor.strip().split(":")
     if len(parts) < 2:

@@ -130,7 +130,6 @@ def centroid_body(samples: SampleSet, p: float) -> ConvexBody:
         support=sup,
         membership=None,
         family=f"zp(p={p:g}, N={samples.count})",
-        symmetric=True,
     )
 
 

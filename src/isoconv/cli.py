@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 verify-suite assertion failure, 2 usage or any other
 error (one line on stderr, no traceback).
 Every run is replayable: a missing --seed is generated, announced on stderr,
 and embedded in all emitted artifacts.  Every command reports through
-experiments.emit_report, so all reports share one csv and one json shape.
+experiments.emit_report, so all reports share one csv and one json shape; a
+report sent to stdout gets stdout to itself, human-readable lines go to stderr.
 """
 
 from __future__ import annotations
@@ -30,10 +31,22 @@ def _apply_thread_cap():
 def _resolve_out(out: Optional[str], fmt: Optional[str]):
     """--out takes a path, or the literal words csv/json meaning stdout."""
     if out in ("csv", "json"):
+        if fmt not in (None, out):
+            raise ValueError(f"--out {out} contradicts --format {fmt}")
         return None, out
     if out is not None and fmt is None:
         fmt = "json" if out.endswith(".json") else "csv"
     return out, fmt
+
+
+def _log(args):
+    """Stream for a command's human-readable lines.
+
+    stderr when the report goes to stdout, so that stdout stays parseable;
+    stdout otherwise.  Resolving --out here rejects a bad one before any work.
+    """
+    path, fmt = _resolve_out(args.out, args.format)
+    return sys.stderr if fmt is not None and path is None else sys.stdout
 
 
 def _report(args, seed: int, rows, fitted=None) -> None:
@@ -81,10 +94,11 @@ def _cmd_meanwidth(args) -> int:
     from .experiments import Row
     from .functionals import mean_width
 
+    log = _log(args)
     seed = _resolve_seed(args)
     body = parse_body(args.body)
     est = mean_width(body, args.sphere_samples, seed)
-    print(f"{est.value:.10g}")
+    print(f"{est.value:.10g}", file=log)
     _report(args, seed, [Row("meanwidth", body.dim, None, "mstar", est.value,
                              est.std_error, est.direction, seed, est.n_samples)])
     return 0
@@ -96,12 +110,13 @@ def _cmd_zp(args) -> int:
     from .measures import draw_samples, parse_measure
     from .seeds import child_seed, sphere_directions
 
+    log = _log(args)
     seed = _resolve_seed(args)
     mu = parse_measure(args.measure)
     samples = draw_samples(mu, args.samples, child_seed(seed, 0))
     dirs = sphere_directions(mu.dim, args.directions, child_seed(seed, 1))
     h = zp_support(samples, args.p, dirs)
-    print(f"{h.mean():.10g}")
+    print(f"{h.mean():.10g}", file=log)
     _report(args, seed, [Row("zp", mu.dim, args.p, f"h-zp-dir{i}", float(v), 0.0, "mc",
                              seed, args.samples) for i, v in enumerate(h)])
     return 0
@@ -112,6 +127,7 @@ def _cmd_isotropy(args) -> int:
     from .isotropy import estimate_moments, isotropic_constant
     from .measures import draw_samples, parse_measure
 
+    log = _log(args)
     seed = _resolve_seed(args)
     mu = parse_measure(args.measure)
     samples = draw_samples(mu, args.samples, seed)
@@ -119,12 +135,12 @@ def _cmd_isotropy(args) -> int:
     facts = [(f"barycenter-{i}", v) for i, v in enumerate(summary.barycenter)]
     facts += [(f"eigenvalue-{i}", v) for i, v in enumerate(summary.eigenvalues)]
     facts.append(("det-root", summary.det_root))
-    print(f"det_root: {summary.det_root:.10g}")
+    print(f"det_root: {summary.det_root:.10g}", file=log)
     if mu.density_sup is None:
-        print("L: unavailable (no density sup)")
+        print("L: unavailable (no density sup)", file=log)
     else:
-        l_value = isotropic_constant(summary, mu.density_sup).value
-        print(f"L: {l_value:.10g}")
+        l_value = isotropic_constant(summary, mu.density_sup)
+        print(f"L: {l_value:.10g}", file=log)
         facts.append(("l-mu", l_value))
     _report(args, seed, [Row("isotropy", mu.dim, None, q, float(v), 0.0, "mc", seed,
                              args.samples) for q, v in facts])
@@ -136,10 +152,11 @@ def _cmd_vk(args) -> int:
     from .experiments import Row
     from .grassmann import vk_estimate
 
+    log = _log(args)
     seed = _resolve_seed(args)
     body = parse_body(args.body)
     est = vk_estimate(body, args.k, args.trials, seed)
-    print(f"{est.value:.10g}")
+    print(f"{est.value:.10g}", file=log)
     _report(args, seed, [Row("vk", body.dim, None, f"vk-k{args.k}", est.value,
                              est.std_error, est.direction, seed, args.trials)])
     return 0
@@ -174,6 +191,7 @@ def _cmd_verify(args) -> int:
     from .experiments import SuiteConfig, emit_report, run_suite
     from .functionals import parse_rad_model
 
+    log = _log(args)
     seed = _resolve_seed(args)
     cfg = SuiteConfig(
         seed=seed,
@@ -184,11 +202,9 @@ def _cmd_verify(args) -> int:
         p_values=tuple(_parse_values(args.p_values)) if args.p_values else None,
     )
     result = run_suite(args.suite, args.dims, cfg)
-    path, fmt = _resolve_out(args.out, args.format)
-    # a report on stdout keeps it parseable: PASS/FAIL lines move to stderr
-    log = sys.stderr if fmt is not None and path is None else sys.stdout
     for a in result.assertions:
         print(f"{'PASS' if a.passed else 'FAIL'} {a.name}: {a.detail}", file=log)
+    path, fmt = _resolve_out(args.out, args.format)
     if fmt is not None:
         emit_report(result, fmt, path)
     return 0 if result.passed else 1
@@ -201,6 +217,7 @@ def _cmd_scaling(args) -> int:
     from .functionals import mean_width
     from .seeds import child_seed
 
+    log = _log(args)
     seed = _resolve_seed(args)
     rows, pairs = [], []
     for j, n in enumerate(args.dims):
@@ -210,7 +227,7 @@ def _cmd_scaling(args) -> int:
         rows.append(Row("scaling", n, None, "mstar", est.value, est.std_error,
                         est.direction, seed, est.n_samples))
     slope, intercept, half = fit_scaling_slope(pairs)
-    print(f"slope: {slope:.6f} +- {half:.6f}")
+    print(f"slope: {slope:.6f} +- {half:.6f}", file=log)
     rows.append(Row("scaling", 0, None, "slope", slope, half / 2.0, "mc", seed,
                     len(pairs)))
     _report(args, seed, rows, fitted={"intercept": intercept})
@@ -265,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=_cmd_isotropy)
 
-    p = sub.add_parser("vk", help="sampled sup of projection volume radii (lower bound)")
+    p = sub.add_parser("vk", help="sampled sup of projection volume radii "
+                       "(lower bound only when every trial is exact)")
     p.add_argument("--body", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)

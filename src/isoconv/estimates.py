@@ -3,7 +3,8 @@
 Every measured quantity carries its uncertainty and a direction tag so
 downstream comparisons know what kind of statement they are making:
 `exact` (deterministic, std_error 0), `mc` (value +- std_error), `upper` /
-`lower` (one-sided bounds -- e.g. a sampled sup is only ever a lower bound).
+`lower` (one-sided bounds -- e.g. a sampled sup of exact values is only ever
+a lower bound).
 """
 
 from __future__ import annotations

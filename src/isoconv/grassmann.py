@@ -74,17 +74,7 @@ def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
         arr = np.asarray(u, dtype=float)
         return inner(arr @ B.T)  # rows u^T B^T = (B u)^T
 
-    analytic = {}
-    if "circumradius" in body.analytic:
-        analytic["circumradius"] = body.analytic["circumradius"]
-    return ConvexBody(
-        dim=F.k,
-        support=sup,
-        membership=None,
-        family=f"proj[{F.k}]({body.family})",
-        symmetric=body.symmetric,
-        analytic=analytic,
-    )
+    return ConvexBody(dim=F.k, support=sup, family=f"proj[{F.k}]({body.family})")
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +193,12 @@ def vk_estimate(
     method: str = "auto",
     n_directions: int = DEFAULT_HULL_DIRECTIONS,
 ) -> Estimate:
-    """Sampled sup of volrad(P_F K) over Haar F in G_{n,k}: a LOWER bound.
+    """Sampled sup of volrad(P_F K) over Haar F in G_{n,k}.
 
-    The true v_k is a supremum; finitely many trials can only undershoot it
-    (up to the inner volrad method's own direction).
+    The true v_k is a supremum, so finitely many trials of exact volume radii
+    can only undershoot it: the result is labelled `lower` when every trial
+    is `exact` (balls, k = 1).  Otherwise it is `mc`: a sup of outer
+    support-hull (or Monte Carlo) volume radii bounds v_k from neither side.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -219,6 +211,7 @@ def vk_estimate(
         )
     best = -math.inf
     best_se = 0.0
+    exact = True
     for i in range(trials):
         F = random_subspace(body.dim, k, child_seed(seed, i))
         est = volume_radius_lowdim(
@@ -227,6 +220,7 @@ def vk_estimate(
             n_directions=n_directions,
             seed=child_seed(seed, trials + i),
         )
+        exact = exact and est.direction == "exact"
         if est.value > best:
             best, best_se = est.value, est.std_error
-    return Estimate(best, best_se, trials, seed, "lower")
+    return Estimate(best, best_se, trials, seed, "lower" if exact else "mc")

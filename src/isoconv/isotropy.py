@@ -47,13 +47,6 @@ class MomentSummary:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class IsotropicConstant:
-    value: float
-    density_sup: float
-    det_root: float
-
-
 def estimate_moments(samples: SampleSet) -> MomentSummary:
     """Sample barycenter and covariance (divisor N) with eigendecomposition.
 
@@ -125,15 +118,14 @@ def apply_whitening(samples: SampleSet, T: np.ndarray, shift: np.ndarray) -> Sam
     )
 
 
-def isotropic_constant(summary: MomentSummary, density_sup: Optional[float]) -> IsotropicConstant:
+def isotropic_constant(summary: MomentSummary, density_sup: Optional[float]) -> float:
     """L = density_sup^{1/n} * det_root.  Needs an exact density sup."""
     if density_sup is None or density_sup <= 0:
         raise UnsupportedOracleError(
             "isotropic constant needs an exact density sup; sample-based "
             "estimates of ||f||_inf are not supported"
         )
-    value = density_sup ** (1.0 / summary.dim) * summary.det_root
-    return IsotropicConstant(value=value, density_sup=density_sup, det_root=summary.det_root)
+    return density_sup ** (1.0 / summary.dim) * summary.det_root
 
 
 def isotropic_constant_estimate(
@@ -150,7 +142,7 @@ def isotropic_constant_estimate(
     vals = np.empty(batches)
     for i in range(batches):
         s = draw_samples(measure, per, child_seed(seed, i))
-        vals[i] = isotropic_constant(estimate_moments(s), measure.density_sup).value
+        vals[i] = isotropic_constant(estimate_moments(s), measure.density_sup)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(batches))
 
 

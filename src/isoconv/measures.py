@@ -1,8 +1,7 @@
 """Log-concave probability measures as seeded samplers.
 
-A measure is a deterministic oracle (count, seed) -> points, tagged with
-whatever analytic facts survive the construction (sup of the density, exact
-covariance).  Exact samplers exist for the gaussian, coordinate products and
+A measure is a deterministic oracle (count, seed) -> points, tagged with the
+sup of its density when that survives the construction.  Exact samplers exist for the gaussian, coordinate products and
 the bodies that carry one; a body without an exact sampler is rejected.
 
 Determinism contract: same (measure, N, seed) gives bit-identical output
@@ -52,20 +51,16 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class LogConcaveMeasure:
-    """Sampler oracle plus analytic side information.
+    """Sampler oracle plus the sup of its density.
 
-    family is one of uniform-body | gaussian | exponential-product |
-    pushforward; label carries the human-readable construction.
-    density_sup is sup f_mu when exactly known (None otherwise), analytic_cov
-    the exact covariance matrix when known.
+    label carries the human-readable construction (the provenance of every
+    draw); density_sup is sup f_mu when exactly known, None otherwise.
     """
 
     dim: int
     sampler: Callable[[int, int], np.ndarray]
-    family: str
     label: str
     density_sup: Optional[float] = None
-    analytic_cov: Optional[np.ndarray] = None
 
 
 def draw_samples(
@@ -109,10 +104,8 @@ def gaussian_measure(dim: int) -> LogConcaveMeasure:
     return LogConcaveMeasure(
         dim=dim,
         sampler=sampler,
-        family="gaussian",
         label=f"gaussian({dim})",
         density_sup=(2.0 * math.pi) ** (-dim / 2.0),
-        analytic_cov=np.eye(dim),
     )
 
 
@@ -127,27 +120,9 @@ def exponential_product_measure(dim: int) -> LogConcaveMeasure:
     return LogConcaveMeasure(
         dim=dim,
         sampler=sampler,
-        family="exponential-product",
         label=f"exponential-product({dim})",
         density_sup=0.5**dim,
-        analytic_cov=2.0 * np.eye(dim),
     )
-
-
-def _analytic_body_cov(body: ConvexBody) -> Optional[np.ndarray]:
-    """Exact covariance of the uniform measure, for families where we know it."""
-    fam = body.family
-    if fam.startswith("cube("):
-        side = 2.0 * body.analytic["inradius"]
-        return (side**2 / 12.0) * np.eye(body.dim)
-    if "ball_radius" in body.analytic:
-        r = body.analytic["ball_radius"]
-        return (r**2 / (body.dim + 2)) * np.eye(body.dim)
-    if fam.startswith("cross-polytope") or fam.startswith("scaled(cross-polytope"):
-        r = body.analytic["circumradius"]
-        n = body.dim
-        return (2.0 * r**2 / ((n + 1) * (n + 2))) * np.eye(n)
-    return None
 
 
 def uniform_body_measure(body: ConvexBody) -> LogConcaveMeasure:
@@ -158,22 +133,15 @@ def uniform_body_measure(body: ConvexBody) -> LogConcaveMeasure:
     return LogConcaveMeasure(
         dim=body.dim,
         sampler=body.sample_exact,
-        family="uniform-body",
         label=f"uniform-body({body.family})",
         density_sup=None if vol is None else 1.0 / vol,
-        analytic_cov=_analytic_body_cov(body),
     )
 
 
 def pushforward_measure(
     base: LogConcaveMeasure, T: np.ndarray, shift: Optional[np.ndarray] = None
 ) -> LogConcaveMeasure:
-    """Affine pushforward x -> T x + shift.
-
-    density_sup divides by |det T|; the analytic covariance conjugates when
-    the base has one and the shift is recentering-free (cov is shift-free
-    only when the base is centered, which all built-in families are).
-    """
+    """Affine pushforward x -> T x + shift; density_sup divides by |det T|."""
     T = np.asarray(T, dtype=float)
     if T.shape != (base.dim, base.dim):
         raise ValueError(f"T must be {base.dim}x{base.dim}, got {T.shape}")
@@ -186,18 +154,13 @@ def pushforward_measure(
     def sampler(count, seed):
         return inner(count, seed) @ T.T + b
 
-    cov = None
-    if base.analytic_cov is not None:
-        cov = T @ base.analytic_cov @ T.T
     return LogConcaveMeasure(
         dim=base.dim,
         sampler=sampler,
-        family="pushforward",
         label=f"pushforward({base.label})",
         density_sup=None
         if base.density_sup is None
         else base.density_sup / math.exp(logabsdet),
-        analytic_cov=cov,
     )
 
 
@@ -233,18 +196,6 @@ def project_samples(samples: SampleSet, subspace) -> SampleSet:
 # ---------------------------------------------------------------------------
 
 
-def make_measure(family: str, dim: int, params=()) -> LogConcaveMeasure:
-    """Build a measure by family name; see parse_measure for the grammar."""
-    if family == "gaussian":
-        return gaussian_measure(dim)
-    if family == "exponential":
-        return exponential_product_measure(dim)
-    if family == "uniform":
-        body_desc = ":".join(str(p) for p in params)
-        return uniform_body_measure(bodies.parse_body(body_desc))
-    raise ValueError(f"unknown measure family {family!r}")
-
-
 def parse_measure(descriptor: str) -> LogConcaveMeasure:
     """Build a measure from a descriptor string.
 
@@ -259,7 +210,8 @@ def parse_measure(descriptor: str) -> LogConcaveMeasure:
     if head in ("gaussian", "exponential"):
         if len(parts) != 2:
             raise ValueError(f"descriptor {descriptor!r} must be {head}:<dim>")
-        return make_measure(head, int(parts[1]))
+        make = gaussian_measure if head == "gaussian" else exponential_product_measure
+        return make(int(parts[1]))
     if head == "uniform":
         if len(parts) < 3:
             raise ValueError(
@@ -268,5 +220,5 @@ def parse_measure(descriptor: str) -> LogConcaveMeasure:
         rest = parts[1:]
         if rest[0].lower() == "cube" and len(rest) == 2:
             rest = rest + ["1"]  # unit cube in measure context
-        return make_measure("uniform", int(rest[1]), rest)
+        return uniform_body_measure(bodies.parse_body(":".join(rest)))
     raise ValueError(f"unknown measure descriptor {descriptor!r}")

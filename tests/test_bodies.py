@@ -12,14 +12,12 @@ from isoconv.bodies import (
     cross_polytope,
     cube,
     ellipsoid,
-    linear_image_body,
     lp_ball,
     lp_ball_volume,
     parse_body,
     product_body,
     scale_body,
     unit_volume_copy,
-    v_polytope,
 )
 from isoconv.seeds import sphere_directions
 
@@ -88,16 +86,6 @@ def test_ellipsoid_support_closed_form():
     assert E.analytic["volume"] == pytest.approx(abs(np.linalg.det(A)) * math.pi, rel=1e-12)
 
 
-def test_v_polytope_support_and_volume():
-    V = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    P = v_polytope(V)
-    assert P.support(np.array([1.0, 1.0])) == pytest.approx(2.0, rel=1e-14)
-    assert P.analytic["volume"] == pytest.approx(4.0, rel=1e-10)
-    assert P.symmetric
-    assert P.membership(np.array([0.5, 0.5]))
-    assert not P.membership(np.array([1.5, 0.0]))
-
-
 def test_support_positive_homogeneity():
     K = lp_ball(4, 1.5)
     dirs = sphere_directions(4, 32, seed=2)
@@ -106,8 +94,7 @@ def test_support_positive_homogeneity():
 
 
 def test_support_subadditive_spot_check():
-    K = v_polytope(np.array([[1.0, 0.2, 0.0], [-0.3, 1.0, 0.5], [0.0, -1.0, -0.2],
-                             [-1.0, -0.2, 0.0], [0.3, -1.0, -0.5], [0.0, 1.0, 0.2]]))
+    K = ellipsoid(np.array([[1.0, 0.2, 0.0], [-0.3, 1.0, 0.5], [0.0, -1.0, 2.0]]))
     rng = np.random.default_rng(0)
     u = rng.standard_normal((50, 3))
     v = rng.standard_normal((50, 3))
@@ -137,24 +124,9 @@ def test_unit_volume_copy():
 
 def test_unit_volume_copy_requires_volume():
     free = bodies.ConvexBody(dim=2, support=lambda t: np.linalg.norm(t, axis=-1),
-                             family="custom", symmetric=True)
+                             family="custom")
     with pytest.raises(UnsupportedOracleError):
         unit_volume_copy(free)
-
-
-def test_linear_image_support_identity():
-    # h_{TK}(theta) = h_K(T^t theta)
-    K = lp_ball(3, 1.5)
-    T = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.3, 0.0, 1.0]])
-    TK = linear_image_body(K, T)
-    dirs = sphere_directions(3, 128, seed=4)
-    assert np.allclose(TK.support(dirs), K.support(dirs @ T), rtol=1e-12)
-
-
-def test_linear_image_volume_scaling():
-    T = np.diag([2.0, 3.0])
-    TK = linear_image_body(cube(2, side=2.0), T)
-    assert TK.analytic["volume"] == pytest.approx(24.0, rel=1e-12)
 
 
 def test_product_body_support_is_sum():
@@ -228,11 +200,5 @@ def test_constructor_validation():
     with pytest.raises(BodyConstructionError):
         lp_ball(2, 0.5)
     with pytest.raises(BodyConstructionError):
-        v_polytope(np.zeros((1, 2)))  # not full-dimensional
-    with pytest.raises(BodyConstructionError):
         ellipsoid(np.array([[1.0, 0.0], [1.0, 0.0]]))  # singular
 
-
-def test_linear_image_rejects_singular():
-    with pytest.raises(BodyConstructionError):
-        linear_image_body(ball(2), np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -121,7 +121,6 @@ def test_centroid_body_support_matches_zp():
     Z = centroid_body(s, 3.0)
     dirs = sphere_directions(3, 50, seed=8)
     assert np.allclose(Z.support(dirs), zp_support(s, 3.0, dirs), rtol=1e-14)
-    assert Z.symmetric
 
 
 def test_monotonicity_is_exact():

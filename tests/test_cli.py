@@ -69,16 +69,18 @@ def test_zp_csv_to_stdout(capsys):
     rc = cli.main(["zp", "--measure", "gaussian:3", "--p", "2", "--samples",
                    "2000", "--directions", "5", "--seed", "3", "--out", "csv"])
     assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    # value line, then header + 5 rows
-    assert lines[1] == "suite,n,p,quantity,value,std_error,direction,seed,samples"
-    assert len(lines) == 7
-    rec = next(csv.DictReader(lines[1:]))
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    # header + 5 rows; the value line goes to stderr
+    assert lines[0] == "suite,n,p,quantity,value,std_error,direction,seed,samples"
+    assert len(lines) == 6
+    assert len(captured.err.strip().splitlines()) == 1
+    rec = next(csv.DictReader(lines))
     assert rec["suite"] == "zp" and rec["n"] == "3" and rec["seed"] == "3"
 
 
 def _isotropy_rows(out):
-    payload = json.loads(out[out.index("{"):])
+    payload = json.loads(out)
     return payload, {r["quantity"]: r["value"] for r in payload["rows"]}
 
 
@@ -230,11 +232,11 @@ def test_every_command_writes_the_one_report_shape(command, fmt, tmp_path, capsy
         text = capsys.readouterr().out if out == fmt else open(path, newline="").read()
         if fmt == "csv":
             assert "\r" not in text
-            body = text[text.index(header):]
-            rows = list(csv.DictReader(body.splitlines()))
+            assert text.startswith(header + "\n")
+            rows = list(csv.DictReader(text.splitlines()))
             assert rows and all(r["suite"] == suite for r in rows)
         else:
-            payload = json.loads(text[text.index("{"):])
+            payload = json.loads(text)
             assert set(payload) == {"meta", "assertions", "rows"}
             assert set(payload["meta"]) == {"version", "suite", "config", "fitted", "passed"}
             assert payload["meta"]["suite"] == suite
@@ -248,3 +250,24 @@ def test_single_dimension_suites_reject_several_dims(suite, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "one dimension" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out,fmt", [("csv", "json"), ("json", "csv")])
+def test_out_word_contradicting_format_exits_2(out, fmt, capsys):
+    rc = cli.main(["meanwidth", "--body", "ball:3", "--seed", "1", "--out", out,
+                   "--format", fmt])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_vk_sup_of_outer_estimates_is_not_labelled_lower(capsys):
+    # Cauchy-Binet caps v_4 of the unit 6-cube at C(6,4)^(1/8) w_4^(-1/4) = 0.9412,
+    # yet the sup of tangent-polytope volume radii reads 0.954 here
+    rc = cli.main(["vk", "--body", "cube:6:1", "--k", "4", "--trials", "8",
+                   "--seed", "1", "--out", "json"])
+    assert rc == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["value"] > 0.9412
+    assert row["direction"] == "mc"

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from isoconv.bodies import (
+    ConvexBody,
     UnsupportedOracleError,
     ball,
     ball_volume,
     cross_polytope,
     cube,
-    v_polytope,
 )
 from isoconv.grassmann import (
     VOLUME_DIM_CAP,
@@ -103,7 +103,9 @@ def test_projection_composition_consistency():
 
 
 def test_volume_radius_interval_exact():
-    seg = v_polytope(np.array([[-0.5], [1.5]]))
+    # [-0.5, 1.5] as a bare 1-D support oracle: h(t) = max(-0.5 t, 1.5 t)
+    seg = ConvexBody(dim=1, support=lambda t: np.maximum(-0.5 * t, 1.5 * t)[..., 0],
+                     family="segment")
     est = volume_radius_lowdim(seg)
     assert est.value == pytest.approx(1.0, rel=1e-12)  # length 2 / ball length 2
     assert est.direction == "exact"
@@ -173,6 +175,7 @@ def test_vk_estimate_k1_square_diagonal():
     est = vk_estimate(cube(2, side=2.0), 1, trials=64, seed=8)
     assert est.value <= math.sqrt(2.0) + 1e-9
     assert est.value > 1.2
+    assert est.direction == "lower"  # every 1-D shadow's length is exact
 
 
 def test_vk_monotone_in_trials():

@@ -92,10 +92,10 @@ def test_isotropic_constant_formula():
     s = draw_samples(uniform_body_measure(cube(4, side=1.0)), 100_000, seed=7)
     m = estimate_moments(s)
     L = isotropic_constant(m, density_sup=1.0)
-    assert L.value == pytest.approx(math.sqrt(1.0 / 12.0), rel=0.01)
+    assert L == pytest.approx(math.sqrt(1.0 / 12.0), rel=0.01)
     # density_sup enters as sup^(1/n)
     L2 = isotropic_constant(m, density_sup=2.0**4)
-    assert L2.value == pytest.approx(2.0 * L.value, rel=1e-12)
+    assert L2 == pytest.approx(2.0 * L, rel=1e-12)
 
 
 def test_isotropic_constant_requires_density():

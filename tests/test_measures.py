@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from isoconv import bodies, measures
+from isoconv import measures
 from isoconv.bodies import UnsupportedOracleError, ball, cross_polytope, cube, lp_ball
-from isoconv.grassmann import random_subspace
+from isoconv.grassmann import project_body, random_subspace
 from isoconv.measures import (
     draw_samples,
     exponential_product_measure,
@@ -97,7 +97,8 @@ def test_uniform_lp_ball_sampler_inside():
 
 
 def test_uniform_requires_exact_sampler():
-    P = bodies.v_polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
+    # a projected body is a bare support oracle, with no sampler
+    P = project_body(cube(3), random_subspace(3, 2, seed=10))
     with pytest.raises(UnsupportedOracleError):
         uniform_body_measure(P)
 
@@ -108,8 +109,6 @@ def test_pushforward_measure_covariance():
     s = draw_samples(mu, 200_000, seed=11)
     cov = (s.points.T @ s.points) / s.count
     assert np.abs(cov - T @ T.T).max() < 0.05
-    assert mu.analytic_cov is not None
-    assert np.allclose(mu.analytic_cov, T @ T.T, atol=1e-12)
 
 
 def test_pushforward_density_sup_scales_by_det():
