@@ -35,12 +35,16 @@ def ball_volume(dim: int, radius: float = 1.0) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius**dim
 
 
-def lp_ball_volume(dim: int, p: float, radius: float = 1.0) -> float:
-    """Volume of radius*B_p^dim: (2 Gamma(1+1/p))^n / Gamma(1+n/p)."""
-    log_v = dim * (math.log(2.0) + math.lgamma(1.0 + 1.0 / p)) - math.lgamma(
+def lp_ball_log_volume(dim: int, p: float) -> float:
+    """log vol B_p^dim = n log(2 Gamma(1+1/p)) - log Gamma(1+n/p), finite at any n."""
+    return dim * (math.log(2.0) + math.lgamma(1.0 + 1.0 / p)) - math.lgamma(
         1.0 + dim / p
     )
-    return math.exp(log_v) * radius**dim
+
+
+def lp_ball_volume(dim: int, p: float, radius: float = 1.0) -> float:
+    """Volume of radius*B_p^dim: (2 Gamma(1+1/p))^n / Gamma(1+n/p)."""
+    return math.exp(lp_ball_log_volume(dim, p)) * radius**dim
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,9 @@ class ConvexBody:
     support: theta -> h_K(theta), positively homogeneous and subadditive.
     membership: x -> bool, optional.
     analytic: known exact quantities keyed by name (volume, inradius,
-        ball_radius, isotropic_constant).
+        ball_radius, isotropic_constant).  A body with a volume also carries
+        its log_volume, which stays finite where the volume over- or
+        underflows.
     sample_exact: optional (count, seed) -> (count, dim) exact uniform sampler.
     """
 
@@ -113,6 +119,7 @@ def ball(dim: int, radius: float = 1.0) -> ConvexBody:
         family=f"ball({r:g})" if r != 1.0 else "ball",
         analytic={
             "volume": vol,
+            "log_volume": lp_ball_log_volume(dim, 2.0) + dim * math.log(r),
             "inradius": r,
             "ball_radius": r,
             "isotropic_constant": unit_r / math.sqrt(dim + 2),
@@ -140,6 +147,7 @@ def cube(dim: int, side: float = 2.0) -> ConvexBody:
         family=f"cube({side:g})",
         analytic={
             "volume": side**dim,
+            "log_volume": dim * math.log(side),
             "inradius": half,
             # side^2/12 per coordinate; L_K is scale invariant
             "isotropic_constant": math.sqrt(1.0 / 12.0),
@@ -173,6 +181,7 @@ def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
     vol = lp_ball_volume(dim, p, r)
     analytic = {
         "volume": vol,
+        "log_volume": lp_ball_log_volume(dim, p) + dim * math.log(r),
         "inradius": r * min(1.0, dim ** (0.5 - 1.0 / p)),
     }
     if p == 1.0:
@@ -240,6 +249,7 @@ def ellipsoid(matrix: np.ndarray) -> ConvexBody:
         family="ellipsoid",
         analytic={
             "volume": vol,
+            "log_volume": lp_ball_log_volume(n, 2.0) + logdet,
             "inradius": float(np.linalg.svd(A, compute_uv=False).min()),
         },
         sample_exact=_ellipsoid_sampler(n, A),
@@ -267,13 +277,12 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
     t = float(t)
     inner_sup, inner_mem, inner_samp = body.support, body.membership, body.sample_exact
     analytic = dict(body.analytic)
-    for key, power in (
-        ("volume", body.dim),
-        ("inradius", 1),
-        ("ball_radius", 1),
-    ):
+    for key in ("inradius", "ball_radius"):
         if key in analytic:
-            analytic[key] = analytic[key] * t**power
+            analytic[key] = analytic[key] * t
+    if "log_volume" in analytic:
+        analytic["log_volume"] += body.dim * math.log(t)
+        analytic["volume"] = math.exp(analytic["log_volume"])
     # isotropic_constant is scale invariant
     return ConvexBody(
         dim=body.dim,
@@ -291,12 +300,12 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
 
 def unit_volume_copy(body: ConvexBody) -> ConvexBody:
     """Homothetic copy of volume one; requires analytic volume."""
-    vol = body.analytic.get("volume")
-    if vol is None:
+    log_vol = body.analytic.get("log_volume")
+    if log_vol is None:
         raise UnsupportedOracleError(
             f"unit_volume_copy needs an analytic volume for family {body.family!r}"
         )
-    return scale_body(body, vol ** (-1.0 / body.dim))
+    return scale_body(body, math.exp(-log_vol / body.dim))
 
 
 def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
@@ -342,6 +351,7 @@ def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
     analytic = {}
     if "volume" in K.analytic and "volume" in L.analytic:
         analytic["volume"] = K.analytic["volume"] * L.analytic["volume"]
+        analytic["log_volume"] = K.analytic["log_volume"] + L.analytic["log_volume"]
     if "inradius" in K.analytic and "inradius" in L.analytic:
         analytic["inradius"] = min(K.analytic["inradius"], L.analytic["inradius"])
     return ConvexBody(

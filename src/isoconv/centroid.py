@@ -10,11 +10,15 @@ classical inclusion/projection identities hold EXACTLY at the empirical level
 what the deterministic checks below exploit: no tolerance debates, just
 floating-point round-off.
 
-Every p shares one kernel: each block of |<x_i, theta>| is divided by its
-column max M before the p-th power, so h = M (mean (|<x,theta>|/M)^p)^{1/p}
-can only underflow, never overflow, up to the p cap.  At p = 2 the exact
-identity h_{Z_2}(theta)^2 = theta^T Sigma theta with Sigma = X^T X / N skips
-the (N, m) product altogether.
+Every p shares one kernel.  Each block of directions is formed
+direction-major as theta_b X^T, shape (b, N), so the abs, max, scaling, power
+and mean of each direction run along one contiguous row.  Each row is scaled
+by its max M before the p-th power, so h = M (mean (|<x,theta>|/M)^p)^{1/p}
+can only underflow, never overflow, up to the p cap.  Integer p is formed by
+in-place squarings plus a multiply per set bit of p; only fractional p goes
+through np.power.  At p = 2 the exact identity
+h_{Z_2}(theta)^2 = theta^T Sigma theta with Sigma = X^T X / N skips the
+(m, N) product altogether.
 """
 
 from __future__ import annotations
@@ -26,30 +30,69 @@ from .measures import SampleSet, project_samples
 from .seeds import sphere_directions
 
 P_CAP = float(2**20)
-_DOT_BLOCK = 1 << 21  # doubles (16 MB) held by all (N, b) temporaries of one block
+_DOT_BLOCK = 1 << 21  # doubles (16 MB) held by all (b, N) temporaries of one block
+
+
+def _check_p(p: float) -> None:
+    """Reject p outside [1, P_CAP]; written so that NaN fails too."""
+    if not (1.0 <= p <= P_CAP):
+        raise ValueError(f"p must be in [1, {P_CAP:g}], got {p}")
 
 
 def _blocks(n_points: int, n_dirs: int, temporaries: int):
-    """Direction slices whose `temporaries` (N, b) arrays fit in _DOT_BLOCK."""
-    step = max(1, _DOT_BLOCK // (n_points * temporaries))
+    """Direction slices, each with `temporaries` (b, N) buffers.
+
+    The buffers are allocated once and reused by every block, and together
+    they fit in _DOT_BLOCK whatever the number of directions.
+    """
+    step = max(1, min(n_dirs, _DOT_BLOCK // (n_points * temporaries)))
+    buffers = [np.empty((step, n_points)) for _ in range(temporaries)]
     for start in range(0, n_dirs, step):
-        yield slice(start, start + step)
+        b = min(step, n_dirs - start)
+        yield slice(start, start + b), [buf[:b] for buf in buffers]
+
+
+def _power(base: np.ndarray, p: float, out: np.ndarray) -> None:
+    """out <- base**p for base >= 0 and p >= 0.
+
+    Integer p is left-to-right binary powering: one squaring per bit after
+    the leading one, the first written into `out`, and a multiply by `base`
+    for each set bit, so `out` may be `base` itself when p is a power of
+    two.  Only fractional p goes through np.power, which costs several
+    times as much.
+    """
+    if p != int(p):
+        np.power(base, p, out=out)
+        return
+    k = int(p)
+    if k == 0:
+        np.sign(base, out=out)  # 0^0 = 0, as d|t|/dt at t = 0 is taken to be
+    elif k == 1:
+        np.copyto(out, base)
+    acc = base
+    for bit in bin(k)[3:]:
+        np.multiply(acc, acc, out=out)
+        acc = out
+        if bit == "1":
+            out *= base
 
 
 def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarray:
     """h_{Z_p}(theta) for one direction (dim,) or a batch (m, dim).
 
-    p = 1 is the mean of |X theta|; p = 2 is sqrt(theta^T Sigma theta); any
-    other p is a power mean scaled by each column's max (overflow-safe up to
-    the p cap).  A direction orthogonal to every sample gives 0, at p = 2 up
-    to round-off: the quadratic form carries an error of order
-    eps * ||Sigma||, so there a direction of tiny spread is resolved only to
-    about sqrt(eps) times the largest sample spread.
+    p = 1 is the mean of |X theta|; p = 2 is sqrt(theta^T Sigma theta).  Any
+    other p is a power mean over each direction's contiguous row of the
+    (b, N) block u = |theta_b X^T|, scaled by the row's max (overflow-safe up
+    to the p cap).  Integer p is formed by squarings, in place when p is a
+    power of two and in a second buffer otherwise: an even p as the
+    self-dot of each row of u^{p/2}, an odd p as the dot of u with u^{p-1}.
+    Only fractional p goes through np.power, in place.  A direction
+    orthogonal to every sample gives 0, at p = 2 up to round-off: the
+    quadratic form carries an error of order eps * ||Sigma||, so there a
+    direction of tiny spread is resolved only to about sqrt(eps) times the
+    largest sample spread.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if p > P_CAP:
-        raise ValueError(f"p = {p:g} exceeds the cap {P_CAP:g}")
+    _check_p(p)
     theta = np.asarray(directions, dtype=float)
     single = theta.ndim == 1
     if single:
@@ -65,19 +108,31 @@ def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarr
         quad = ((theta @ sigma) * theta).sum(axis=1)
         out = np.sqrt(np.maximum(quad, 0.0))
         return out[0] if single else out
+    integer = p == int(p)
+    # a power of two is squared in place; any other integer p needs a second
+    # (b, N) buffer for its power
+    in_place = not integer or bin(int(p)).count("1") == 1
     out = np.empty(theta.shape[0])
-    for cols in _blocks(n, theta.shape[0], 1):
-        dots = pts @ theta[cols].T  # (N, b)
-        np.abs(dots, out=dots)
+    for rows, (u, *w) in _blocks(n, theta.shape[0], 1 if in_place else 2):
+        np.matmul(theta[rows], pts.T, out=u)  # one contiguous row per direction
+        np.abs(u, out=u)
         if p == 1.0:
-            out[cols] = dots.mean(axis=0)
+            out[rows] = u.mean(axis=1)
+            continue
+        scale = u.max(axis=1)
+        scale[scale == 0.0] = 1.0  # an all-zero row stays 0
+        u *= (1.0 / scale)[:, None]
+        if not integer:
+            np.power(u, p, out=u)
+            sums = u.sum(axis=1)
+        elif p % 2 == 0:
+            v = w[0] if w else u
+            _power(u, p // 2, v)
+            sums = np.vecdot(v, v)
         else:
-            scale = dots.max(axis=0)
-            scale[scale == 0.0] = 1.0  # an all-zero column stays 0
-            dots /= scale
-            np.power(dots, p, out=dots)
-            out[cols] = scale * dots.mean(axis=0) ** (1.0 / p)
-        del dots  # free the block before the next product is formed
+            _power(u, p - 1, w[0])
+            sums = np.vecdot(u, w[0])
+        out[rows] = scale * (sums / n) ** (1.0 / p)
     return out[0] if single else out
 
 
@@ -86,41 +141,38 @@ def zp_touching_points(samples: SampleSet, p: float, directions: np.ndarray) -> 
 
     For a differentiable support function the touching point is grad h; here
     grad h_{Z_p}(theta) = h^{1-p} (1/N) sum |<x,theta>|^{p-1} sign(<x,theta>) x,
-    which normalizes to (h/M) X^T w / sum|u|^p with u = dots/M, M = max|dots|,
-    so powers only ever underflow.  Convex hulls of these points are inner
-    approximations of Z_p (the dual of the support-hull outer estimate).
+    which normalizes to (h/M) w X / sum|u|^p with u = |X theta|/M, M its row
+    max and w = sign(X theta) u^{p-1}, so powers only ever underflow.
+    Blocks are direction-major as in zp_support, and u^{p-1} comes from the
+    same squarings for integer p and from np.power otherwise.
+    Convex hulls of these points are inner approximations of Z_p (the dual
+    of the support-hull outer estimate).
     """
-    if p < 1 or p > P_CAP:
-        raise ValueError(f"p must be in [1, {P_CAP:g}], got {p}")
+    _check_p(p)
     theta = np.asarray(directions, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != samples.dim:
         raise ValueError("directions must be (m, dim)")
     pts = samples.points
     n = samples.count
     out = np.empty_like(theta)
-    for cols in _blocks(n, theta.shape[0], 3):
-        dots = pts @ theta[cols].T  # (N, b)
-        sign = np.sign(dots)
-        np.abs(dots, out=dots)
-        scale = dots.max(axis=0)
+    for rows, (dots, u, w) in _blocks(n, theta.shape[0], 3):
+        np.matmul(theta[rows], pts.T, out=dots)  # (b, N)
+        np.abs(dots, out=u)
+        scale = u.max(axis=1)
         if np.any(scale == 0):
             raise ValueError("a direction is orthogonal to every sample")
-        dots /= scale  # |u|
-        w = np.power(dots, p - 1.0)  # |u|^{p-1}
-        dots *= w  # |u|^p
-        wp_sum = dots.sum(axis=0)
+        u *= (1.0 / scale)[:, None]
+        _power(u, p - 1.0, w)  # u^{p-1}
+        wp_sum = np.vecdot(u, w)  # sum u^p
         h = scale * (wp_sum / n) ** (1.0 / p)
-        w *= sign
-        touch = (pts.T @ w) / wp_sum * (h / scale)  # (dim, b)
-        out[cols] = touch.T
-        del dots, sign, w  # free the block before the next product is formed
+        np.copysign(w, dots, out=w)
+        out[rows] = (w @ pts) * (h / (scale * wp_sum))[:, None]  # (b, dim)
     return out
 
 
 def centroid_body(samples: SampleSet, p: float) -> ConvexBody:
     """Z_p of the empirical measure, as a support-oracle body."""
-    if p < 1 or p > P_CAP:
-        raise ValueError(f"p must be in [1, {P_CAP:g}], got {p}")
+    _check_p(p)
 
     def sup(theta):
         return zp_support(samples, p, theta)

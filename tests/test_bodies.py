@@ -122,6 +122,17 @@ def test_unit_volume_copy():
     assert K.support(np.array([1.0, 0.0, 0.0])) == pytest.approx(r, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [197, 256, 1000])
+def test_unit_volume_copy_of_cross_polytope_past_float_range(n):
+    # vol B_1^n = 2^n/n! leaves the float range, so the scale comes from its log
+    K = unit_volume_copy(cross_polytope(n))
+    scale = math.exp((math.lgamma(n + 1) - n * math.log(2.0)) / n)
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    assert K.support(e1) == pytest.approx(scale, rel=1e-12)
+    assert K.analytic["volume"] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_unit_volume_copy_requires_volume():
     free = bodies.ConvexBody(dim=2, support=lambda t: np.linalg.norm(t, axis=-1),
                              family="custom")

@@ -65,7 +65,7 @@ def test_zp_support_agrees_with_direct_power_mean():
     s = _sample_set(np.hstack([square.points, np.zeros((square.count, 1))]))
     dirs = np.hstack([sphere_directions(2, 200, seed=2), np.zeros((200, 1))])
     orth = np.array([0.0, 0.0, 1.0])
-    for p in (1.0, 1.5, 2.0, 3.0, 8.0, 32.0, 33.0, 64.0, 512.0):
+    for p in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 32.0, 33.0, 64.0, 512.0):
         direct = (np.abs(s.points @ dirs.T) ** p).mean(axis=0) ** (1.0 / p)
         np.testing.assert_allclose(zp_support(s, p, dirs), direct, rtol=1e-12, atol=0.0)
         single = zp_support(s, p, dirs[0])
@@ -89,6 +89,23 @@ def test_zp_kernels_memory_does_not_grow_with_directions(m):
         assert peak < 64 * 2**20, (kernel.__name__, peak)
 
 
+def test_zp_kernels_blocks_fit_the_dot_budget():
+    # every (b, N) temporary of a block, the extra copy that an integer p
+    # other than a power of two needs included, fits in the 16 MB block
+    s = draw_samples(gaussian_measure(8), 20_000, seed=30)
+    dirs = sphere_directions(8, 8000, seed=31)
+    cases = [(zp_support, p) for p in (1.0, 1.5, 3.0, 8.0)]
+    cases += [(zp_touching_points, p) for p in (2.0, 3.0, 4.5)]
+    for kernel, p in cases:
+        tracemalloc.start()
+        try:
+            kernel(s, p, dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (16 + 2) * 2**20, (kernel.__name__, p, peak)
+
+
 def test_zp_support_huge_p_no_overflow():
     s = draw_samples(gaussian_measure(2), 1000, seed=3)
     dirs = sphere_directions(2, 16, seed=4)
@@ -105,6 +122,12 @@ def test_zp_support_p_out_of_range():
         zp_support(s, 0.5, np.array([1.0]))
     with pytest.raises(ValueError):
         zp_support(s, 2.0 * P_CAP, np.array([1.0]))
+    with pytest.raises(ValueError, match="got nan"):
+        zp_support(s, math.nan, np.array([1.0]))
+    with pytest.raises(ValueError, match="got nan"):
+        zp_touching_points(s, math.nan, np.array([[1.0]]))
+    with pytest.raises(ValueError, match="got nan"):
+        centroid_body(s, math.nan)
 
 
 def test_gaussian_cp_oracle_values():
@@ -163,7 +186,7 @@ def test_z2_of_whitened_samples_is_unit_ball():
 def test_touching_points_euler_relation():
     s = draw_samples(gaussian_measure(3), 2000, seed=23)
     dirs = sphere_directions(3, 100, seed=24)
-    for p in (1.0, 2.0, 4.5):
+    for p in (1.0, 2.0, 3.0, 4.0, 4.5, 8.0):
         T = zp_touching_points(s, p, dirs)
         h = zp_support(s, p, dirs)
         assert np.abs((T * dirs).sum(axis=1) - h).max() < 1e-12

@@ -200,13 +200,36 @@ def test_verify_out_format_word_goes_to_stdout(fmt, tmp_path, monkeypatch, capsy
         assert rows and all(r["suite"] == "theorem1" for r in rows)
 
 
-def test_unexpected_error_is_one_line_exit_2(capsys):
-    # the unit-volume cross-polytope's volume underflows to 0 at n = 256
-    rc = cli.main(["verify", "--suite", "b1-scaling", "--dims", "256", "--seed", "1"])
+def test_unexpected_error_is_one_line_exit_2(monkeypatch, capsys):
+    import isoconv.experiments as exp
+
+    def broken_run_suite(name, dims, config):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(exp, "run_suite", broken_run_suite)
+    rc = cli.main(["verify", "--suite", "b1-scaling", "--dims", "8", "--seed", "1"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: ZeroDivisionError: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == "error: ZeroDivisionError: injected\n"
+
+
+def test_b1_scaling_runs_where_the_cross_polytope_volume_underflows(capsys):
+    # vol B_1^n = 2^n/n! overflows 1/vol from n = 197 and is 0.0 at n = 256
+    rc = cli.main(["verify", "--suite", "b1-scaling", "--dims", "32,64,128,256",
+                   "--sphere-samples", "500", "--seed", "1"])
+    assert rc == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zp", "--measure", "gaussian:3", "--p", "nan"],
+    ["verify", "--suite", "paouris", "--dims", "4", "--samples", "1000",
+     "--sphere-samples", "100", "--p-values", "2,nan"],
+])
+def test_nan_p_is_one_line_exit_2(argv, capsys):
+    rc = cli.main([*argv, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: p must be in [1, 1.04858e+06], got nan\n"
 
 
 REPORT_COMMANDS = {
