@@ -42,6 +42,11 @@ def lp_ball_log_volume(dim: int, p: float) -> float:
     )
 
 
+def _ball_isotropic_constant(dim: int) -> float:
+    """L of B_2^n: the unit-volume radius, exp(-log vol B_2^n / n), over sqrt(n+2)."""
+    return math.exp(-lp_ball_log_volume(dim, 2.0) / dim) / math.sqrt(dim + 2)
+
+
 def lp_ball_volume(dim: int, p: float, radius: float = 1.0) -> float:
     """Volume of radius*B_p^dim: (2 Gamma(1+1/p))^n / Gamma(1+n/p)."""
     return math.exp(lp_ball_log_volume(dim, p)) * radius**dim
@@ -110,8 +115,11 @@ def ball(dim: int, radius: float = 1.0) -> ConvexBody:
     if radius <= 0:
         raise BodyConstructionError(f"radius must be positive, got {radius}")
     r = float(radius)
-    vol = ball_volume(dim, r)
-    unit_r = vol ** (-1.0 / dim) * r  # radius of the unit-volume homothet
+    log_vol = lp_ball_log_volume(dim, 2.0) + dim * math.log(r)
+    try:
+        vol = ball_volume(dim, r)  # closed form: volrad(B_2^n) = 1 stays exact
+    except OverflowError:  # Gamma(n/2 + 1) overflows from n = 342 on
+        vol = math.exp(log_vol)
     return ConvexBody(
         dim=dim,
         support=_vectorize_rows(lambda t: r * np.linalg.norm(t, axis=1)),
@@ -119,10 +127,10 @@ def ball(dim: int, radius: float = 1.0) -> ConvexBody:
         family=f"ball({r:g})" if r != 1.0 else "ball",
         analytic={
             "volume": vol,
-            "log_volume": lp_ball_log_volume(dim, 2.0) + dim * math.log(r),
+            "log_volume": log_vol,
             "inradius": r,
             "ball_radius": r,
-            "isotropic_constant": unit_r / math.sqrt(dim + 2),
+            "isotropic_constant": _ball_isotropic_constant(dim),
         },
         sample_exact=_lp_ball_sampler(dim, 2.0, r),
     )
@@ -192,8 +200,7 @@ def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
         )
     elif p == 2.0:
         analytic["ball_radius"] = r
-        r2 = ball_volume(dim) ** (-1.0 / dim)
-        analytic["isotropic_constant"] = r2 / math.sqrt(dim + 2)
+        analytic["isotropic_constant"] = _ball_isotropic_constant(dim)
     family = {1.0: "cross-polytope", 2.0: "ball"}.get(p, f"lp-ball({p:g})")
     if r != 1.0:
         family += f"*{r:g}"

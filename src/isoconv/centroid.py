@@ -16,7 +16,8 @@ and mean of each direction run along one contiguous row.  Each row is scaled
 by its max M before the p-th power, so h = M (mean (|<x,theta>|/M)^p)^{1/p}
 can only underflow, never overflow, up to the p cap.  Integer p is formed by
 in-place squarings plus a multiply per set bit of p; only fractional p goes
-through np.power.  At p = 2 the exact identity
+through np.power, with the entries whose power would be subnormal zeroed
+first.  At p = 2 the exact identity
 h_{Z_2}(theta)^2 = theta^T Sigma theta with Sigma = X^T X / N skips the
 (m, N) product altogether.
 """
@@ -59,10 +60,19 @@ def _power(base: np.ndarray, p: float, out: np.ndarray) -> None:
     the leading one, the first written into `out`, and a multiply by `base`
     for each set bit, so `out` may be `base` itself when p is a power of
     two.  Only fractional p goes through np.power, which costs several
-    times as much.
+    times as much, and `out` may be `base` there too.  It first zeroes the
+    entries below 2^(-1022/p), whose powers would fall below the smallest
+    normal double, where np.power is many times slower still; the callers'
+    rows each hold a 1.0, so those entries cannot move a row's sum.  The
+    zeroing runs row by row so that its mask stays one row long.
     """
     if p != int(p):
-        np.power(base, p, out=out)
+        tiny = 2.0 ** (-1022.0 / p)
+        keep = np.empty(base.shape[-1], dtype=bool)
+        for base_row, out_row in zip(base, out):
+            np.greater_equal(base_row, tiny, out=keep)
+            np.multiply(base_row, keep, out=out_row)
+        np.power(out, p, out=out)
         return
     k = int(p)
     if k == 0:
@@ -86,7 +96,8 @@ def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarr
     to the p cap).  Integer p is formed by squarings, in place when p is a
     power of two and in a second buffer otherwise: an even p as the
     self-dot of each row of u^{p/2}, an odd p as the dot of u with u^{p-1}.
-    Only fractional p goes through np.power, in place.  A direction
+    Only fractional p goes through np.power, in place, after the entries
+    whose power would be subnormal are zeroed.  A direction
     orthogonal to every sample gives 0, at p = 2 up to round-off: the
     quadratic form carries an error of order eps * ||Sigma||, so there a
     direction of tiny spread is resolved only to about sqrt(eps) times the
@@ -123,7 +134,7 @@ def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarr
         scale[scale == 0.0] = 1.0  # an all-zero row stays 0
         u *= (1.0 / scale)[:, None]
         if not integer:
-            np.power(u, p, out=u)
+            _power(u, p, u)
             sums = u.sum(axis=1)
         elif p % 2 == 0:
             v = w[0] if w else u

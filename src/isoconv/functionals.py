@@ -146,18 +146,33 @@ def _body_grid_cloud(body: ConvexBody, step: float):
 
 
 def _greedy_covering_radii(cloud: np.ndarray, n_centers: int, seed: int) -> np.ndarray:
-    """Farthest-point greedy: radii[j] = cloud covering radius with j+1 centers."""
-    m = cloud.shape[0]
-    first = int(rng_from(seed).integers(0, m))
-    d2 = ((cloud - cloud[first]) ** 2).sum(axis=1)
-    radii = np.empty(min(n_centers, m))
-    radii[0] = math.sqrt(float(d2.max()))
-    for j in range(1, len(radii)):
+    """Farthest-point greedy: radii[j] = cloud covering radius with j+1 centers.
+
+    The cloud is copied once to coordinate-major (k, m) rows, and every
+    buffer is allocated once per call.  Each centre c costs a few in-place
+    passes over contiguous rows: (x_0 - c_0)^2, then + (x_j - c_j)^2 for
+    j = 1..k-1, folded into the squared distances with a minimum.  That is
+    the order in which ((cloud - c)**2).sum(axis=1) adds its k terms, so
+    every distance, and with it every tie and radius, is bit-identical to
+    the direct formula.  Radii past the m-th centre are 0.
+    """
+    m, k = cloud.shape
+    cols = np.ascontiguousarray(cloud.T)
+    d2 = np.full(m, np.inf)
+    new = np.empty(m)
+    term = np.empty(m)
+    radii = np.zeros(n_centers)
+    nxt = int(rng_from(seed).integers(0, m))
+    for j in range(min(n_centers, m)):
+        np.subtract(cols[0], cols[0, nxt], out=new)
+        np.multiply(new, new, out=new)
+        for i in range(1, k):
+            np.subtract(cols[i], cols[i, nxt], out=term)
+            np.multiply(term, term, out=term)
+            np.add(new, term, out=new)
+        np.minimum(d2, new, out=d2)
         nxt = int(np.argmax(d2))
-        d2 = np.minimum(d2, ((cloud - cloud[nxt]) ** 2).sum(axis=1))
-        radii[j] = math.sqrt(float(d2.max()))
-    if len(radii) < n_centers:
-        radii = np.concatenate([radii, np.zeros(n_centers - len(radii))])
+        radii[j] = math.sqrt(float(d2[nxt]))
     return radii
 
 

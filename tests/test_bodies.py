@@ -133,6 +133,18 @@ def test_unit_volume_copy_of_cross_polytope_past_float_range(n):
     assert K.analytic["volume"] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_ball_past_gamma_overflow_takes_its_facts_from_logs():
+    # Gamma(n/2 + 1) overflows from n = 342 on; log vol B_2^n does not
+    n = 1000
+    K = ball(n)
+    expected = math.exp(-bodies.lp_ball_log_volume(n, 2.0) / n) / math.sqrt(n + 2)
+    assert K.analytic["isotropic_constant"] == pytest.approx(expected, rel=1e-12)
+    assert lp_ball(n, 2.0).analytic["isotropic_constant"] == pytest.approx(
+        expected, rel=1e-12
+    )
+    assert K.analytic["log_volume"] == bodies.lp_ball_log_volume(n, 2.0)
+
+
 def test_unit_volume_copy_requires_volume():
     free = bodies.ConvexBody(dim=2, support=lambda t: np.linalg.norm(t, axis=-1),
                              family="custom")

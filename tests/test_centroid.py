@@ -59,13 +59,14 @@ def test_zp_support_mixed_mass_example():
 def test_zp_support_agrees_with_direct_power_mean():
     # samples fill [-1, 1]^2 x {0} and the directions lie in that plane, so
     # max |<x, theta>| is in [1, sqrt 2] (up to sampling): the direct p-th
-    # powers up to p = 512 neither overflow nor lose their leading terms.
+    # powers up to p = 512.5 neither overflow nor lose their leading terms.
     # e3 is orthogonal to every sample.
     square = draw_samples(uniform_body_measure(cube(2, side=2.0)), 5000, seed=1)
     s = _sample_set(np.hstack([square.points, np.zeros((square.count, 1))]))
     dirs = np.hstack([sphere_directions(2, 200, seed=2), np.zeros((200, 1))])
     orth = np.array([0.0, 0.0, 1.0])
-    for p in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 32.0, 33.0, 64.0, 512.0):
+    for p in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 32.0, 33.0, 64.0, 512.0,
+              512.5):
         direct = (np.abs(s.points @ dirs.T) ** p).mean(axis=0) ** (1.0 / p)
         np.testing.assert_allclose(zp_support(s, p, dirs), direct, rtol=1e-12, atol=0.0)
         single = zp_support(s, p, dirs[0])
@@ -186,7 +187,7 @@ def test_z2_of_whitened_samples_is_unit_ball():
 def test_touching_points_euler_relation():
     s = draw_samples(gaussian_measure(3), 2000, seed=23)
     dirs = sphere_directions(3, 100, seed=24)
-    for p in (1.0, 2.0, 3.0, 4.0, 4.5, 8.0):
+    for p in (1.0, 2.0, 3.0, 4.0, 4.5, 8.0, 512.5):
         T = zp_touching_points(s, p, dirs)
         h = zp_support(s, p, dirs)
         assert np.abs((T * dirs).sum(axis=1) - h).max() < 1e-12

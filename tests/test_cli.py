@@ -16,6 +16,13 @@ def test_meanwidth_ball_prints_one(capsys):
     assert out.strip() == "1"
 
 
+def test_meanwidth_ball_past_gamma_overflow_prints_one(capsys):
+    rc = cli.main(["meanwidth", "--body", "ball:400", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.strip() == "1"
+
+
 def test_bound_summary_piecewise_prints_two(capsys):
     rc = cli.main(["bound", "--kind", "summary-piecewise", "--n", "16", "--p", "4"])
     assert rc == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,8 @@ from isoconv.bodies import ball, cross_polytope, cube, scale_body
 from isoconv.functionals import (
     ENTROPY_DIM_CAP,
     RadModel,
+    _body_grid_cloud,
+    _greedy_covering_radii,
     bound_rhs,
     entropy_numbers,
     mean_width,
@@ -16,6 +19,7 @@ from isoconv.functionals import (
     urysohn_check,
 )
 from isoconv.grassmann import vk_estimate
+from isoconv.seeds import rng_from
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +117,63 @@ def test_entropy_lower_bound_volumetric():
 def test_entropy_dim_cap():
     with pytest.raises(ValueError):
         entropy_numbers(cube(ENTROPY_DIM_CAP + 1, side=1.0), j_max=2)
+
+
+def _direct_covering_radii(cloud, n_centers, seed):
+    # farthest-point greedy from the whole-row distance formula
+    m = cloud.shape[0]
+    first = int(rng_from(seed).integers(0, m))
+    d2 = ((cloud - cloud[first]) ** 2).sum(axis=1)
+    radii = np.empty(min(n_centers, m))
+    radii[0] = math.sqrt(float(d2.max()))
+    for j in range(1, len(radii)):
+        nxt = int(np.argmax(d2))
+        d2 = np.minimum(d2, ((cloud - cloud[nxt]) ** 2).sum(axis=1))
+        radii[j] = math.sqrt(float(d2.max()))
+    if len(radii) < n_centers:
+        radii = np.concatenate([radii, np.zeros(n_centers - len(radii))])
+    return radii
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_greedy_covering_is_bit_identical_to_the_direct_formula(k):
+    # integer and body grids put many points at equal distances, so every
+    # argmax tie-break is exercised
+    side = {2: 40, 3: 12, 4: 6}[k]
+    integer_grid = np.indices((side,) * k).reshape(k, -1).T.astype(float)
+    body_grid, _ = _body_grid_cloud(cube(k, side=1.0), {2: 0.05, 3: 0.1, 4: 0.2}[k])
+    for cloud in (integer_grid, body_grid):
+        for seed in (0, 1):
+            assert np.array_equal(
+                _greedy_covering_radii(cloud, 64, seed),
+                _direct_covering_radii(cloud, 64, seed),
+            )
+
+
+def test_greedy_covering_pads_past_the_cloud_with_zeros():
+    cloud = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [1.0, 2.0], [0.5, 1.0]])
+    radii = _greedy_covering_radii(cloud, 16, 3)
+    assert np.array_equal(radii, _direct_covering_radii(cloud, 16, 3))
+    assert radii.shape == (16,)
+    assert np.all(radii[cloud.shape[0] - 1:] == 0.0)
+
+
+def test_greedy_covering_memory_does_not_grow_with_centers():
+    # the coordinate-major copy plus three length-m buffers, and nothing per centre
+    cloud, _ = _body_grid_cloud(cube(3, side=1.0), 0.031)
+    m, k = cloud.shape
+    assert 30_000 <= m <= 40_000
+    _greedy_covering_radii(cloud[:8], 2, 5)  # the first call imports numpy.random
+    peaks = []
+    for n_centers in (16, 256):
+        tracemalloc.start()
+        try:
+            _greedy_covering_radii(cloud, n_centers, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 2**20, peaks
+    assert max(peaks) <= (k + 3) * m * 8 + 2**20, peaks
 
 
 def test_vk_below_twice_entropy_upper():
