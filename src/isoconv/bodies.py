@@ -246,7 +246,11 @@ def ellipsoid(matrix: np.ndarray) -> ConvexBody:
     if sign == 0 or not np.isfinite(logdet):
         raise BodyConstructionError("matrix must be non-singular (positive-definite image)")
     A_inv = np.linalg.inv(A)
-    vol = ball_volume(n) * abs(math.exp(logdet))
+    log_vol = lp_ball_log_volume(n, 2.0) + logdet
+    try:
+        vol = ball_volume(n) * abs(math.exp(logdet))
+    except OverflowError:  # Gamma(n/2 + 1) overflows from n = 342 on
+        vol = math.exp(log_vol)
     return ConvexBody(
         dim=n,
         support=_vectorize_rows(lambda t: np.linalg.norm(t @ A, axis=1)),
@@ -256,7 +260,7 @@ def ellipsoid(matrix: np.ndarray) -> ConvexBody:
         family="ellipsoid",
         analytic={
             "volume": vol,
-            "log_volume": lp_ball_log_volume(n, 2.0) + logdet,
+            "log_volume": log_vol,
             "inradius": float(np.linalg.svd(A, compute_uv=False).min()),
         },
         sample_exact=_ellipsoid_sampler(n, A),

@@ -215,34 +215,14 @@ def zp_monotonicity_check(
 def projection_identity_check(
     samples: SampleSet, p: float, subspace, directions: np.ndarray
 ) -> float:
-    """Max relative deviation of h_{Z_p(S)}(theta) vs h_{Z_p(pi_F S)}(u).
+    """Max relative deviation of h_{Z_p(S)}(B u) vs h_{Z_p(pi_F S)}(u).
 
-    directions may be given in subspace coordinates (m, k) -- lifted to
-    theta = B u -- or as ambient vectors (m, n) that must already lie in F.
+    directions u are (m, k), in the coordinates of the Subspace's basis B.
     The identity <x, B u> = <B^T x, u> is exact, so deviation is round-off.
     """
-    basis = np.asarray(subspace.basis if hasattr(subspace, "basis") else subspace, float)
-    ambient, k = basis.shape
-    theta = np.asarray(directions, dtype=float)
-    if theta.ndim == 1:
-        theta = theta[None, :]
-    if theta.shape[1] == ambient:
-        u = theta @ basis
-        lifted = u @ basis.T
-        off = np.abs(theta - lifted).max()
-        if off > 1e-10:
-            raise ValueError(
-                f"a direction lies outside the subspace (component {off:g} off F)"
-            )
-        ambient_dirs = theta
-    elif theta.shape[1] == k:
-        u = theta
-        ambient_dirs = u @ basis.T
-    else:
-        raise ValueError(
-            f"directions have dim {theta.shape[1]}; expected {k} (in-F coords) or {ambient}"
-        )
-    h_full = zp_support(samples, p, ambient_dirs)
+    basis = subspace.basis
+    u = np.asarray(directions, dtype=float)
+    h_full = zp_support(samples, p, u @ basis.T)
     h_proj = zp_support(project_samples(samples, basis), p, u)
     scale = np.maximum(np.maximum(h_full, h_proj), 1e-300)
     return float((np.abs(h_full - h_proj) / scale).max())

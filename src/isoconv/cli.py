@@ -49,21 +49,29 @@ def _log(args):
     return sys.stderr if fmt is not None and path is None else sys.stdout
 
 
-def _report(args, seed: int, rows, fitted=None) -> None:
-    """Emit a command's rows as a SuiteResult named after the command.
+def _emit(args, seed: int, result) -> None:
+    """Write a command's SuiteResult where --out says, if anywhere.
 
-    Its config echo is the command's parsed arguments with the resolved seed.
+    The one config echo of every command: its parsed arguments with the
+    resolved seed.
     """
     path, fmt = _resolve_out(args.out, args.format)
     if fmt is None:
         return
-    from .experiments import SuiteResult, emit_report
+    from .experiments import emit_report
 
     config = {k: v for k, v in vars(args).items()
               if k not in ("command", "fn", "out", "format")}
     config["seed"] = seed
-    emit_report(SuiteResult(suite=args.command, rows=tuple(rows), assertions=(),
-                            fitted=fitted or {}, config=config), fmt, path)
+    emit_report(result, config, fmt, path)
+
+
+def _report(args, seed: int, rows, fitted=None) -> None:
+    """Emit a command's rows as a SuiteResult named after the command."""
+    from .experiments import SuiteResult
+
+    _emit(args, seed, SuiteResult(suite=args.command, rows=tuple(rows), assertions=(),
+                                  fitted=fitted or {}))
 
 
 def _resolve_seed(args) -> int:
@@ -188,7 +196,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .experiments import SuiteConfig, emit_report, run_suite
+    from .experiments import SuiteConfig, run_suite
     from .functionals import parse_rad_model
 
     log = _log(args)
@@ -204,9 +212,7 @@ def _cmd_verify(args) -> int:
     result = run_suite(args.suite, args.dims, cfg)
     for a in result.assertions:
         print(f"{'PASS' if a.passed else 'FAIL'} {a.name}: {a.detail}", file=log)
-    path, fmt = _resolve_out(args.out, args.format)
-    if fmt is not None:
-        emit_report(result, fmt, path)
+    _emit(args, seed, result)
     return 0 if result.passed else 1
 
 

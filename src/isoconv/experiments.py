@@ -76,12 +76,6 @@ class SuiteConfig:
     rad: RadModel = field(default_factory=lambda: RadModel("unit"))
     p_values: Optional[Sequence[float]] = None
 
-    def as_dict(self):
-        d = asdict(self)
-        d["rad"] = self.rad.kind if self.rad.kind != "constant" else f"constant:{self.rad.c:g}"
-        d["p_values"] = list(self.p_values) if self.p_values is not None else None
-        return d
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -89,7 +83,6 @@ class SuiteResult:
     rows: tuple
     assertions: tuple
     fitted: dict
-    config: dict
 
     @property
     def passed(self) -> bool:
@@ -528,14 +521,8 @@ def run_suite(name: str, dims: Sequence[int], config: SuiteConfig) -> SuiteResul
     if not dims:
         raise ValueError("need at least one dimension")
     rows, assertions, fitted = _SUITES[name](list(dims), config)
-    cfg = config.as_dict()
-    cfg["dims"] = list(dims)
     return SuiteResult(
-        suite=name,
-        rows=tuple(rows),
-        assertions=tuple(assertions),
-        fitted=fitted,
-        config=cfg,
+        suite=name, rows=tuple(rows), assertions=tuple(assertions), fitted=fitted
     )
 
 
@@ -558,12 +545,13 @@ def rows_to_records(rows) -> list:
     return recs
 
 
-def emit_report(result: SuiteResult, fmt: str, path: Optional[str]) -> None:
+def emit_report(result: SuiteResult, config: dict, fmt: str, path: Optional[str]) -> None:
     """Write a SuiteResult, the report of every command.
 
     csv holds the rows under the CSV_COLUMNS header, each line ended by a bare
     line feed; json is {meta: {version, suite, config, fitted, passed}, assertions,
-    rows}.  The report goes to `path`, or to stdout when path is None.
+    rows}, where config is the command's echo of its inputs.  The report goes to
+    `path`, or to stdout when path is None.
     """
     if fmt == "csv":
         def dump(fh):
@@ -576,7 +564,7 @@ def emit_report(result: SuiteResult, fmt: str, path: Optional[str]) -> None:
             "meta": {
                 "version": _version(),
                 "suite": result.suite,
-                "config": result.config,
+                "config": config,
                 "fitted": result.fitted,
                 "passed": result.passed,
             },

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bodies import ConvexBody, UnsupportedOracleError
 from .estimates import Estimate
-from .grassmann import VOLUME_DIM_CAP, volume_radius_lowdim
+from .grassmann import volume_radius_lowdim
 from .seeds import child_seed, rng_from, sphere_directions
 
 DEFAULT_SPHERE_SAMPLES = 10_000
@@ -37,7 +37,7 @@ class RadModel:
     def __post_init__(self):
         if self.kind not in _RAD_KINDS:
             raise ValueError(f"RadModel kind must be one of {_RAD_KINDS}, got {self.kind!r}")
-        if self.kind == "constant" and self.c <= 0:
+        if self.kind == "constant" and not self.c > 0:
             raise ValueError(f"constant RadModel needs c > 0, got {self.c}")
 
     def value(self, k: int, p=None) -> float:
@@ -95,7 +95,6 @@ def urysohn_check(
     body: ConvexBody,
     sphere_samples: int = DEFAULT_SPHERE_SAMPLES,
     seed: int = 0,
-    volume_method: str = "auto",
 ):
     """M*(K) >= volrad(K) with Monte Carlo slack.
 
@@ -103,7 +102,7 @@ def urysohn_check(
     the volume radius.  Only meaningful in dims where volumes are computable.
     """
     mstar = mean_width(body, sphere_samples, child_seed(seed, 0))
-    vr = volume_radius_lowdim(body, method=volume_method, seed=child_seed(seed, 1))
+    vr = volume_radius_lowdim(body, seed=child_seed(seed, 1))
     slack = 3.0 * (mstar.std_error + vr.std_error)
     return mstar, vr, bool(mstar.value + slack >= vr.value)
 
@@ -181,7 +180,6 @@ def entropy_numbers(
     j_max: int,
     step: float = 0.05,
     seed: int = 0,
-    volume_method: str = "auto",
 ):
     """Upper/lower brackets on e_j(K) for j = 1..j_max, dim <= 4.
 
@@ -206,10 +204,9 @@ def entropy_numbers(
         return out
     cloud, slack = _body_grid_cloud(body, step)
     radii = _greedy_covering_radii(cloud, 2**j_max, child_seed(seed, 0))
-    if volume_method == "auto":
-        # the lower bound needs a volrad that is itself not an upper estimate
-        volume_method = "analytic" if "volume" in body.analytic else "membership-mc"
-    vr = volume_radius_lowdim(body, method=volume_method, seed=child_seed(seed, 1))
+    # the lower bound needs a volrad that is itself not an upper estimate
+    method = "analytic" if "volume" in body.analytic else "membership-mc"
+    vr = volume_radius_lowdim(body, method=method, seed=child_seed(seed, 1))
     for j in range(1, j_max + 1):
         upper = Estimate(
             float(radii[2**j - 1]) + slack, 0.0, cloud.shape[0], seed, "upper"
@@ -231,7 +228,7 @@ def _check_spectrum(spectrum) -> np.ndarray:
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise ValueError("spectrum must be a non-empty 1-D array")
-    if np.any(lam <= 0):
+    if not np.all(lam > 0):
         raise ValueError("spectrum entries must be positive")
     if np.any(np.diff(lam) > 1e-12 * lam[0]):
         raise ValueError("spectrum must be sorted in descending order")
@@ -239,10 +236,18 @@ def _check_spectrum(spectrum) -> np.ndarray:
 
 
 def _check_p(p) -> float:
+    """Reject p < 1; written, like every range check here, so that NaN fails too."""
     p = float(p)
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return p
+
+
+def _check_t(t) -> float:
+    t = float(t)
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    return t
 
 
 def _warn_range(kind: str, t: float, lo: float, hi: float):
@@ -324,21 +329,17 @@ def bound_rhs(kind: str, **params) -> float:
             return math.sqrt(p) * math.log(1.0 + n)
         return p / math.sqrt(n) * log2n
     if kind == "sudakov":
-        n, mstar, t = int(params["n"]), float(params["mstar"]), float(params["t"])
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
+        n, mstar, t = int(params["n"]), float(params["mstar"]), _check_t(params["t"])
         return n * (mstar / t) ** 2
     if kind == "hartzoulaki":
-        n, l_k, t = int(params["n"]), float(params["l_k"]), float(params["t"])
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
+        n, l_k, t = int(params["n"]), float(params["l_k"]), _check_t(params["t"])
         return n * l_k / t
     if kind == "gpv":
-        n, p, t = int(params["n"]), _check_p(params["p"]), float(params["t"])
+        n, p, t = int(params["n"]), _check_p(params["p"]), _check_t(params["t"])
         _warn_range("gpv", t, 1.0, math.sqrt(p))
         return n / t**2 + math.sqrt(n) * math.sqrt(p) / t
     if kind == "gpv-piecewise":
-        n, p, t = int(params["n"]), _check_p(params["p"]), float(params["t"])
+        n, p, t = int(params["n"]), _check_p(params["p"]), _check_t(params["t"])
         log2n = math.log(1.0 + n) ** 2
         if p > n / log2n:
             warnings.warn(
@@ -360,73 +361,9 @@ def bound_rhs(kind: str, **params) -> float:
             float(params["l_k"]),
             float(params["t"]),
         )
-        if t <= 0 or rad_value <= 0 or l_k <= 0:
+        if not (t > 0 and rad_value > 0 and l_k > 0):
             raise ValueError("thm14 needs positive t, rad_value and l_k")
         _warn_range("thm14", t, rad_value * l_k, math.sqrt(n) * l_k)
         base = rad_value * l_k / t
         return n * base**2 * math.log(1.0 + 1.0 / base**2) ** 2
     raise ValueError(f"unknown bound kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Milman--Pisier comparison
-# ---------------------------------------------------------------------------
-
-
-def mp_comparison(
-    body: ConvexBody,
-    rad: RadModel,
-    trials: int,
-    sphere_samples: int,
-    seed: int,
-    p=None,
-    spectrum=None,
-    k_cap: int = VOLUME_DIM_CAP,
-    volume_method: str = "auto",
-) -> dict:
-    """sqrt(n) M*(K) against sum_k rad(k) v_k / sqrt(k), term provenance kept.
-
-    v_k is measured (sampled sup of projection volume radii) for k <= k_cap
-    or wherever projections have closed-form volumes; beyond that, terms are
-    filled from the analytic projection bound when (p, spectrum) describe the
-    body as a Z_p, and otherwise dropped with the report marked truncated.
-    The ratio is recorded, never asserted: the comparison constant is unknown.
-    """
-    from .grassmann import vk_estimate  # local to keep module import one-way
-
-    n = body.dim
-    mstar = mean_width(body, sphere_samples, child_seed(seed, 0))
-    lhs = math.sqrt(n) * mstar.value
-    terms = []
-    truncated = False
-    for k in range(1, n + 1):
-        # beyond k_cap only closed-form projection volumes are worth trying
-        method = volume_method if k <= k_cap else "analytic"
-        try:
-            est = vk_estimate(body, k, trials, child_seed(seed, k), method=method)
-            terms.append((k, rad.value(k, p) * est.value / math.sqrt(k), "measured"))
-            continue
-        except (ValueError, UnsupportedOracleError):
-            pass
-        if p is not None and spectrum is not None:
-            v = bound_rhs("prop31", spectrum=spectrum, p=p, k=k)
-            terms.append((k, rad.value(k, p) * v / math.sqrt(k), "analytic"))
-        else:
-            truncated = True
-    measured = sum(v for _, v, src in terms if src == "measured")
-    analytic = sum(v for _, v, src in terms if src == "analytic")
-    rhs = measured + analytic
-    return {
-        "n": n,
-        "lhs_sqrt_n_mstar": lhs,
-        "mstar": mstar.value,
-        "mstar_se": mstar.std_error,
-        "rhs_sum": rhs,
-        "rhs_measured_part": measured,
-        "rhs_analytic_part": analytic,
-        "ratio": rhs / lhs if lhs > 0 else math.inf,
-        "terms": terms,
-        "truncated": truncated,
-        "rad_kind": rad.kind,
-        "seed": seed,
-    }

@@ -185,20 +185,13 @@ def volume_radius_lowdim(
 # ---------------------------------------------------------------------------
 
 
-def vk_estimate(
-    body: ConvexBody,
-    k: int,
-    trials: int,
-    seed: int,
-    method: str = "auto",
-    n_directions: int = DEFAULT_HULL_DIRECTIONS,
-) -> Estimate:
+def vk_estimate(body: ConvexBody, k: int, trials: int, seed: int) -> Estimate:
     """Sampled sup of volrad(P_F K) over Haar F in G_{n,k}.
 
     The true v_k is a supremum, so finitely many trials of exact volume radii
     can only undershoot it: the result is labelled `lower` when every trial
     is `exact` (balls, k = 1).  Otherwise it is `mc`: a sup of outer
-    support-hull (or Monte Carlo) volume radii bounds v_k from neither side.
+    support-hull volume radii bounds v_k from neither side.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -206,20 +199,13 @@ def vk_estimate(
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={body.dim}")
     if k == body.dim:
         # every F is a rotation, which preserves volume: v_n(K) = volrad(K)
-        return volume_radius_lowdim(
-            body, method=method, n_directions=n_directions, seed=child_seed(seed, 0)
-        )
+        return volume_radius_lowdim(body, seed=child_seed(seed, 0))
     best = -math.inf
     best_se = 0.0
     exact = True
     for i in range(trials):
         F = random_subspace(body.dim, k, child_seed(seed, i))
-        est = volume_radius_lowdim(
-            project_body(body, F),
-            method=method,
-            n_directions=n_directions,
-            seed=child_seed(seed, trials + i),
-        )
+        est = volume_radius_lowdim(project_body(body, F), seed=child_seed(seed, trials + i))
         exact = exact and est.direction == "exact"
         if est.value > best:
             best, best_se = est.value, est.std_error

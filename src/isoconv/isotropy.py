@@ -42,8 +42,6 @@ class MomentSummary:
     covariance: np.ndarray
     eigenvalues: np.ndarray  # descending
     det_root: float
-    n_used: int
-    seed: int
     degenerate: bool = False
 
 
@@ -83,8 +81,6 @@ def estimate_moments(samples: SampleSet) -> MomentSummary:
         covariance=cov,
         eigenvalues=clipped,
         det_root=det_root,
-        n_used=n,
-        seed=samples.seed,
         degenerate=degenerate,
     )
 

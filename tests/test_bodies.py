@@ -145,6 +145,14 @@ def test_ball_past_gamma_overflow_takes_its_facts_from_logs():
     assert K.analytic["log_volume"] == bodies.lp_ball_log_volume(n, 2.0)
 
 
+def test_ellipsoid_past_gamma_overflow_takes_its_volume_from_logs():
+    n = 400
+    E = ellipsoid(np.eye(n))
+    expected = bodies.lp_ball_log_volume(n, 2.0)
+    assert E.analytic["log_volume"] == pytest.approx(expected, rel=1e-12)
+    assert E.analytic["volume"] == pytest.approx(math.exp(expected), rel=1e-12)
+
+
 def test_unit_volume_copy_requires_volume():
     free = bodies.ConvexBody(dim=2, support=lambda t: np.linalg.norm(t, axis=-1),
                              family="custom")

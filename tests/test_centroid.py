@@ -165,16 +165,6 @@ def test_projection_identity_exact_both_coordinate_styles():
     F = random_subspace(5, 2, seed=16)
     u = sphere_directions(2, 64, seed=17)
     assert projection_identity_check(s, 3.0, F, u) < 1e-12
-    ambient = u @ F.basis.T
-    assert projection_identity_check(s, 3.0, F, ambient) < 1e-12
-
-
-def test_projection_identity_rejects_off_subspace_directions():
-    s = draw_samples(gaussian_measure(4), 100, seed=18)
-    F = random_subspace(4, 2, seed=19)
-    bad = sphere_directions(4, 3, seed=20)  # generic: not in F
-    with pytest.raises(ValueError):
-        projection_identity_check(s, 2.0, F, bad)
 
 
 def test_z2_of_whitened_samples_is_unit_ball():

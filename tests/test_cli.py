@@ -55,6 +55,28 @@ def test_bound_missing_parameter_exits_2(capsys):
     assert "mstar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["--kind", "summary-piecewise", "--n", "16", "--p", "nan"], "p must be >= 1"),
+    (["--kind", "sudakov", "--n", "4", "--mstar", "1", "--t", "nan"], "t must be positive"),
+    (["--kind", "thm-main-arith", "--p", "2", "--spectrum", "1,nan"],
+     "spectrum entries must be positive"),
+    (["--kind", "thm14", "--n", "16", "--rad-value", "nan", "--l-k", "0.3", "--t", "0.5"],
+     "thm14 needs positive"),
+    (["--kind", "thm14", "--n", "16", "--rad-value", "1", "--l-k", "nan", "--t", "0.5"],
+     "thm14 needs positive"),
+    (["--kind", "gpv", "--n", "16", "--p", "4", "--t", "0"], "t must be positive"),
+    (["--kind", "gpv-piecewise", "--n", "16", "--p", "4", "--t", "0"], "t must be positive"),
+    (["--kind", "mp-sum", "--vk-values", "1", "--rad", "constant:nan"], "needs c > 0"),
+])
+def test_bound_rejects_nan_and_out_of_range_inputs(argv, reason, capsys):
+    rc = cli.main(["bound", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert reason in captured.err
+
+
 def test_bound_spectrum_from_file(tmp_path, capsys):
     f = tmp_path / "spec.txt"
     f.write_text("1.0\n1.0\n1.0\n1.0\n")
@@ -149,7 +171,11 @@ def test_verify_writes_report(tmp_path, capsys):
     assert "PASS" in out
     payload = json.loads(open(path).read())
     assert payload["meta"]["suite"] == "zn-volrad"
-    assert payload["meta"]["config"]["seed"] == 11
+    # the echo of the parsed arguments, as for every other command
+    assert payload["meta"]["config"] == {
+        "suite": "zn-volrad", "dims": [3], "samples": 3000, "sphere_samples": 10_000,
+        "trials": 16, "rad": "unit", "p_values": None, "seed": 11,
+    }
     assert payload["rows"]
 
 
@@ -159,7 +185,7 @@ def test_verify_failing_assertion_exits_1(monkeypatch, capsys):
     def fake_run_suite(name, dims, config):
         return SuiteResult(suite=name, rows=[],
                            assertions=[Assertion("forced", False, "injected")],
-                           fitted={}, config=config.as_dict())
+                           fitted={})
 
     monkeypatch.setattr(exp, "run_suite", fake_run_suite)
     rc = cli.main(["verify", "--suite", "paouris", "--dims", "4", "--seed", "1"])

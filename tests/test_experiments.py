@@ -130,7 +130,6 @@ def test_every_suite_runs_small():
         for row in result.rows:
             assert row.suite == name
             assert math.isfinite(row.value)
-        assert result.config["seed"] == FAST.seed
 
 
 def test_suite_seed_recorded_in_rows():
@@ -160,7 +159,7 @@ def test_rows_to_records_formats():
 def test_emit_csv_roundtrip(tmp_path):
     result = _tiny_result()
     path = tmp_path / "out.csv"
-    emit_report(result, "csv", str(path))
+    emit_report(result, {}, "csv", str(path))
     with open(path, newline="") as fh:
         got = list(csv.DictReader(fh))
     assert len(got) == len(result.rows)
@@ -174,7 +173,7 @@ def test_emit_csv_roundtrip(tmp_path):
 
 def test_emit_csv_header_order(tmp_path):
     path = tmp_path / "o.csv"
-    emit_report(_tiny_result(), "csv", str(path))
+    emit_report(_tiny_result(), {}, "csv", str(path))
     header = open(path).readline().strip()
     assert header == "suite,n,p,quantity,value,std_error,direction,seed,samples"
 
@@ -182,11 +181,12 @@ def test_emit_csv_header_order(tmp_path):
 def test_emit_json_roundtrip(tmp_path):
     result = _tiny_result()
     path = tmp_path / "out.json"
-    emit_report(result, "json", str(path))
+    config = {"dims": [3], "samples": FAST.n_samples, "seed": FAST.seed}
+    emit_report(result, config, "json", str(path))
     payload = json.loads(open(path).read())
     assert payload["meta"]["suite"] == "zn-volrad"
     assert payload["meta"]["passed"] == result.passed
-    assert payload["meta"]["config"]["n_samples"] == FAST.n_samples
+    assert payload["meta"]["config"] == config
     assert len(payload["rows"]) == len(result.rows)
     # re-serialization is stable
     again = json.dumps(payload, indent=2)
@@ -195,7 +195,7 @@ def test_emit_json_roundtrip(tmp_path):
 
 def test_emit_unknown_format(tmp_path):
     with pytest.raises(ValueError):
-        emit_report(_tiny_result(), "yaml", str(tmp_path / "x"))
+        emit_report(_tiny_result(), {}, "yaml", str(tmp_path / "x"))
 
 
 # Frozen at SuiteConfig(seed=7, n_samples=20000, sphere_samples=4000,

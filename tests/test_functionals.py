@@ -14,7 +14,6 @@ from isoconv.functionals import (
     bound_rhs,
     entropy_numbers,
     mean_width,
-    mp_comparison,
     parse_rad_model,
     urysohn_check,
 )
@@ -321,44 +320,3 @@ def test_bound_rhs_validation():
         bound_rhs("thm-main-product", spectrum=[1.0], p=0.5)
     with pytest.raises(KeyError):
         bound_rhs("sudakov", n=4, t=1.0)  # mstar missing
-
-
-# ---------------------------------------------------------------------------
-# Milman-Pisier comparison
-# ---------------------------------------------------------------------------
-
-
-def test_mp_comparison_ball_closed_form():
-    # every projection of the ball is a unit ball: rhs = sum 1/sqrt(k),
-    # lhs = sqrt(n) * 1
-    rep = mp_comparison(ball(16), RadModel("unit"), trials=2,
-                        sphere_samples=1000, seed=10)
-    assert rep["lhs_sqrt_n_mstar"] == pytest.approx(4.0, rel=1e-12)
-    assert rep["rhs_sum"] == pytest.approx(6.663994608237443, rel=1e-12)
-    assert rep["ratio"] == pytest.approx(1.6659986520593608, rel=1e-12)
-    assert not rep["truncated"]
-    assert all(src == "measured" for _, _, src in rep["terms"])
-
-
-def test_mp_comparison_interval_ratio_one():
-    rep = mp_comparison(ball(1), RadModel("unit"), trials=1,
-                        sphere_samples=1000, seed=11)
-    assert rep["ratio"] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_mp_comparison_cube_truncates_without_spectrum():
-    rep = mp_comparison(cube(8, side=1.0), RadModel("unit"), trials=2,
-                        sphere_samples=2000, seed=12, k_cap=3)
-    assert rep["truncated"]
-    measured_ks = [k for k, _, src in rep["terms"] if src == "measured"]
-    assert 8 in measured_ks  # k = n uses the analytic cube volume
-    assert all(k <= 3 or k == 8 for k in measured_ks)
-
-
-def test_mp_comparison_zp_fills_with_prop31():
-    rep = mp_comparison(cube(8, side=1.0), RadModel("unit"), trials=2,
-                        sphere_samples=2000, seed=13, k_cap=3,
-                        p=2.0, spectrum=[1.0] * 8)
-    assert not rep["truncated"]
-    srcs = {src for _, _, src in rep["terms"]}
-    assert srcs == {"measured", "analytic"}
