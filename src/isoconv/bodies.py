@@ -1,7 +1,7 @@
 """Convex bodies as immutable oracle bundles.
 
 A body is its support function h_K(theta) = sup{<x, theta> : x in K}, plus an
-optional membership oracle and whatever analytic facts (volume, isotropic
+optional membership oracle and whatever analytic facts (log-volume, isotropic
 constant, inradius) are known for the family.  All constructions wrap oracles;
 nothing materializes geometry, so dimensions up to ~128 stay cheap.
 
@@ -42,26 +42,15 @@ def lp_ball_log_volume(dim: int, p: float) -> float:
     )
 
 
-def _ball_isotropic_constant(dim: int) -> float:
-    """L of B_2^n: the unit-volume radius, exp(-log vol B_2^n / n), over sqrt(n+2)."""
-    return math.exp(-lp_ball_log_volume(dim, 2.0) / dim) / math.sqrt(dim + 2)
-
-
-def lp_ball_volume(dim: int, p: float, radius: float = 1.0) -> float:
-    """Volume of radius*B_p^dim: (2 Gamma(1+1/p))^n / Gamma(1+n/p)."""
-    return math.exp(lp_ball_log_volume(dim, p)) * radius**dim
-
-
 @dataclass(frozen=True)
 class ConvexBody:
     """Immutable oracle bundle for a convex body K in R^dim.
 
     support: theta -> h_K(theta), positively homogeneous and subadditive.
     membership: x -> bool, optional.
-    analytic: known exact quantities keyed by name (volume, inradius,
-        ball_radius, isotropic_constant).  A body with a volume also carries
-        its log_volume, which stays finite where the volume over- or
-        underflows.
+    analytic: known exact quantities keyed by name (log_volume, inradius,
+        ball_radius, isotropic_constant).  The volume is carried only as its
+        log, which stays finite where the volume itself over- or underflows.
     sample_exact: optional (count, seed) -> (count, dim) exact uniform sampler.
     """
 
@@ -111,29 +100,7 @@ def _check_square_matrix(T: np.ndarray, name: str) -> np.ndarray:
 
 def ball(dim: int, radius: float = 1.0) -> ConvexBody:
     """radius * B_2^dim; h(theta) = radius*|theta|."""
-    dim = _check_dim(dim)
-    if radius <= 0:
-        raise BodyConstructionError(f"radius must be positive, got {radius}")
-    r = float(radius)
-    log_vol = lp_ball_log_volume(dim, 2.0) + dim * math.log(r)
-    try:
-        vol = ball_volume(dim, r)  # closed form: volrad(B_2^n) = 1 stays exact
-    except OverflowError:  # Gamma(n/2 + 1) overflows from n = 342 on
-        vol = math.exp(log_vol)
-    return ConvexBody(
-        dim=dim,
-        support=_vectorize_rows(lambda t: r * np.linalg.norm(t, axis=1)),
-        membership=_vectorize_rows(lambda x: np.linalg.norm(x, axis=1) <= r * (1 + 1e-12)),
-        family=f"ball({r:g})" if r != 1.0 else "ball",
-        analytic={
-            "volume": vol,
-            "log_volume": log_vol,
-            "inradius": r,
-            "ball_radius": r,
-            "isotropic_constant": _ball_isotropic_constant(dim),
-        },
-        sample_exact=_lp_ball_sampler(dim, 2.0, r),
-    )
+    return lp_ball(dim, 2.0, radius)
 
 
 def cube(dim: int, side: float = 2.0) -> ConvexBody:
@@ -154,7 +121,6 @@ def cube(dim: int, side: float = 2.0) -> ConvexBody:
         ),
         family=f"cube({side:g})",
         analytic={
-            "volume": side**dim,
             "log_volume": dim * math.log(side),
             "inradius": half,
             # side^2/12 per coordinate; L_K is scale invariant
@@ -186,9 +152,7 @@ def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
         sup = _vectorize_rows(
             lambda t: r * np.linalg.norm(t, ord=q, axis=1)
         )
-    vol = lp_ball_volume(dim, p, r)
     analytic = {
-        "volume": vol,
         "log_volume": lp_ball_log_volume(dim, p) + dim * math.log(r),
         "inradius": r * min(1.0, dim ** (0.5 - 1.0 / p)),
     }
@@ -200,7 +164,10 @@ def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
         )
     elif p == 2.0:
         analytic["ball_radius"] = r
-        analytic["isotropic_constant"] = _ball_isotropic_constant(dim)
+        # unit-volume radius exp(-log vol B_2^n / n); E x1^2 = r^2/(n+2)
+        analytic["isotropic_constant"] = math.exp(
+            -lp_ball_log_volume(dim, 2.0) / dim
+        ) / math.sqrt(dim + 2)
     family = {1.0: "cross-polytope", 2.0: "ball"}.get(p, f"lp-ball({p:g})")
     if r != 1.0:
         family += f"*{r:g}"
@@ -246,11 +213,6 @@ def ellipsoid(matrix: np.ndarray) -> ConvexBody:
     if sign == 0 or not np.isfinite(logdet):
         raise BodyConstructionError("matrix must be non-singular (positive-definite image)")
     A_inv = np.linalg.inv(A)
-    log_vol = lp_ball_log_volume(n, 2.0) + logdet
-    try:
-        vol = ball_volume(n) * abs(math.exp(logdet))
-    except OverflowError:  # Gamma(n/2 + 1) overflows from n = 342 on
-        vol = math.exp(log_vol)
     return ConvexBody(
         dim=n,
         support=_vectorize_rows(lambda t: np.linalg.norm(t @ A, axis=1)),
@@ -259,8 +221,7 @@ def ellipsoid(matrix: np.ndarray) -> ConvexBody:
         ),
         family="ellipsoid",
         analytic={
-            "volume": vol,
-            "log_volume": log_vol,
+            "log_volume": lp_ball_log_volume(n, 2.0) + logdet,
             "inradius": float(np.linalg.svd(A, compute_uv=False).min()),
         },
         sample_exact=_ellipsoid_sampler(n, A),
@@ -293,7 +254,6 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
             analytic[key] = analytic[key] * t
     if "log_volume" in analytic:
         analytic["log_volume"] += body.dim * math.log(t)
-        analytic["volume"] = math.exp(analytic["log_volume"])
     # isotropic_constant is scale invariant
     return ConvexBody(
         dim=body.dim,
@@ -330,24 +290,11 @@ def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
     k_mem, l_mem = K.membership, L.membership
     k_samp, l_samp = K.sample_exact, L.sample_exact
 
-    def sup(theta):
-        arr = np.asarray(theta, dtype=float)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        out = k_sup(arr[:, :a]) + l_sup(arr[:, a:])
-        return out[0] if single else out
-
     membership = None
     if k_mem is not None and l_mem is not None:
-
-        def membership(x):
-            arr = np.asarray(x, dtype=float)
-            single = arr.ndim == 1
-            if single:
-                arr = arr[None, :]
-            out = np.logical_and(k_mem(arr[:, :a]), l_mem(arr[:, a:]))
-            return out[0] if single else out
+        membership = _vectorize_rows(
+            lambda x: np.logical_and(k_mem(x[:, :a]), l_mem(x[:, a:]))
+        )
 
     sampler = None
     if k_samp is not None and l_samp is not None:
@@ -360,14 +307,13 @@ def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
             return np.hstack([left, right])
 
     analytic = {}
-    if "volume" in K.analytic and "volume" in L.analytic:
-        analytic["volume"] = K.analytic["volume"] * L.analytic["volume"]
+    if "log_volume" in K.analytic and "log_volume" in L.analytic:
         analytic["log_volume"] = K.analytic["log_volume"] + L.analytic["log_volume"]
     if "inradius" in K.analytic and "inradius" in L.analytic:
         analytic["inradius"] = min(K.analytic["inradius"], L.analytic["inradius"])
     return ConvexBody(
         dim=a + b,
-        support=sup,
+        support=_vectorize_rows(lambda t: k_sup(t[:, :a]) + l_sup(t[:, a:])),
         membership=membership,
         family=f"product({K.family},{L.family})",
         analytic=analytic,

@@ -223,7 +223,7 @@ def projection_identity_check(
     basis = subspace.basis
     u = np.asarray(directions, dtype=float)
     h_full = zp_support(samples, p, u @ basis.T)
-    h_proj = zp_support(project_samples(samples, basis), p, u)
+    h_proj = zp_support(project_samples(samples, subspace), p, u)
     scale = np.maximum(np.maximum(h_full, h_proj), 1e-300)
     return float((np.abs(h_full - h_proj) / scale).max())
 

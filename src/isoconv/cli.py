@@ -144,10 +144,10 @@ def _cmd_isotropy(args) -> int:
     facts += [(f"eigenvalue-{i}", v) for i, v in enumerate(summary.eigenvalues)]
     facts.append(("det-root", summary.det_root))
     print(f"det_root: {summary.det_root:.10g}", file=log)
-    if mu.density_sup is None:
+    if mu.log_density_sup is None:
         print("L: unavailable (no density sup)", file=log)
     else:
-        l_value = isotropic_constant(summary, mu.density_sup)
+        l_value = isotropic_constant(summary, mu.log_density_sup)
         print(f"L: {l_value:.10g}", file=log)
         facts.append(("l-mu", l_value))
     _report(args, seed, [Row("isotropy", mu.dim, None, q, float(v), 0.0, "mc", seed,

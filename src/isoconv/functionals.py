@@ -205,7 +205,7 @@ def entropy_numbers(
     cloud, slack = _body_grid_cloud(body, step)
     radii = _greedy_covering_radii(cloud, 2**j_max, child_seed(seed, 0))
     # the lower bound needs a volrad that is itself not an upper estimate
-    method = "analytic" if "volume" in body.analytic else "membership-mc"
+    method = "analytic" if "log_volume" in body.analytic else "membership-mc"
     vr = volume_radius_lowdim(body, method=method, seed=child_seed(seed, 1))
     for j in range(1, j_max + 1):
         upper = Estimate(

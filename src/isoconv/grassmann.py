@@ -138,19 +138,18 @@ def volume_radius_lowdim(
 ) -> Estimate:
     """volrad(K) = (Vol K / Vol B_2^k)^{1/k} for k <= 6.
 
-    methods: `analytic` (exact stored volume), `support-hull` (outer polytope
+    methods: `analytic` (exact stored log-volume), `support-hull` (outer polytope
     from sampled tangent halfspaces -> upper bound), `membership-mc`
     (rejection sampling -> value +- SE).  `auto` prefers exact, then hull.
     Dimension 1 is always exact (interval length from two support values).
     """
     k = body.dim
-    vk = ball_volume(k)
 
     def to_volrad(vol):
-        return (vol / vk) ** (1.0 / k)
+        return (vol / ball_volume(k)) ** (1.0 / k)
 
     if method == "auto":
-        method = "analytic" if "volume" in body.analytic else "support-hull"
+        method = "analytic" if "log_volume" in body.analytic else "support-hull"
     if method != "analytic" and k > VOLUME_DIM_CAP and k > 1:
         # closed-form volumes are fine at any dimension; hull/MC are not
         raise ValueError(
@@ -158,12 +157,14 @@ def volume_radius_lowdim(
         )
 
     if method == "analytic":
-        vol = body.analytic.get("volume")
-        if vol is None:
+        log_vol = body.analytic.get("log_volume")
+        if log_vol is None:
             raise UnsupportedOracleError(
                 f"no analytic volume for family {body.family!r}"
             )
-        return Estimate(to_volrad(vol), 0.0, 0, seed, "exact")
+        # in logs, so the volume radius stays finite at any k
+        vr = math.exp((log_vol - bodies.lp_ball_log_volume(k, 2.0)) / k)
+        return Estimate(vr, 0.0, 0, seed, "exact")
     if method == "support-hull":
         if k == 1:
             return Estimate(to_volrad(_interval_volume(body)), 0.0, 2, seed, "exact")

@@ -7,8 +7,9 @@ constant of a log-concave probability measure is
 
     L = (sup f)^{1/n} * det(Cov)^{1/(2n)},
 
-an affine invariant; for the uniform measure on a unit-volume body, sup f = 1
-and L is just the covariance determinant root.
+an affine invariant, computed as exp(log sup f / n) * det(Cov)^{1/(2n)}; for
+the uniform measure on a unit-volume body, sup f = 1 and L is just the
+covariance determinant root.
 """
 
 from __future__ import annotations
@@ -114,21 +115,25 @@ def apply_whitening(samples: SampleSet, T: np.ndarray, shift: np.ndarray) -> Sam
     )
 
 
-def isotropic_constant(summary: MomentSummary, density_sup: Optional[float]) -> float:
-    """L = density_sup^{1/n} * det_root.  Needs an exact density sup."""
-    if density_sup is None or density_sup <= 0:
+def isotropic_constant(summary: MomentSummary, log_density_sup: Optional[float]) -> float:
+    """L = exp(log_density_sup / n) * det_root.  Needs an exact density sup.
+
+    The sup enters as its log, so L stays finite where sup f itself over- or
+    underflows.
+    """
+    if log_density_sup is None:
         raise UnsupportedOracleError(
             "isotropic constant needs an exact density sup; sample-based "
             "estimates of ||f||_inf are not supported"
         )
-    return density_sup ** (1.0 / summary.dim) * summary.det_root
+    return math.exp(log_density_sup / summary.dim) * summary.det_root
 
 
 def isotropic_constant_estimate(
     measure: LogConcaveMeasure, n_samples: int, seed: int, batches: int = 8
 ) -> Tuple[float, float]:
     """(L_hat, std_error) by batch means: independent sub-draws, one L each."""
-    if measure.density_sup is None:
+    if measure.log_density_sup is None:
         raise UnsupportedOracleError(
             f"measure {measure.label!r} has no exact density sup"
         )
@@ -138,7 +143,7 @@ def isotropic_constant_estimate(
     vals = np.empty(batches)
     for i in range(batches):
         s = draw_samples(measure, per, child_seed(seed, i))
-        vals[i] = isotropic_constant(estimate_moments(s), measure.density_sup)
+        vals[i] = isotropic_constant(estimate_moments(s), measure.log_density_sup)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(batches))
 
 

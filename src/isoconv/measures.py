@@ -1,8 +1,11 @@
 """Log-concave probability measures as seeded samplers.
 
 A measure is a deterministic oracle (count, seed) -> points, tagged with the
-sup of its density when that survives the construction.  Exact samplers exist for the gaussian, coordinate products and
-the bodies that carry one; a body without an exact sampler is rejected.
+log of the sup of its density when that is exactly known.  The log stays
+finite where the sup itself over- or underflows (the gaussian's (2 pi)^{-n/2}
+rounds to 0 from n = 811 on).  Exact samplers exist for the gaussian,
+coordinate products and the bodies that carry one; a body without an exact
+sampler is rejected.
 
 Determinism contract: same (measure, N, seed) gives bit-identical output
 within a build.  Chunked draws derive chunk seeds via the frozen splitting
@@ -19,6 +22,7 @@ import numpy as np
 
 from . import bodies
 from .bodies import ConvexBody, UnsupportedOracleError
+from .grassmann import Subspace
 from .seeds import child_seed, rng_from
 
 #: draws are made in chunks of this many points, each with its own sub-seed
@@ -51,35 +55,31 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class LogConcaveMeasure:
-    """Sampler oracle plus the sup of its density.
+    """Sampler oracle plus the log of the sup of its density.
 
     label carries the human-readable construction (the provenance of every
-    draw); density_sup is sup f_mu when exactly known, None otherwise.
+    draw); log_density_sup is log sup f_mu when exactly known, None otherwise.
     """
 
     dim: int
     sampler: Callable[[int, int], np.ndarray]
     label: str
-    density_sup: Optional[float] = None
+    log_density_sup: Optional[float] = None
 
 
-def draw_samples(
-    measure: LogConcaveMeasure, count: int, seed: int, chunk: int = DEFAULT_CHUNK
-) -> SampleSet:
+def draw_samples(measure: LogConcaveMeasure, count: int, seed: int) -> SampleSet:
     """Deterministic draw of `count` points.
 
-    Chunk i of size <= chunk uses child_seed(seed, i), so the same (measure,
-    count, seed) replays bit-identically and workers can split chunks.
+    Chunk i of size <= DEFAULT_CHUNK uses child_seed(seed, i), so the same
+    (measure, count, seed) replays bit-identically and workers can split chunks.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    if chunk < 1:
-        raise ValueError(f"need chunk >= 1, got {chunk}")
     blocks = []
     done = 0
     index = 0
     while done < count:
-        take = min(chunk, count - done)
+        take = min(DEFAULT_CHUNK, count - done)
         blocks.append(measure.sampler(take, child_seed(seed, index)))
         done += take
         index += 1
@@ -105,7 +105,7 @@ def gaussian_measure(dim: int) -> LogConcaveMeasure:
         dim=dim,
         sampler=sampler,
         label=f"gaussian({dim})",
-        density_sup=(2.0 * math.pi) ** (-dim / 2.0),
+        log_density_sup=-0.5 * dim * math.log(2.0 * math.pi),
     )
 
 
@@ -121,7 +121,7 @@ def exponential_product_measure(dim: int) -> LogConcaveMeasure:
         dim=dim,
         sampler=sampler,
         label=f"exponential-product({dim})",
-        density_sup=0.5**dim,
+        log_density_sup=-dim * math.log(2.0),
     )
 
 
@@ -129,19 +129,19 @@ def uniform_body_measure(body: ConvexBody) -> LogConcaveMeasure:
     """Uniform probability measure on a body with an exact sampler."""
     if body.sample_exact is None:
         raise UnsupportedOracleError(f"no exact sampler for family {body.family!r}")
-    vol = body.analytic.get("volume")
+    log_vol = body.analytic.get("log_volume")
     return LogConcaveMeasure(
         dim=body.dim,
         sampler=body.sample_exact,
         label=f"uniform-body({body.family})",
-        density_sup=None if vol is None else 1.0 / vol,
+        log_density_sup=None if log_vol is None else -log_vol,
     )
 
 
 def pushforward_measure(
     base: LogConcaveMeasure, T: np.ndarray, shift: Optional[np.ndarray] = None
 ) -> LogConcaveMeasure:
-    """Affine pushforward x -> T x + shift; density_sup divides by |det T|."""
+    """Affine pushforward x -> T x + shift; the density sup divides by |det T|."""
     T = np.asarray(T, dtype=float)
     if T.shape != (base.dim, base.dim):
         raise ValueError(f"T must be {base.dim}x{base.dim}, got {T.shape}")
@@ -158,9 +158,9 @@ def pushforward_measure(
         dim=base.dim,
         sampler=sampler,
         label=f"pushforward({base.label})",
-        density_sup=None
-        if base.density_sup is None
-        else base.density_sup / math.exp(logabsdet),
+        log_density_sup=None
+        if base.log_density_sup is None
+        else base.log_density_sup - logabsdet,
     )
 
 
@@ -169,15 +169,10 @@ def pushforward_measure(
 # ---------------------------------------------------------------------------
 
 
-def project_samples(samples: SampleSet, subspace) -> SampleSet:
-    """Push a SampleSet forward to coordinates in a subspace's basis.
-
-    Accepts anything with an (ambient, k) orthonormal `basis` attribute, or a
-    raw basis matrix.  The result represents the projected measure in R^k.
-    """
-    basis = getattr(subspace, "basis", subspace)
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != samples.dim:
+def project_samples(samples: SampleSet, subspace: Subspace) -> SampleSet:
+    """Push a SampleSet forward to coordinates in a Subspace's (ambient, k) basis."""
+    basis = subspace.basis
+    if basis.shape[0] != samples.dim:
         raise ValueError(
             f"basis shape {basis.shape} incompatible with ambient dim {samples.dim}"
         )

@@ -13,12 +13,13 @@ from isoconv.bodies import (
     cube,
     ellipsoid,
     lp_ball,
-    lp_ball_volume,
+    lp_ball_log_volume,
     parse_body,
     product_body,
     scale_body,
     unit_volume_copy,
 )
+from isoconv.grassmann import volume_radius_lowdim
 from isoconv.seeds import sphere_directions
 
 
@@ -36,11 +37,16 @@ def test_ball_volume_known_values():
 
 def test_lp_ball_volume_matches_special_cases():
     # p=2 ball, p=1 cross-polytope (2^n/n!), p->inf not supported here but
-    # large p approaches the cube volume 2^n
-    assert lp_ball_volume(3, 2.0) == pytest.approx(ball_volume(3), rel=1e-12)
-    assert lp_ball_volume(4, 1.0) == pytest.approx(2.0**4 / math.factorial(4), rel=1e-12)
-    assert lp_ball_volume(3, 200.0) == pytest.approx(8.0, rel=1e-2)
-    assert lp_ball_volume(2, 1.0, radius=2.0) == pytest.approx(8.0, rel=1e-12)
+    # large p approaches the cube volume 2^n.  Logs to abs 1e-12 are volumes
+    # to rel 1e-12.
+    assert lp_ball_log_volume(3, 2.0) == pytest.approx(math.log(ball_volume(3)), abs=1e-12)
+    assert lp_ball_log_volume(4, 1.0) == pytest.approx(
+        math.log(2.0**4 / math.factorial(4)), abs=1e-12
+    )
+    assert lp_ball_log_volume(3, 200.0) == pytest.approx(math.log(8.0), abs=1e-2)
+    assert lp_ball(2, 1.0, radius=2.0).analytic["log_volume"] == pytest.approx(
+        math.log(8.0), abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +89,9 @@ def test_ellipsoid_support_closed_form():
     E = ellipsoid(A)
     theta = np.array([0.3, -1.2])
     assert E.support(theta) == pytest.approx(np.linalg.norm(A.T @ theta), rel=1e-12)
-    assert E.analytic["volume"] == pytest.approx(abs(np.linalg.det(A)) * math.pi, rel=1e-12)
+    assert E.analytic["log_volume"] == pytest.approx(
+        math.log(abs(np.linalg.det(A)) * math.pi), abs=1e-12
+    )
 
 
 def test_support_positive_homogeneity():
@@ -111,12 +119,12 @@ def test_scale_body_scales_support_and_volume():
     K2 = scale_body(K, 0.5)
     theta = np.array([1.0, 2.0, -1.0])
     assert K2.support(theta) == pytest.approx(0.5 * K.support(theta), rel=1e-14)
-    assert K2.analytic["volume"] == pytest.approx(1.0, rel=1e-12)
+    assert K2.analytic["log_volume"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unit_volume_copy():
     K = unit_volume_copy(ball(3, radius=2.0))
-    assert K.analytic["volume"] == pytest.approx(1.0, rel=1e-12)
+    assert K.analytic["log_volume"] == pytest.approx(0.0, abs=1e-12)
     # radius must be (3/(4 pi))^(1/3)
     r = (1.0 / ball_volume(3)) ** (1.0 / 3.0) * 2.0 / 2.0
     assert K.support(np.array([1.0, 0.0, 0.0])) == pytest.approx(r, rel=1e-12)
@@ -130,7 +138,7 @@ def test_unit_volume_copy_of_cross_polytope_past_float_range(n):
     e1 = np.zeros(n)
     e1[0] = 1.0
     assert K.support(e1) == pytest.approx(scale, rel=1e-12)
-    assert K.analytic["volume"] == pytest.approx(1.0, rel=1e-12)
+    assert K.analytic["log_volume"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ball_past_gamma_overflow_takes_its_facts_from_logs():
@@ -150,7 +158,8 @@ def test_ellipsoid_past_gamma_overflow_takes_its_volume_from_logs():
     E = ellipsoid(np.eye(n))
     expected = bodies.lp_ball_log_volume(n, 2.0)
     assert E.analytic["log_volume"] == pytest.approx(expected, rel=1e-12)
-    assert E.analytic["volume"] == pytest.approx(math.exp(expected), rel=1e-12)
+    # the volume radius is read from the log, so it is exact where vol B_2^n is not
+    assert volume_radius_lowdim(E).value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_unit_volume_copy_requires_volume():
@@ -169,7 +178,7 @@ def test_product_body_support_is_sum():
     dirs = sphere_directions(5, 64, seed=9)
     expected = K.support(dirs[:, :2]) + L.support(dirs[:, 2:])
     assert np.allclose(P.support(dirs), expected, rtol=1e-12)
-    assert P.analytic["volume"] == pytest.approx(4.0 * ball_volume(3), rel=1e-12)
+    assert P.analytic["log_volume"] == pytest.approx(math.log(4.0 * ball_volume(3)), abs=1e-12)
 
 
 def test_product_body_membership():
@@ -191,12 +200,12 @@ def test_parse_body_families():
     assert parse_body("cross:3").support(np.array([0.0, 2.0, 0.0])) == pytest.approx(2.0)
     assert parse_body("lpball:3:1.5").dim == 3
     K = parse_body("unitcube:5")
-    assert K.analytic["volume"] == pytest.approx(1.0, rel=1e-12)
+    assert K.analytic["log_volume"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_parse_body_b1tilde_is_unit_volume_cross():
     K = parse_body("b1tilde:4")
-    assert K.analytic["volume"] == pytest.approx(1.0, rel=1e-10)
+    assert K.analytic["log_volume"] == pytest.approx(0.0, abs=1e-10)
     r = (math.factorial(4) / 2.0**4) ** (1.0 / 4.0)
     assert K.support(np.array([1.0, 0.0, 0.0, 0.0])) == pytest.approx(r, rel=1e-12)
 
@@ -213,7 +222,7 @@ def test_parse_body_ellipsoid_from_file(tmp_path):
     f.write_text("2.0\n1.0\n0.5\n")
     E = parse_body(f"ellipsoid:3:@{f}")
     assert E.support(np.array([1.0, 0.0, 0.0])) == pytest.approx(2.0, rel=1e-12)
-    assert E.analytic["volume"] == pytest.approx(ball_volume(3), rel=1e-12)
+    assert E.analytic["log_volume"] == pytest.approx(math.log(ball_volume(3)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

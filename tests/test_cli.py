@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from isoconv import cli
+from isoconv.bodies import lp_ball_log_volume
 from isoconv.experiments import Assertion, SuiteResult
 
 
@@ -152,6 +154,31 @@ def test_vk_command(capsys):
                    "--seed", "4"])
     assert rc == 0
     assert float(capsys.readouterr().out) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("body", ["ball:400", "unitcube:400"])
+def test_vk_full_dimension_past_gamma_overflow(capsys, body):
+    # k = n: v_n(K) is volrad(K), read from log vol K; vol B_2^400 has no float form
+    rc = cli.main(["vk", "--body", body, "--k", "400", "--trials", "1", "--seed", "1",
+                   "--out", "json"])
+    assert rc == 0
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    if body == "ball:400":
+        assert row["value"] == 1.0
+    else:
+        expected = math.exp(-lp_ball_log_volume(400, 2.0) / 400)
+        assert row["value"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("measure", ["uniform:cross:200", "uniform:ball:700", "gaussian:820"])
+def test_isotropy_l_is_finite_where_the_density_sup_is_not(capsys, measure):
+    # sup f = 1/vol K over- or underflows here, and (2 pi)^(-n/2) rounds to 0
+    # from n = 811 on; L = exp(log sup f / n) * det_root does neither
+    rc = cli.main(["isotropy", "--measure", measure, "--samples", "2000", "--seed", "1",
+                   "--out", "json"])
+    assert rc == 0
+    _, rows = _isotropy_rows(capsys.readouterr().out)
+    assert math.isfinite(rows["l-mu"]) and rows["l-mu"] > 0
 
 
 def test_scaling_command(capsys):

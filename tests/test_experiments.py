@@ -65,7 +65,7 @@ def test_qm_body_unit_volume():
     for K, m in ((cube(2, side=1.0), 6), (unit_volume_copy(cross_polytope(2)), 5)):
         Q = qm_body(K, m)
         assert Q.dim == m
-        assert Q.analytic["volume"] == pytest.approx(1.0, rel=1e-10)
+        assert Q.analytic["log_volume"] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_qm_body_isotropic_covariance():

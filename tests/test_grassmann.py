@@ -59,7 +59,7 @@ def test_project_ball_is_ball():
     F = random_subspace(7, 3, seed=2)
     P = project_body(ball(7, radius=2.0), F)
     assert P.dim == 3
-    assert P.analytic["volume"] == pytest.approx(ball_volume(3, 2.0), rel=1e-12)
+    assert P.analytic["log_volume"] == pytest.approx(math.log(ball_volume(3, 2.0)), abs=1e-12)
     u = sphere_directions(3, 16, seed=3)
     assert np.allclose(P.support(u), 2.0, atol=1e-12)
 

@@ -91,10 +91,10 @@ def test_whitening_idempotent():
 def test_isotropic_constant_formula():
     s = draw_samples(uniform_body_measure(cube(4, side=1.0)), 100_000, seed=7)
     m = estimate_moments(s)
-    L = isotropic_constant(m, density_sup=1.0)
+    L = isotropic_constant(m, log_density_sup=0.0)
     assert L == pytest.approx(math.sqrt(1.0 / 12.0), rel=0.01)
-    # density_sup enters as sup^(1/n)
-    L2 = isotropic_constant(m, density_sup=2.0**4)
+    # the density sup enters as sup^(1/n) = exp(log sup / n)
+    L2 = isotropic_constant(m, log_density_sup=4 * math.log(2.0))
     assert L2 == pytest.approx(2.0 * L, rel=1e-12)
 
 

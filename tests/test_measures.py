@@ -15,6 +15,7 @@ from isoconv.measures import (
     pushforward_measure,
     uniform_body_measure,
 )
+from isoconv.seeds import child_seed
 
 
 def test_draw_samples_deterministic():
@@ -26,17 +27,18 @@ def test_draw_samples_deterministic():
     assert not np.array_equal(a.points, c.points)
 
 
-def test_draw_samples_chunking_reproducible_per_chunk_size():
-    # replayable per (seed, chunk size); different chunking may reorder the
-    # stream but must stay deterministic and distribution-identical
+def test_draw_samples_multi_chunk_replays():
+    # a draw past one chunk replays bit-identically, and chunk i is the
+    # sampler's own draw from child_seed(seed, i)
     mu = gaussian_measure(2)
-    a = draw_samples(mu, 5000, seed=1, chunk=512)
-    a2 = draw_samples(mu, 5000, seed=1, chunk=512)
-    b = draw_samples(mu, 5000, seed=1, chunk=4096)
+    count = measures.DEFAULT_CHUNK + 1000
+    a = draw_samples(mu, count, seed=1)
+    a2 = draw_samples(mu, count, seed=1)
     assert np.array_equal(a.points, a2.points)
-    assert a.points.shape == b.points.shape
-    # first chunk of 512 is shared: both start from the same child seed
-    assert np.array_equal(a.points[:512], b.points[:512])
+    head = draw_samples(mu, measures.DEFAULT_CHUNK, seed=1)
+    assert np.array_equal(a.points[: measures.DEFAULT_CHUNK], head.points)
+    tail = mu.sampler(1000, child_seed(1, 1))
+    assert np.array_equal(a.points[measures.DEFAULT_CHUNK :], tail)
 
 
 def test_draw_samples_validates_count():
@@ -53,7 +55,7 @@ def test_gaussian_moments():
 
 def test_exponential_product_measure_moments():
     mu = exponential_product_measure(3)
-    assert mu.density_sup == pytest.approx(2.0**-3)
+    assert mu.log_density_sup == pytest.approx(-3 * math.log(2.0), abs=1e-12)
     s = draw_samples(mu, 200_000, seed=3)
     cov = (s.points.T @ s.points) / s.count
     # symmetrized exponential has variance 2
@@ -64,7 +66,7 @@ def test_exponential_product_measure_moments():
 def test_uniform_cube_exact_sampler():
     K = cube(3, side=1.0)
     mu = uniform_body_measure(K)
-    assert mu.density_sup == pytest.approx(1.0)
+    assert mu.log_density_sup == pytest.approx(0.0, abs=1e-12)
     s = draw_samples(mu, 100_000, seed=4)
     assert np.abs(s.points).max() <= 0.5
     var = s.points.var(axis=0)
@@ -115,9 +117,9 @@ def test_pushforward_density_sup_scales_by_det():
     K = cube(2, side=1.0)
     T = np.diag([2.0, 0.5])
     mu = pushforward_measure(uniform_body_measure(K), T)
-    assert mu.density_sup == pytest.approx(1.0, rel=1e-12)  # det T = 1
+    assert mu.log_density_sup == pytest.approx(0.0, abs=1e-12)  # det T = 1
     mu2 = pushforward_measure(uniform_body_measure(K), np.diag([2.0, 2.0]))
-    assert mu2.density_sup == pytest.approx(0.25, rel=1e-12)
+    assert mu2.log_density_sup == pytest.approx(math.log(0.25), abs=1e-12)
 
 
 def test_project_samples_identity():
