@@ -2,13 +2,16 @@
 
 Projection of a body is exact at the support level: for an orthonormal basis
 B of F, h_{P_F K}(u) = h_K(B u).  Volume radii are only computed in dimension
-k <= 6 (hull volume is exponential in k); the sup/inf functionals over the
+k <= 6: a tangent polytope's volume takes one qhull pass over its polar points
+and then a signed sum over flags with k!/2 determinants per dual facet, so its
+cost grows like k! times the facet count; the sup/inf functionals over the
 Grassmannian are sampled over Haar subspaces and therefore only ever one-sided
 -- results are tagged accordingly and the tags are load-bearing downstream.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,26 +91,107 @@ def _interval_volume(body: ConvexBody) -> float:
     return float(body.support(e) + body.support(-e))
 
 
-def _support_hull_volume(body: ConvexBody, n_directions: int, seed: int) -> float:
-    """Volume of the outer polytope cut by n_directions tangent halfspaces.
+def _perm_sign(perm) -> int:
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
-    Outer approximation: contains the body, so the value is an upper bound
-    that tightens as directions grow.  Needs the origin interior (h > 0 in
-    every sampled direction).
+
+def _facet_orientation(simplices: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """A coherent orientation (+-1 per facet) of a closed triangulated sphere.
+
+    Facet g, its vertices in the (sorted) order of `simplices`, and its
+    neighbour n across the ridge R = g - {a} = n - {b} induce opposite
+    orientations on R iff s_g s_n = -(-1)^(pos_g(a) + pos_n(b)).  The signs
+    spread from facet 0 along a breadth-first tree, multiplied up to the
+    root by pointer jumping.  Combinatorial, so it also orients the zero-volume
+    simplices that qhull's triangulation of a non-simplicial facet leaves,
+    where sign(det Y_G) is 0 or noise.
     """
-    from scipy.spatial import ConvexHull, HalfspaceIntersection
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
 
-    k = body.dim
-    dirs = sphere_directions(k, n_directions, seed)
-    h = np.asarray(body.support(dirs), dtype=float)
-    if np.any(h <= 0):
-        raise ValueError(
-            "support-hull method needs the origin in the interior (h > 0); "
-            f"family {body.family!r} has a nonpositive support value"
-        )
-    halfspaces = np.hstack([dirs, -h[:, None]])  # rows: theta.x - h <= 0
-    hs = HalfspaceIntersection(halfspaces, np.zeros(k))
-    return float(ConvexHull(hs.intersections).volume)
+    f, k = simplices.shape
+    graph = csr_array((np.ones(f * k), (np.repeat(np.arange(f), k), neighbors.ravel())),
+                      shape=(f, f))
+    _, up = breadth_first_order(graph, 0, directed=False, return_predecessors=True)
+    up[0] = 0
+    parent = simplices[up]
+    pos_a = np.argmin((simplices[:, :, None] == parent[:, None, :]).any(axis=2), axis=1)
+    pos_b = np.argmin((parent[:, :, None] == simplices[:, None, :]).any(axis=2), axis=1)
+    sign = np.where((pos_a + pos_b) % 2 == 0, -1.0, 1.0)
+    sign[0] = 1.0
+    while np.any(up != 0):
+        sign *= sign[up]
+        up = up[up]
+    return sign
+
+
+def _support_hull_volume(dirs: np.ndarray, h: np.ndarray) -> float:
+    """Volume of P = {x : <theta_i, x> <= h_i} from one hull of its polar.
+
+    Needs every h_i > 0, so the origin is interior and P is the polar of
+    Q = conv{y_i}, y_i = theta_i / h_i.  Each triangulated facet G of Q, with
+    equation <a_G, y> + b_G = 0, is dual to the vertex v_G = -a_G / b_G of P.
+    A face S of the triangulation maps to c_S, the mean of v_G' over the
+    facets G' containing S; c_S lies on the face of P where <y_i, x> = 1 for
+    all i in S.  The flags S_1 < ... < S_{k-1} < G of each facet (one per
+    ordering sigma of its vertices) thus map the barycentric subdivision of
+    the boundary of Q onto the boundary of P with degree one, and
+
+        vol P = |sum_G o_G sum_sigma sign(sigma)
+                 det(c_{S_1}, ..., c_{S_{k-1}}, v_G)| / k!
+
+    where o_G = +-1 orients the triangulation coherently (up to one global
+    sign it is sign(det Y_G) wherever that is nonzero).
+    No vertex hull of P is built.  Simplices of one facet of Q that qhull
+    splits into coplanar pieces share one v_G, and their signed terms cancel
+    exactly, so redundant halfspaces need no merging.  The orderings that
+    differ only in their last two vertices are paired by linearity, so each
+    facet takes k!/2 determinants.
+    """
+    from scipy.spatial import ConvexHull
+
+    k = dirs.shape[1]
+    hull = ConvexHull(dirs / h[:, None])
+    simplices = np.sort(hull.simplices, axis=1)
+    offsets = hull.equations[:, k]
+    if np.any(offsets >= 0):
+        raise ValueError("the tangent halfspaces do not bound a polytope")
+    verts = hull.equations[:, :k] / -offsets[:, None]  # v_G, one per facet
+    orient = _facet_orientation(simplices, hull.neighbors)
+
+    # The c-th j-subset S of facet g's sorted vertices has the dense key
+    # rank[j][g, c], and centre[j][key] = c_S.  A j-subset's integer key is
+    # built from the key of its first j - 1 vertices and its last vertex.
+    combos = {j: list(itertools.combinations(range(k), j)) for j in range(1, k)}
+    pos = {c: i for j in combos for i, c in enumerate(combos[j])}
+    rank, centre = {}, {}
+    keys = simplices
+    for j in range(1, k):
+        if j > 1:
+            prefix = rank[j - 1][:, [pos[c[:-1]] for c in combos[j]]]
+            keys = prefix * len(dirs) + simplices[:, [c[-1] for c in combos[j]]]
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        rank[j] = inverse.reshape(keys.shape)
+        flat = rank[j].ravel()
+        sums = np.column_stack([
+            np.bincount(flat, np.repeat(verts[:, d], len(combos[j])), len(uniq))
+            for d in range(k)
+        ])
+        centre[j] = sums / np.bincount(flat, minlength=len(uniq))[:, None]
+
+    mats = np.empty((len(verts), k, k))
+    mats[:, -1] = verts
+    total = np.zeros(len(verts))
+    for perm in itertools.permutations(range(k)):
+        if perm[-2] > perm[-1]:
+            continue  # taken with its swap through the difference row below
+        for j in range(1, k - 1):
+            mats[:, j - 1] = centre[j][rank[j][:, pos[tuple(sorted(perm[:j]))]]]
+        a, b = (rank[k - 1][:, pos[tuple(sorted(perm[:-2] + (i,)))]] for i in perm[-2:])
+        mats[:, -2] = centre[k - 1][a] - centre[k - 1][b]
+        total += _perm_sign(perm) * np.linalg.det(mats)
+    return float(abs(orient @ total)) / math.factorial(k)
 
 
 def _membership_mc_volume(body: ConvexBody, n_points: int, seed: int):
@@ -168,7 +252,14 @@ def volume_radius_lowdim(
     if method == "support-hull":
         if k == 1:
             return Estimate(to_volrad(_interval_volume(body)), 0.0, 2, seed, "exact")
-        vol = _support_hull_volume(body, n_directions, seed)
+        dirs = sphere_directions(k, n_directions, seed)
+        h = np.asarray(body.support(dirs), dtype=float)
+        if np.any(h <= 0):
+            raise ValueError(
+                "support-hull method needs the origin in the interior (h > 0); "
+                f"family {body.family!r} has a nonpositive support value"
+            )
+        vol = _support_hull_volume(dirs, h)
         return Estimate(to_volrad(vol), 0.0, n_directions, seed, "upper")
     if method == "membership-mc":
         if k == 1:

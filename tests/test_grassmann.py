@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,16 +12,18 @@ from isoconv.bodies import (
     cross_polytope,
     cube,
 )
+from isoconv.centroid import zp_support
 from isoconv.grassmann import (
     VOLUME_DIM_CAP,
     Subspace,
+    _support_hull_volume,
     project_body,
     random_subspace,
     vk_estimate,
     volume_radius_lowdim,
 )
 from isoconv.measures import draw_samples, gaussian_measure, project_samples
-from isoconv.seeds import sphere_directions
+from isoconv.seeds import child_seed, sphere_directions
 
 
 def test_random_subspace_orthonormal():
@@ -184,3 +187,104 @@ def test_vk_monotone_in_trials():
     a = vk_estimate(cube(3, side=2.0), 2, trials=4, seed=9).value
     b = vk_estimate(cube(3, side=2.0), 2, trials=32, seed=9).value
     assert b >= a * 0.98
+
+
+# ---------------------------------------------------------------------------
+# tangent-polytope volume from one dual hull
+# ---------------------------------------------------------------------------
+
+
+def test_tangent_polygon_of_unit_disc_closed_form():
+    # the polygon tangent to the unit circle at angles phi_i has area
+    # sum_i tan(gap_i / 2) over the angular gaps between consecutive normals
+    dirs = sphere_directions(2, 40, seed=11)
+    phi = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
+    gaps = np.diff(np.append(phi, phi[0] + 2.0 * math.pi))
+    assert gaps.max() < math.pi
+    area = _support_hull_volume(dirs, np.ones(len(dirs)))
+    assert area == pytest.approx(np.tan(gaps / 2.0).sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_redundant_halfspaces_of_cube_leave_the_cube(k):
+    # random tangent halfspaces of [-1,1]^k plus its own facets: P is the cube,
+    # and every redundant halfspace is a dual point inside a facet of the hull
+    eye = np.eye(k)
+    dirs = np.vstack([sphere_directions(k, 300, seed=k), eye, -eye])
+    vol = _support_hull_volume(dirs, np.abs(dirs).sum(axis=1))
+    assert vol == pytest.approx(2.0**k, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_cross_polytope_from_its_facet_normals(k):
+    # the dual hull is the cube; from k = 4 on qhull splits its facets into
+    # simplices some of which have zero volume, so their orientation must
+    # come from the triangulation, not from sign(det)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
+    dirs = signs / math.sqrt(k)
+    vol = _support_hull_volume(dirs, np.full(len(dirs), 1.0 / math.sqrt(k)))
+    assert vol == pytest.approx(2.0**k / math.factorial(k), rel=1e-12)
+
+
+def _halfspace_intersection_volume(dirs, h):
+    # the two-pass qhull pipeline: vertices of P, then their hull
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    hs = HalfspaceIntersection(np.hstack([dirs, -h[:, None]]), np.zeros(dirs.shape[1]))
+    return ConvexHull(hs.intersections).volume
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_dual_hull_volume_matches_vertex_hull(k):
+    dirs = sphere_directions(k, 1000, seed=20 + k)
+    samples = draw_samples(gaussian_measure(k), 2000, seed=30 + k)
+    cases = [zp_support(samples, p, dirs) for p in (2.0, 3.0)]
+    F = random_subspace(8, k, seed=40 + k)
+    for body in (cube(8), cross_polytope(8)):
+        cases.append(np.asarray(project_body(body, F).support(dirs), dtype=float))
+    for h in cases:
+        assert _support_hull_volume(dirs, h) == pytest.approx(
+            _halfspace_intersection_volume(dirs, h), rel=1e-12
+        )
+
+
+def test_projected_cube_k5_has_a_finite_outer_volume():
+    # trial 1 of `vk --body cube:8 --k 5 --trials 4 --seed 1`, where a second
+    # (vertex) qhull pass raised QhullError.  vol P_F([-1,1]^8) is the zonotope
+    # volume 2^5 sum_{|S|=5} |det B_S| (Shephard; McMullen 1984), and the
+    # outer tangent polytope contains P_F K.
+    F = random_subspace(8, 5, child_seed(1, 1))
+    est = volume_radius_lowdim(project_body(cube(8), F), seed=child_seed(1, 5))
+    B = F.basis
+    exact = 2.0**5 * sum(
+        abs(np.linalg.det(B[list(S)])) for S in itertools.combinations(range(8), 5)
+    )
+    exact_volrad = (exact / ball_volume(5)) ** 0.2
+    assert est.direction == "upper"
+    assert math.isfinite(est.value)
+    assert exact_volrad <= est.value <= 1.2 * exact_volrad
+
+
+def test_support_hull_rejects_nonpositive_support():
+    # unit disc centred at (3, 0): the origin is outside, h < 0 when theta_1 < -1/3
+    off = ConvexBody(dim=2, support=lambda t: 3.0 * t[..., 0] + np.linalg.norm(t, axis=-1),
+                     family="off-centre-disc")
+    with pytest.raises(ValueError, match=r"h > 0.*'off-centre-disc'") as info:
+        volume_radius_lowdim(off, method="support-hull", seed=1)
+    assert "\n" not in str(info.value)
+
+
+def test_support_hull_rejects_unbounded_halfspaces():
+    dirs = sphere_directions(2, 50, seed=2)
+    dirs = dirs[dirs[:, 1] > 0]  # all normals in the upper half-plane
+    with pytest.raises(ValueError, match="do not bound"):
+        _support_hull_volume(dirs, np.ones(len(dirs)))
+
+
+def test_support_hull_k1_takes_the_exact_interval():
+    # [0.5, 1.5]: h(-1) < 0, yet dimension 1 never samples directions
+    seg = ConvexBody(dim=1, support=lambda t: np.maximum(0.5 * t, 1.5 * t)[..., 0],
+                     family="segment")
+    est = volume_radius_lowdim(seg, method="support-hull", seed=3)
+    assert est.value == pytest.approx(0.5, rel=1e-12)  # length 1 / ball length 2
+    assert est.direction == "exact"
