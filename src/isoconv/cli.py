@@ -189,8 +189,7 @@ def _cmd_bound(args) -> int:
     try:
         value = bound_rhs(args.kind, **params)
     except KeyError as exc:
-        print(f"bound kind {args.kind!r} is missing parameter {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bound kind {args.kind!r} is missing parameter {exc}") from exc
     print(f"{value:.10g}")
     return 0
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bodies import ConvexBody, ball, cross_polytope, cube, product_body, scale_body, unit_volume_copy
 from .centroid import centroid_body
-from .functionals import RadModel, bound_rhs, mean_width
+from .functionals import RadModel, bound_rhs, entropy_numbers, mean_width
 from .grassmann import project_body, random_subspace, volume_radius_lowdim
 from .isotropy import estimate_moments, exact_isotropic_constant
 from .measures import draw_samples, gaussian_measure, pushforward_measure, uniform_body_measure
@@ -231,7 +231,7 @@ def _suite_paouris(dims, cfg: SuiteConfig):
 _ANISO_SPECTRA = ("flat", "geometric", "spike")
 
 
-def _aniso_spectrum(kind: str, n: int) -> np.ndarray:
+def _aniso_lam(kind: str, n: int) -> np.ndarray:
     if kind == "flat":
         return np.ones(n)
     if kind == "geometric":
@@ -251,7 +251,7 @@ def _suite_thm_main_aniso(dims, cfg: SuiteConfig):
     rows = []
     measured = {}
     for s_idx, kind in enumerate(_ANISO_SPECTRA):
-        lam = _aniso_spectrum(kind, n)
+        lam = _aniso_lam(kind, n)
         mu = pushforward_measure(gaussian_measure(n), np.diag(lam))
         seed = child_seed(cfg.seed, s_idx)
         samples = draw_samples(mu, cfg.n_samples, child_seed(seed, 0))
@@ -349,14 +349,21 @@ def _suite_kubota(dims, cfg: SuiteConfig):
     overshoots by more than the noise band.  We therefore certify the sandwich
     inner hull <= volrad(Z_p) <= outer hull (the inner one is the convex hull
     of exact touching points) and assert the inner value against the p-mean;
-    both lhs brackets go into the report.
+    both lhs brackets go into the report.  The p-mean's SE comes from `trials`
+    projections, so the gate's multiplier is the Student-t quantile with
+    trials - 1 degrees of freedom at the one-sided rate Phi(-3) of a 3-SE
+    normal gate.
     """
     from scipy.spatial import ConvexHull
+    from scipy.special import ndtr, stdtrit
 
     from .bodies import ball_volume
     from .centroid import zp_touching_points
 
     n = _one_dim("kubota", dims)
+    if cfg.trials < 2:
+        raise ValueError(f"kubota needs trials >= 2 for a standard error, got {cfg.trials}")
+    t_gate = float(stdtrit(cfg.trials - 1, 1.0 - ndtr(-3.0)))
     rows, assertions = [], []
     for i, p in enumerate((2, 3)):
         seed = child_seed(cfg.seed, i)
@@ -381,7 +388,7 @@ def _suite_kubota(dims, cfg: SuiteConfig):
         rhs = mean_p ** (1.0 / p)
         se_mean = float(vr_p.std(ddof=1)) / math.sqrt(cfg.trials)
         rhs_se = rhs * se_mean / (p * mean_p)  # delta method through ^(1/p)
-        ok = lhs_inner <= rhs + 3.0 * rhs_se
+        ok = lhs_inner <= rhs + t_gate * rhs_se
         rows += [
             Row("kubota", n, float(p), "volrad-zp-inner", lhs_inner, 0.0,
                 "lower", seed, cfg.n_samples),
@@ -394,7 +401,7 @@ def _suite_kubota(dims, cfg: SuiteConfig):
             f"kubota-k{p}",
             ok,
             f"volrad(Z_{p}) in [{lhs_inner:.4f}, {lhs_outer.value:.4f}]; "
-            f"inner <= projection p-mean {rhs:.4f} + 3*{rhs_se:.4f}",
+            f"inner <= projection p-mean {rhs:.4f} + {t_gate:.2f}*{rhs_se:.4f}",
         ))
     return rows, assertions, {}
 
@@ -442,8 +449,6 @@ def _suite_covering_regularity(dims, cfg: SuiteConfig):
     barely enter, so its constant is fitted over in-band radii and recorded
     without a held-out assertion.
     """
-    from .functionals import _body_grid_cloud, _greedy_covering_radii
-
     j_max = 8
     rows, assertions = [], []
     for d_idx, n in enumerate(dims):
@@ -453,14 +458,13 @@ def _suite_covering_regularity(dims, cfg: SuiteConfig):
         l_k = exact_isotropic_constant(K)
         seed = child_seed(cfg.seed, d_idx)
         mstar = mean_width(K, cfg.sphere_samples, child_seed(seed, 0))
-        cloud, slack = _body_grid_cloud(K, step=0.01 if n < 3 else 0.012)
-        radii = _greedy_covering_radii(cloud, 2**j_max, child_seed(seed, 1))
-        js = np.arange(1, j_max + 1)
-        cover_r = np.array([radii[2**j - 1] + slack for j in js])
-        log_counts = js * math.log(2.0)
-        for j, r in zip(js, cover_r):
+        uppers = [upper for _, upper, _ in entropy_numbers(
+            K, j_max, step=0.01 if n < 3 else 0.012, seed=child_seed(seed, 1))]
+        cover_r = np.array([u.value for u in uppers])
+        log_counts = np.arange(1, j_max + 1) * math.log(2.0)
+        for j, u in enumerate(uppers, start=1):
             rows.append(Row("covering-regularity", n, None, f"cover-radius-j{j}",
-                            float(r), 0.0, "upper", seed, cloud.shape[0]))
+                            u.value, 0.0, "upper", seed, u.n_samples))
 
         def ratios_for(kind):
             with warnings.catch_warnings():

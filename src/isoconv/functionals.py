@@ -184,9 +184,10 @@ def entropy_numbers(
     """Upper/lower brackets on e_j(K) for j = 1..j_max, dim <= 4.
 
     Upper: greedy farthest-point covering of a grid cloud with 2^j centers,
-    plus the grid fill slack.  Lower: the volumetric estimate
-    e_j >= volrad(K) / 2^{j/k} in ambient dimension k.  Dimension 1 is exact:
-    an interval of length L has e_j = L / 2^{j+1}.
+    plus the grid fill slack; `seed` picks the greedy start.  Lower: the
+    volumetric estimate e_j >= volrad(K) / 2^{j/k} in ambient dimension k,
+    from the body's exact log-volume.  Dimension 1 is exact: an interval of
+    length L has e_j = L / 2^{j+1}.
     Returns a list of (j, upper Estimate, lower Estimate).
     """
     k = body.dim
@@ -203,10 +204,9 @@ def entropy_numbers(
             out.append((j, exact, exact))
         return out
     cloud, slack = _body_grid_cloud(body, step)
-    radii = _greedy_covering_radii(cloud, 2**j_max, child_seed(seed, 0))
+    radii = _greedy_covering_radii(cloud, 2**j_max, seed)
     # the lower bound needs a volrad that is itself not an upper estimate
-    method = "analytic" if "log_volume" in body.analytic else "membership-mc"
-    vr = volume_radius_lowdim(body, method=method, seed=child_seed(seed, 1))
+    vr = volume_radius_lowdim(body, method="analytic")
     for j in range(1, j_max + 1):
         upper = Estimate(
             float(radii[2**j - 1]) + slack, 0.0, cloud.shape[0], seed, "upper"

@@ -194,38 +194,20 @@ def _support_hull_volume(dirs: np.ndarray, h: np.ndarray) -> float:
     return float(abs(orient @ total)) / math.factorial(k)
 
 
-def _membership_mc_volume(body: ConvexBody, n_points: int, seed: int):
-    """(volume, SE) by rejection over the support bounding box."""
-    if body.membership is None:
-        raise UnsupportedOracleError(
-            f"membership-mc needs a membership oracle; family {body.family!r} has none"
-        )
-    k = body.dim
-    eye = np.eye(k)
-    hi = np.asarray(body.support(eye), dtype=float)
-    lo = -np.asarray(body.support(-eye), dtype=float)
-    box_vol = float(np.prod(hi - lo))
-    rng = rng_from(seed)
-    pts = rng.uniform(0.0, 1.0, size=(n_points, k)) * (hi - lo) + lo
-    frac = float(np.asarray(body.membership(pts), dtype=float).mean())
-    vol = box_vol * frac
-    se = box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_points)
-    return vol, se
-
-
 def volume_radius_lowdim(
     body: ConvexBody,
     method: str = "auto",
     n_directions: int = DEFAULT_HULL_DIRECTIONS,
-    n_points: int = 200_000,
     seed: int = 0,
 ) -> Estimate:
-    """volrad(K) = (Vol K / Vol B_2^k)^{1/k} for k <= 6.
+    """volrad(K) = (Vol K / Vol B_2^k)^{1/k}; the hull is capped at k <= 6.
 
-    methods: `analytic` (exact stored log-volume), `support-hull` (outer polytope
-    from sampled tangent halfspaces -> upper bound), `membership-mc`
-    (rejection sampling -> value +- SE).  `auto` prefers exact, then hull.
-    Dimension 1 is always exact (interval length from two support values).
+    methods: `analytic` (exact, from the body's stored log-volume, any k;
+    raises UnsupportedOracleError for a body without one), `support-hull`
+    (outer polytope from `n_directions` tangent halfspaces at seeded
+    directions -> upper bound), and `auto`, which takes the analytic value
+    when the body has one and the hull otherwise.  The hull in dimension 1
+    is exact (interval length from two support values).
     """
     k = body.dim
 
@@ -234,8 +216,8 @@ def volume_radius_lowdim(
 
     if method == "auto":
         method = "analytic" if "log_volume" in body.analytic else "support-hull"
-    if method != "analytic" and k > VOLUME_DIM_CAP and k > 1:
-        # closed-form volumes are fine at any dimension; hull/MC are not
+    if method != "analytic" and k > VOLUME_DIM_CAP:
+        # closed-form volumes are fine at any dimension; hulls are not
         raise ValueError(
             f"volume method {method!r} capped at dim {VOLUME_DIM_CAP}, got {k}"
         )
@@ -261,14 +243,6 @@ def volume_radius_lowdim(
             )
         vol = _support_hull_volume(dirs, h)
         return Estimate(to_volrad(vol), 0.0, n_directions, seed, "upper")
-    if method == "membership-mc":
-        if k == 1:
-            return Estimate(to_volrad(_interval_volume(body)), 0.0, 2, seed, "exact")
-        vol, se_vol = _membership_mc_volume(body, n_points, seed)
-        if vol <= 0:
-            raise ValueError("membership-mc saw no interior points; box too large?")
-        vr = to_volrad(vol)
-        return Estimate(vr, vr * se_vol / (k * vol), n_points, seed, "mc")
     raise ValueError(f"unknown volume method {method!r}")
 
 

@@ -55,6 +55,12 @@ def test_bound_missing_parameter_exits_2(capsys):
     rc = cli.main(["bound", "--kind", "sudakov", "--n", "4", "--t", "1.0"])
     assert rc == 2
     assert "mstar" in capsys.readouterr().err
+    rc = cli.main(["bound", "--kind", "thm-main-arith", "--p", "8"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: bound kind 'thm-main-arith' is missing "
+                            "parameter 'spectrum'\n")
 
 
 @pytest.mark.parametrize("argv,reason", [
@@ -354,3 +360,21 @@ def test_vk_sup_of_outer_estimates_is_not_labelled_lower(capsys):
     (row,) = json.loads(capsys.readouterr().out)["rows"]
     assert row["value"] > 0.9412
     assert row["direction"] == "mc"
+
+
+def test_kubota_gate_takes_its_multiplier_from_the_trials(capsys):
+    # two projections give an SE with one degree of freedom; a 3-SE normal
+    # gate fails here (0.9901 + 3*0.0033 < inner 1.0004), the t gate does not
+    rc = cli.main(["verify", "--suite", "kubota", "--dims", "3", "--samples", "1000",
+                   "--trials", "2", "--seed", "1"])
+    assert rc == 0
+    assert "+ 235.80*" in capsys.readouterr().out
+
+
+def test_kubota_rejects_a_single_trial(capsys):
+    rc = cli.main(["verify", "--suite", "kubota", "--dims", "3", "--samples", "1000",
+                   "--trials", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "trials >= 2" in captured.err
+    assert captured.err.count("\n") == 1

@@ -33,9 +33,21 @@ def test_traced_cli_run_records_hull_halfspaces(tmp_path, capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    # exit 2 is any error, a failed count included; exit 1 would be a suite
-    # assertion, which two projection trials do not always pass
-    assert rc_vk == 0 and rc_kubota != 2
+    assert rc_vk == 0 and rc_kubota == 0
     totals = tracer.layer_totals()
     assert totals["grassmann.volume_radius_lowdim"]["halfspaces"] > 0
     assert totals["experiments.emit_report"]["bytes_written"] > 0
+
+
+def test_traced_covering_suite_records_distance_evals(tmp_path, capsys):
+    # the suite reaches the greedy covering through entropy_numbers
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["verify", "--suite", "covering-regularity", "--dims", "2",
+                       "--seed", "1", "--out", str(tmp_path / "covering.json")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    assert tracer.layer_totals()["functionals.covering"]["distance_evals"] > 0
