@@ -191,16 +191,42 @@ def _lp_ball_sampler(dim: int, p: float, radius: float):
     Coordinates sign_i * G_i^{1/p} with G_i ~ Gamma(1/p, 1) have the
     p-generalized density ~ exp(-|t|^p); normalizing by the p-norm and
     multiplying by U^{1/n} gives the uniform law on the ball.
+
+    At p = 1 the magnitudes are the Gamma(1) draws themselves (the powers
+    1/p and p are identities) and the norm is their row sum.  At p != 1,
+    Gamma(1/p) underflows to 0 for large p, so the magnitudes come from the
+    exact boost G_a = G_{a+1} V^{1/a} (V uniform on (0, 1], independent):
+    G_{1/p}^{1/p} = G_{1+1/p}^{1/p} V, which is positive and of order one
+    at every p.  The p-norm is taken after dividing each row by its largest
+    entry, so its sum of p-th powers lies in [1, dim] and can neither
+    underflow nor overflow.  Signs and scales are applied in place to the
+    one (count, dim) array the sampler returns; at p != 1 the uniform draw
+    V doubles as the scratch array for the norm.
     """
 
     def sampler(count, seed):
         rng = rng_from(seed)
-        g = rng.gamma(1.0 / p, 1.0, size=(count, dim)) ** (1.0 / p)
-        signs = rng.integers(0, 2, size=(count, dim)) * 2.0 - 1.0
-        w = g * signs
-        norms = np.power(np.abs(w), p).sum(axis=1) ** (1.0 / p)
+        if p == 1.0:
+            w = rng.gamma(1.0, 1.0, size=(count, dim))
+            norms = w.sum(axis=1)
+        else:
+            w = rng.gamma(1.0 + 1.0 / p, 1.0, size=(count, dim))
+            np.power(w, 1.0 / p, out=w)
+            v = rng.random((count, dim))
+            np.subtract(1.0, v, out=v)
+            w *= v
+            peak = w.max(axis=1)
+            np.divide(w, peak[:, None], out=v)
+            np.power(v, p, out=v)
+            norms = v.sum(axis=1) ** (1.0 / p) * peak
+        signs = rng.integers(0, 2, size=(count, dim))
+        signs *= 2
+        signs -= 1
+        w *= signs
         radial = rng.uniform(0.0, 1.0, size=count) ** (1.0 / dim)
-        return radius * radial[:, None] * w / norms[:, None]
+        w *= (radius * radial)[:, None]
+        w /= norms[:, None]
+        return w
 
     return sampler
 
@@ -255,6 +281,12 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
     if "log_volume" in analytic:
         analytic["log_volume"] += body.dim * math.log(t)
     # isotropic_constant is scale invariant
+
+    def sampler(count, seed):
+        x = inner_samp(count, seed)  # a fresh array, scaled in place
+        x *= t
+        return x
+
     return ConvexBody(
         dim=body.dim,
         support=lambda theta: t * inner_sup(theta),
@@ -263,9 +295,7 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
         else None,
         family=f"scaled({body.family})",
         analytic=analytic,
-        sample_exact=(lambda count, seed: t * inner_samp(count, seed))
-        if inner_samp
-        else None,
+        sample_exact=sampler if inner_samp else None,
     )
 
 

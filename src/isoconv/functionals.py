@@ -144,34 +144,69 @@ def _body_grid_cloud(body: ConvexBody, step: float):
     return cloud, slack
 
 
+_SLAB_MARGIN = 1e-9
+
+
 def _greedy_covering_radii(cloud: np.ndarray, n_centers: int, seed: int) -> np.ndarray:
     """Farthest-point greedy: radii[j] = cloud covering radius with j+1 centers.
 
-    The cloud is copied once to coordinate-major (k, m) rows, and every
-    buffer is allocated once per call.  Each centre c costs a few in-place
-    passes over contiguous rows: (x_0 - c_0)^2, then + (x_j - c_j)^2 for
-    j = 1..k-1, folded into the squared distances with a minimum.  That is
-    the order in which ((cloud - c)**2).sum(axis=1) adds its k terms, so
-    every distance, and with it every tie and radius, is bit-identical to
-    the direct formula.  Radii past the m-th centre are 0.
+    The cloud is copied once to coordinate-major (k, m) rows, stably sorted
+    by the first coordinate, and every buffer is allocated once per call.
+    Each centre c costs a few in-place passes over contiguous rows:
+    (x_0 - c_0)^2, then + (x_j - c_j)^2 for j = 1..k-1, folded into the
+    squared distances with a minimum.  That is the order in which
+    ((cloud - c)**2).sum(axis=1) adds its k terms, so every distance, and
+    with it every tie and radius, is bit-identical to the direct formula.
+
+    Slab pruning: with R the current covering radius, c can lower d^2(x)
+    only where |x - c|^2 < d^2(x) <= R^2, so only for |x_0 - c_0| < R.  The
+    passes run on the contiguous slab |x_0 - c_0| <= R', found with two
+    `searchsorted` calls; elsewhere the minimum would keep d^2(x) as it is.
+    R' = R (1 + 1e-9) + 1e-9 |c_0| covers every rounding on the way: the
+    slab ends, the subtraction, the squaring and the square root that gave
+    R each err by at most 2^-53 relative to R + |c_0|, far below the
+    margin, and adding the other nonnegative terms never lowers a sum.
+
+    Ties: `argmax` picks the first maximum in sorted order; a later sorted
+    point with an equal distance wins when it came first in the caller's
+    order.  That check runs only when some later sorted point has a
+    smaller caller index, so a cloud already sorted by its first
+    coordinate (as `_body_grid_cloud` returns it) never pays for it.
+    Radii past the m-th centre are 0.
     """
     m, k = cloud.shape
-    cols = np.ascontiguousarray(cloud.T)
+    order = np.argsort(cloud[:, 0], kind="stable")
+    # smallest caller index among the sorted points after each position
+    later_min = np.empty(m, dtype=order.dtype)
+    later_min[-1] = m
+    np.minimum.accumulate(order[:0:-1], out=later_min[-2::-1])
+    cols = np.take(cloud.T, order, axis=1)
+    x0 = cols[0]
     d2 = np.full(m, np.inf)
     new = np.empty(m)
     term = np.empty(m)
     radii = np.zeros(n_centers)
-    nxt = int(rng_from(seed).integers(0, m))
+    start = int(rng_from(seed).integers(0, m))  # an index in the caller's order
+    nxt = int(np.flatnonzero(order == start)[0])
+    radius = math.inf
     for j in range(min(n_centers, m)):
-        np.subtract(cols[0], cols[0, nxt], out=new)
-        np.multiply(new, new, out=new)
+        c0 = x0[nxt]
+        reach = radius * (1.0 + _SLAB_MARGIN) + _SLAB_MARGIN * abs(c0)
+        lo = int(np.searchsorted(x0, c0 - reach, side="left"))
+        hi = int(np.searchsorted(x0, c0 + reach, side="right"))
+        slab, dist, part = slice(lo, hi), new[: hi - lo], term[: hi - lo]
+        np.subtract(x0[slab], c0, out=dist)
+        np.multiply(dist, dist, out=dist)
         for i in range(1, k):
-            np.subtract(cols[i], cols[i, nxt], out=term)
-            np.multiply(term, term, out=term)
-            np.add(new, term, out=new)
-        np.minimum(d2, new, out=d2)
+            np.subtract(cols[i, slab], cols[i, nxt], out=part)
+            np.multiply(part, part, out=part)
+            np.add(dist, part, out=dist)
+        np.minimum(d2[slab], dist, out=d2[slab])
         nxt = int(np.argmax(d2))
-        radii[j] = math.sqrt(float(d2[nxt]))
+        if later_min[nxt] < order[nxt]:
+            tied = nxt + np.flatnonzero(d2[nxt:] == d2[nxt])
+            nxt = int(tied[np.argmin(order[tied])])
+        radius = radii[j] = math.sqrt(float(d2[nxt]))
     return radii
 
 

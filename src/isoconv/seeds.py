@@ -56,4 +56,5 @@ def sphere_directions(dim: int, count: int, seed: int) -> np.ndarray:
         g[bad] = rng.standard_normal((int(bad.sum()), dim))
         norms[bad] = np.linalg.norm(g[bad], axis=1)
         bad = norms < 1e-12
-    return g / norms[:, None]
+    g /= norms[:, None]
+    return g

@@ -20,7 +20,7 @@ from isoconv.bodies import (
     unit_volume_copy,
 )
 from isoconv.grassmann import volume_radius_lowdim
-from isoconv.seeds import sphere_directions
+from isoconv.seeds import rng_from, sphere_directions
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +223,60 @@ def test_parse_body_ellipsoid_from_file(tmp_path):
     E = parse_body(f"ellipsoid:3:@{f}")
     assert E.support(np.array([1.0, 0.0, 0.0])) == pytest.approx(2.0, rel=1e-12)
     assert E.analytic["log_volume"] == pytest.approx(math.log(ball_volume(3)), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact samplers
+# ---------------------------------------------------------------------------
+
+
+def _direct_cross_polytope_sample(dim, radius, count, seed):
+    # reference: sign_i G_i^{1/p} / ||G||_p * radius * U^{1/n} at p = 1,
+    # identity powers and fresh temporaries included
+    rng = rng_from(seed)
+    g = rng.gamma(1.0, 1.0, size=(count, dim)) ** 1.0
+    signs = rng.integers(0, 2, size=(count, dim)) * 2.0 - 1.0
+    w = g * signs
+    norms = np.power(np.abs(w), 1.0).sum(axis=1) ** 1.0
+    radial = rng.uniform(0.0, 1.0, size=count) ** (1.0 / dim)
+    return radius * radial[:, None] * w / norms[:, None]
+
+
+@pytest.mark.parametrize("n", [1, 3, 128])
+def test_cross_polytope_sampler_is_bit_identical_to_the_direct_formula(n):
+    for radius in (1.0, 2.5):
+        K = cross_polytope(n, radius)
+        t = math.exp(-K.analytic["log_volume"] / n)
+        for seed in (4, 5):
+            direct = _direct_cross_polytope_sample(n, radius, 2000, seed)
+            assert np.array_equal(K.sample_exact(2000, seed), direct)
+            assert np.array_equal(
+                unit_volume_copy(K).sample_exact(2000, seed), t * direct
+            )
+
+
+def test_lp_ball_sampler_at_large_p_is_finite_and_uniform():
+    # Gamma(1/p) underflows to 0 at large p; the boosted draw must not
+    n, p, count = 3, 400.0, 40_000
+    x = lp_ball(n, p).sample_exact(count, 6)
+    assert np.all(np.isfinite(x))
+    assert np.all(x != 0.0)
+    # P(||x||_p <= 1/2) = 2^-n for the uniform law on B_p^n; the norm is
+    # max-scaled, so that |x_i|^p cannot underflow
+    a = np.abs(x)
+    peak = a.max(axis=1)
+    norm = peak * ((a / peak[:, None]) ** p).sum(axis=1) ** (1.0 / p)
+    inside = (norm <= 0.5).mean()
+    q = 2.0**-n
+    assert abs(inside - q) <= 6.0 * math.sqrt(q * (1.0 - q) / count)
+    # E x_1^2 = n/(n+2) * Gamma(3/p) Gamma(n/p) / (Gamma(1/p) Gamma((n+2)/p))
+    second = n / (n + 2.0) * math.exp(
+        math.lgamma(3.0 / p) + math.lgamma(n / p)
+        - math.lgamma(1.0 / p) - math.lgamma((n + 2.0) / p)
+    )
+    sq = x**2
+    se = sq.std(axis=0, ddof=1) / math.sqrt(count)
+    assert np.all(np.abs(sq.mean(axis=0) - second) <= 6.0 * se)
 
 
 # ---------------------------------------------------------------------------

@@ -137,11 +137,18 @@ def _direct_covering_radii(cloud, n_centers, seed):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_greedy_covering_is_bit_identical_to_the_direct_formula(k):
     # integer and body grids put many points at equal distances, so every
-    # argmax tie-break is exercised
+    # argmax tie-break is exercised; the cross-polytope grid has slices of
+    # different sizes, the permuted grid is unsorted with ties across slices,
+    # and a constant first coordinate puts the whole cloud in every slab
     side = {2: 40, 3: 12, 4: 6}[k]
+    step = {2: 0.05, 3: 0.1, 4: 0.2}[k]
     integer_grid = np.indices((side,) * k).reshape(k, -1).T.astype(float)
-    body_grid, _ = _body_grid_cloud(cube(k, side=1.0), {2: 0.05, 3: 0.1, 4: 0.2}[k])
-    for cloud in (integer_grid, body_grid):
+    body_grid, _ = _body_grid_cloud(cube(k, side=1.0), step)
+    cross_grid, _ = _body_grid_cloud(cross_polytope(k), step)
+    permuted_grid = body_grid[rng_from(k).permutation(body_grid.shape[0])]
+    flat = np.indices((side,) * (k - 1)).reshape(k - 1, -1).T.astype(float)
+    flat = np.hstack([np.full((flat.shape[0], 1), 0.25), flat])
+    for cloud in (integer_grid, body_grid, cross_grid, permuted_grid, flat):
         for seed in (0, 1):
             assert np.array_equal(
                 _greedy_covering_radii(cloud, 64, seed),

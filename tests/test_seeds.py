@@ -46,6 +46,13 @@ def test_sphere_directions_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_sphere_directions_match_the_normalised_gaussians():
+    # in-place normalisation gives the bits of g / |g| on the same stream
+    g = seeds.rng_from(13).standard_normal((300, 5))
+    expected = g / np.linalg.norm(g, axis=1)[:, None]
+    assert np.array_equal(seeds.sphere_directions(5, 300, seed=13), expected)
+
+
 def test_sphere_directions_roughly_isotropic():
     d = seeds.sphere_directions(3, 200_000, seed=5)
     # mean ~ 0 and second moment ~ 1/n per coordinate
