@@ -49,9 +49,18 @@ class ConvexBody:
     support: theta -> h_K(theta), positively homogeneous and subadditive.
     membership: x -> bool, optional.
     analytic: known exact quantities keyed by name (log_volume, inradius,
-        ball_radius, isotropic_constant).  The volume is carried only as its
-        log, which stays finite where the volume itself over- or underflows.
+        ball_radius, cube_half_side, cross_radius, isotropic_constant).  The
+        volume is carried only as its log, which stays finite where the volume
+        itself over- or underflows.  ball_radius, cube_half_side and
+        cross_radius name the family r*B_2, [-a, a]^dim and r*B_1, so that
+        projections can keep an exact description.
     sample_exact: optional (count, seed) -> (count, dim) exact uniform sampler.
+    generators: optional (m, dim) array G; K is the zonotope sum_i [-g_i, g_i].
+    vertices: optional (m, dim) array; K is the convex hull of its rows.
+
+    The arrays are frozen read-only.  A volume is read from the first of
+    log_volume, generators and vertices that the body has (see
+    grassmann.volume_radius_lowdim).
     """
 
     dim: int
@@ -60,10 +69,23 @@ class ConvexBody:
     membership: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic: Mapping[str, float] = field(default_factory=dict)
     sample_exact: Optional[Callable[[int, int], np.ndarray]] = None
+    generators: Optional[np.ndarray] = None
+    vertices: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise BodyConstructionError(f"dim must be >= 1, got {self.dim}")
+        for name in ("generators", "vertices"):
+            points = getattr(self, name)
+            if points is None:
+                continue
+            points = np.asarray(points, dtype=float).view()  # freeze a view only
+            if points.ndim != 2 or points.shape[1] != self.dim:
+                raise BodyConstructionError(
+                    f"{name} must have shape (m, {self.dim}), got {points.shape}"
+                )
+            points.setflags(write=False)
+            object.__setattr__(self, name, points)
 
 
 def _vectorize_rows(fn):
@@ -123,6 +145,7 @@ def cube(dim: int, side: float = 2.0) -> ConvexBody:
         analytic={
             "log_volume": dim * math.log(side),
             "inradius": half,
+            "cube_half_side": half,
             # side^2/12 per coordinate; L_K is scale invariant
             "isotropic_constant": math.sqrt(1.0 / 12.0),
         },
@@ -157,6 +180,7 @@ def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
         "inradius": r * min(1.0, dim ** (0.5 - 1.0 / p)),
     }
     if p == 1.0:
+        analytic["cross_radius"] = r
         # unit-volume copy has radius r1 = (n!/2^n)^{1/n}; E x1^2 = 2 r^2/((n+1)(n+2))
         r1 = math.exp((math.lgamma(dim + 1) - dim * math.log(2.0)) / dim)
         analytic["isotropic_constant"] = r1 * math.sqrt(
@@ -171,14 +195,17 @@ def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
     family = {1.0: "cross-polytope", 2.0: "ball"}.get(p, f"lp-ball({p:g})")
     if r != 1.0:
         family += f"*{r:g}"
+
+    def member(x):
+        # sum |x_i / r|^p <= 1: the radius is divided out before the power, so
+        # neither side under- or overflows at large p when r != 1
+        with np.errstate(over="ignore"):
+            return np.power(np.abs(x / r), p).sum(axis=1) <= 1 + 1e-12
+
     return ConvexBody(
         dim=dim,
         support=sup,
-        membership=_vectorize_rows(
-            lambda x: np.power(np.abs(x), p).sum(axis=1) <= r**p * (1 + 1e-12)
-        )
-        if p != 1.0
-        else _vectorize_rows(lambda x: np.abs(x).sum(axis=1) <= r * (1 + 1e-12)),
+        membership=_vectorize_rows(member),
         family=family,
         analytic=analytic,
         sample_exact=_lp_ball_sampler(dim, p, r),
@@ -275,7 +302,7 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
     t = float(t)
     inner_sup, inner_mem, inner_samp = body.support, body.membership, body.sample_exact
     analytic = dict(body.analytic)
-    for key in ("inradius", "ball_radius"):
+    for key in ("inradius", "ball_radius", "cube_half_side", "cross_radius"):
         if key in analytic:
             analytic[key] = analytic[key] * t
     if "log_volume" in analytic:

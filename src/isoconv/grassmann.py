@@ -1,10 +1,14 @@
 """Random subspaces, projected bodies, and low-dimensional volume radii.
 
 Projection of a body is exact at the support level: for an orthonormal basis
-B of F, h_{P_F K}(u) = h_K(B u).  Volume radii are only computed in dimension
+B of F, h_{P_F K}(u) = h_K(B u).  Cubes and cross-polytopes also project
+exactly as polytopes: P_F [-a, a]^n is the zonotope with generators a B^T e_i,
+and P_F (r B_1^n) is the hull of the points +-r B^T e_i.  Their volumes are
+exact in any dimension k (the zonotope's by a Cauchy-Binet sum over k-subsets
+of generators, within a subset budget).  Only the qhull paths are capped at
 k <= 6: a tangent polytope's volume takes one qhull pass over its polar points
 and then a signed sum over flags with k!/2 determinants per dual facet, so its
-cost grows like k! times the facet count; the sup/inf functionals over the
+cost grows like k! times the facet count.  The sup/inf functionals over the
 Grassmannian are sampled over Haar subspaces and therefore only ever one-sided
 -- results are tagged accordingly and the tags are load-bearing downstream.
 """
@@ -24,6 +28,13 @@ from .seeds import child_seed, rng_from, sphere_directions
 
 VOLUME_DIM_CAP = 6
 DEFAULT_HULL_DIRECTIONS = 2000
+# Largest C(m, k) summed exactly for a zonotope with m generators in R^k, about
+# 1 s at about 1 us per 6 x 6 determinant; above k = 6 it shrinks by (k/6)^3,
+# the growth of one determinant's cost.  Subsets go through np.linalg.det in
+# chunks of at most DET_CHUNK_ENTRIES matrix entries (1 MB), so memory does
+# not grow with C(m, k).
+SUBSET_BUDGET = 2**20
+DET_CHUNK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -64,7 +75,10 @@ def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
     """P_F K as a body in R^k via h_{P_F K}(u) = h_K(B u).
 
     Balls project to balls of the same radius and keep their exact analytic
-    data; everything else becomes a bare support oracle.
+    data.  A cube [-a, a]^n becomes the zonotope with the n generators a B^T e_i
+    (the rows of a B), and a cross-polytope r B_1^n the hull of the 2n vertices
+    +-r B^T e_i; either is a support oracle that carries its polytope as data.
+    Everything else becomes a bare support oracle.
     """
     if F.ambient != body.dim:
         raise ValueError(f"subspace ambient {F.ambient} != body dim {body.dim}")
@@ -72,12 +86,19 @@ def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
         return bodies.ball(F.k, body.analytic["ball_radius"])
     B = F.basis
     inner = body.support
+    polytope = {}
+    if "cube_half_side" in body.analytic:
+        polytope["generators"] = body.analytic["cube_half_side"] * B
+    if "cross_radius" in body.analytic:
+        rows = body.analytic["cross_radius"] * B
+        polytope["vertices"] = np.vstack([rows, -rows])
 
     def sup(u):
         arr = np.asarray(u, dtype=float)
         return inner(arr @ B.T)  # rows u^T B^T = (B u)^T
 
-    return ConvexBody(dim=F.k, support=sup, family=f"proj[{F.k}]({body.family})")
+    return ConvexBody(dim=F.k, support=sup, family=f"proj[{F.k}]({body.family})",
+                      **polytope)
 
 
 # ---------------------------------------------------------------------------
@@ -194,28 +215,69 @@ def _support_hull_volume(dirs: np.ndarray, h: np.ndarray) -> float:
     return float(abs(orient @ total)) / math.factorial(k)
 
 
+def _zonotope_log_volume(generators: np.ndarray) -> float:
+    """log vol sum_i [-g_i, g_i] = log(2^k sum_{|S|=k} |det G_S|), G of shape (m, k).
+
+    The zonotope tiles into parallelotopes, one per k-subset S of generators
+    (Shephard 1974; McMullen, *Volumes of projections of unit cubes*, 1984).
+    Subsets are taken in lexicographic chunks; G is divided by its largest
+    entry s first, and s^k is put back in the log, so large k neither over-
+    nor underflows.
+    """
+    m, k = generators.shape
+    scale = float(np.abs(generators).max())
+    unit = generators / scale
+    subsets = itertools.combinations(range(m), k)
+    row, size = np.dtype((np.intp, k)), max(1, DET_CHUNK_ENTRIES // k**2)
+    total = 0.0
+    while len(chunk := np.fromiter(itertools.islice(subsets, size), dtype=row)):
+        total += float(np.abs(np.linalg.det(unit[chunk])).sum())
+    return k * math.log(2.0 * scale) + math.log(total)
+
+
 def volume_radius_lowdim(
     body: ConvexBody,
     method: str = "auto",
     n_directions: int = DEFAULT_HULL_DIRECTIONS,
     seed: int = 0,
 ) -> Estimate:
-    """volrad(K) = (Vol K / Vol B_2^k)^{1/k}; the hull is capped at k <= 6.
+    """volrad(K) = (Vol K / Vol B_2^k)^{1/k}; the hulls are capped at k <= 6.
 
     methods: `analytic` (exact, from the body's stored log-volume, any k;
     raises UnsupportedOracleError for a body without one), `support-hull`
     (outer polytope from `n_directions` tangent halfspaces at seeded
-    directions -> upper bound), and `auto`, which takes the analytic value
-    when the body has one and the hull otherwise.  The hull in dimension 1
-    is exact (interval length from two support values).
+    directions -> upper bound), and `auto`, which takes the first exact fact
+    the body has, in this order:
+      1. its log-volume (`analytic`);
+      2. its zonotope generators, when C(m, k) is within SUBSET_BUDGET: the
+         Cauchy-Binet sum 2^k sum_S |det G_S|, any k;
+      3. its vertices, when 1 < k <= 6: the volume of their convex hull;
+    and the support hull otherwise.  Every exact fact gives an `exact`
+    estimate.  The support hull in dimension 1 is exact (interval length from
+    two support values).
     """
     k = body.dim
 
     def to_volrad(vol):
         return (vol / ball_volume(k)) ** (1.0 / k)
 
+    def log_to_volrad(log_vol):
+        # in logs, so the volume radius stays finite at any k
+        return math.exp((log_vol - bodies.lp_ball_log_volume(k, 2.0)) / k)
+
     if method == "auto":
-        method = "analytic" if "log_volume" in body.analytic else "support-hull"
+        G, V = body.generators, body.vertices
+        if "log_volume" in body.analytic:
+            method = "analytic"
+        elif G is not None and math.comb(len(G), k) * max(k, 6) ** 3 <= SUBSET_BUDGET * 6**3:
+            vr = log_to_volrad(_zonotope_log_volume(G))
+            return Estimate(vr, 0.0, math.comb(len(G), k), seed, "exact")
+        elif V is not None and 1 < k <= VOLUME_DIM_CAP:
+            from scipy.spatial import ConvexHull
+
+            return Estimate(to_volrad(ConvexHull(V).volume), 0.0, len(V), seed, "exact")
+        else:
+            method = "support-hull"
     if method != "analytic" and k > VOLUME_DIM_CAP:
         # closed-form volumes are fine at any dimension; hulls are not
         raise ValueError(
@@ -228,9 +290,7 @@ def volume_radius_lowdim(
             raise UnsupportedOracleError(
                 f"no analytic volume for family {body.family!r}"
             )
-        # in logs, so the volume radius stays finite at any k
-        vr = math.exp((log_vol - bodies.lp_ball_log_volume(k, 2.0)) / k)
-        return Estimate(vr, 0.0, 0, seed, "exact")
+        return Estimate(log_to_volrad(log_vol), 0.0, 0, seed, "exact")
     if method == "support-hull":
         if k == 1:
             return Estimate(to_volrad(_interval_volume(body)), 0.0, 2, seed, "exact")
@@ -255,8 +315,10 @@ def vk_estimate(body: ConvexBody, k: int, trials: int, seed: int) -> Estimate:
     """Sampled sup of volrad(P_F K) over Haar F in G_{n,k}.
 
     The true v_k is a supremum, so finitely many trials of exact volume radii
-    can only undershoot it: the result is labelled `lower` when every trial
-    is `exact` (balls, k = 1).  Otherwise it is `mc`: a sup of outer
+    can only undershoot it: the result is labelled `lower`, with SE 0, when
+    every trial is `exact`.  Trials are exact for balls (analytic), cubes
+    (zonotope generators, within SUBSET_BUDGET), cross-polytopes (vertex hull)
+    and at k = 1 (interval).  Otherwise the result is `mc`: a sup of outer
     support-hull volume radii bounds v_k from neither side.
     """
     if trials < 1:

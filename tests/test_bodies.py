@@ -120,6 +120,8 @@ def test_scale_body_scales_support_and_volume():
     theta = np.array([1.0, 2.0, -1.0])
     assert K2.support(theta) == pytest.approx(0.5 * K.support(theta), rel=1e-14)
     assert K2.analytic["log_volume"] == pytest.approx(0.0, abs=1e-12)
+    assert K2.analytic["cube_half_side"] == 0.5
+    assert scale_body(cross_polytope(3, 2.0), 0.25).analytic["cross_radius"] == 0.5
 
 
 def test_unit_volume_copy():
@@ -277,6 +279,15 @@ def test_lp_ball_sampler_at_large_p_is_finite_and_uniform():
     sq = x**2
     se = sq.std(axis=0, ddof=1) / math.sqrt(count)
     assert np.all(np.abs(sq.mean(axis=0) - second) <= 6.0 * se)
+
+
+def test_lp_ball_membership_at_large_p_and_radius_not_one():
+    # sum |x_i|^p against r^p: both sides underflow to 0 at r = 0.5, p = 2000,
+    # and r^p overflows at r = 4, p = 600
+    assert not lp_ball(3, 2000.0, 0.5).membership(np.array([0.6, 0.0, 0.0]))
+    assert lp_ball(3, 2000.0, 0.5).membership(np.array([0.49, 0.49, 0.0]))
+    assert not lp_ball(3, 600.0, 4.0).membership(np.array([10.0, 0.0, 0.0]))
+    assert lp_ball(3, 600.0, 4.0).membership(np.array([3.9, -3.9, 3.9]))
 
 
 # ---------------------------------------------------------------------------

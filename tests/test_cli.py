@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from isoconv import cli
@@ -352,14 +353,48 @@ def test_out_word_contradicting_format_exits_2(out, fmt, capsys):
 
 
 def test_vk_sup_of_outer_estimates_is_not_labelled_lower(capsys):
-    # Cauchy-Binet caps v_4 of the unit 6-cube at C(6,4)^(1/8) w_4^(-1/4) = 0.9412,
-    # yet the sup of tangent-polytope volume radii reads 0.954 here
-    rc = cli.main(["vk", "--body", "cube:6:1", "--k", "4", "--trials", "8",
-                   "--seed", "1", "--out", "json"])
-    assert rc == 0
+    # A body without polytope data takes outer tangent-polytope volumes, whose
+    # sup bounds v_4 from neither side.  The unit 6-cube's projections are
+    # zonotopes with exact volumes, under the Cauchy-Binet ceiling
+    # C(6,4)^(1/8) w_4^(-1/4) = 0.94123 (the outer volumes read 0.954 here).
+    rows = {}
+    for body in ("unitlpball:6:3", "cube:6:1"):
+        rc = cli.main(["vk", "--body", body, "--k", "4", "--trials", "8",
+                       "--seed", "1", "--out", "json"])
+        assert rc == 0
+        (rows[body],) = json.loads(capsys.readouterr().out)["rows"]
+    assert rows["unitlpball:6:3"]["direction"] == "mc"
+    assert rows["cube:6:1"]["value"] <= 0.9412
+    assert rows["cube:6:1"]["direction"] == "lower"
+
+
+def test_vk_cube_k6_takes_exact_zonotope_volumes(capsys):
+    # each trial's volume is vol P_F([-1,1]^8) = 2^6 sum_{|S|=6} |det B_S|;
+    # the tangent-polytope path took about 106 s per projection here
+    import itertools
+    import time
+
+    from isoconv.bodies import ball_volume, cube
+    from isoconv.grassmann import project_body, random_subspace, volume_radius_lowdim
+    from isoconv.seeds import child_seed
+
+    start = time.perf_counter()
+    rc = cli.main(["vk", "--body", "cube:8", "--k", "6", "--trials", "4", "--seed", "1",
+                   "--out", "json"])
+    elapsed = time.perf_counter() - start
+    assert rc == 0 and elapsed < 1.0
     (row,) = json.loads(capsys.readouterr().out)["rows"]
-    assert row["value"] > 0.9412
-    assert row["direction"] == "mc"
+    assert row["direction"] == "lower" and row["std_error"] == 0.0
+    trials = []
+    for i in range(4):
+        F = random_subspace(8, 6, child_seed(1, i))
+        exact = 2.0**6 * sum(abs(np.linalg.det(F.basis[list(S)]))
+                             for S in itertools.combinations(range(8), 6))
+        trials.append((exact / ball_volume(6)) ** (1.0 / 6.0))
+        est = volume_radius_lowdim(project_body(cube(8), F))
+        assert est.direction == "exact"
+        assert est.value == pytest.approx(trials[-1], rel=1e-12)
+    assert row["value"] == pytest.approx(max(trials), rel=1e-12)
 
 
 def test_kubota_gate_takes_its_multiplier_from_the_trials(capsys):

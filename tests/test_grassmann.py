@@ -11,12 +11,17 @@ from isoconv.bodies import (
     ball_volume,
     cross_polytope,
     cube,
+    lp_ball_log_volume,
+    scale_body,
+    unit_volume_copy,
 )
 from isoconv.centroid import zp_support
+from isoconv import grassmann
 from isoconv.grassmann import (
     VOLUME_DIM_CAP,
     Subspace,
     _support_hull_volume,
+    _zonotope_log_volume,
     project_body,
     random_subspace,
     vk_estimate,
@@ -243,21 +248,135 @@ def test_dual_hull_volume_matches_vertex_hull(k):
         )
 
 
+def _cauchy_binet_volume(G):
+    # one determinant per k-subset of generator rows, summed in a Python loop
+    m, k = G.shape
+    return 2.0**k * sum(
+        abs(np.linalg.det(G[list(S)])) for S in itertools.combinations(range(m), k)
+    )
+
+
 def test_projected_cube_k5_has_a_finite_outer_volume():
     # trial 1 of `vk --body cube:8 --k 5 --trials 4 --seed 1`, where a second
     # (vertex) qhull pass raised QhullError.  vol P_F([-1,1]^8) is the zonotope
     # volume 2^5 sum_{|S|=5} |det B_S| (Shephard; McMullen 1984), and the
     # outer tangent polytope contains P_F K.
     F = random_subspace(8, 5, child_seed(1, 1))
-    est = volume_radius_lowdim(project_body(cube(8), F), seed=child_seed(1, 5))
-    B = F.basis
-    exact = 2.0**5 * sum(
-        abs(np.linalg.det(B[list(S)])) for S in itertools.combinations(range(8), 5)
-    )
-    exact_volrad = (exact / ball_volume(5)) ** 0.2
+    P = project_body(cube(8), F)
+    est = volume_radius_lowdim(P, method="support-hull", seed=child_seed(1, 5))
+    exact_volrad = (_cauchy_binet_volume(F.basis) / ball_volume(5)) ** 0.2
     assert est.direction == "upper"
     assert math.isfinite(est.value)
     assert exact_volrad <= est.value <= 1.2 * exact_volrad
+    auto = volume_radius_lowdim(P, seed=child_seed(1, 5))
+    assert auto.direction == "exact"
+    assert auto.value == pytest.approx(exact_volrad, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact volumes of projected cubes and cross-polytopes
+# ---------------------------------------------------------------------------
+
+
+def test_projected_cube_carries_frozen_generators():
+    F = random_subspace(6, 3, seed=12)
+    P = project_body(scale_body(cube(6, side=1.0), 3.0), F)  # half-side 1.5
+    assert np.array_equal(P.generators, 1.5 * F.basis)
+    assert not P.generators.flags.writeable
+    assert P.vertices is None
+
+
+@pytest.mark.parametrize("m,k", [(3, 3), (5, 2), (8, 4), (9, 6)])
+def test_zonotope_volume_is_the_cauchy_binet_sum(m, k):
+    G = np.random.default_rng(m + k).standard_normal((m, k))
+    vol = math.exp(_zonotope_log_volume(G))
+    assert vol == pytest.approx(_cauchy_binet_volume(G), rel=1e-12)
+    if m == k:
+        # a parallelotope: 2^k |det G|
+        assert vol == pytest.approx(2.0**k * abs(np.linalg.det(G)), rel=1e-12)
+
+
+def test_projected_cube_volume_past_float_range():
+    # the shadow of [-1e-3, 1e-3]^121 on its first 120 coordinates has volume
+    # (2e-3)^120 = 1e-324, at the bottom of the float range; C(121, 120) = 121
+    # subsets of 120 x 120 determinants are within the budget
+    F = Subspace(ambient=121, k=120, basis=np.eye(121)[:, :120], seed=0)
+    est = volume_radius_lowdim(project_body(cube(121, side=2e-3), F))
+    assert est.direction == "exact"
+    truth = math.exp((120 * math.log(2e-3) - lp_ball_log_volume(120, 2.0)) / 120)
+    assert est.value == pytest.approx(truth, rel=1e-12)
+
+
+def test_zonotope_volume_memory_does_not_grow_with_the_subset_count(monkeypatch):
+    # C(12, 4) = 495 and C(20, 6) = 38,760 subsets, both many chunks of
+    # 2304 entries; taken at once, the (38760, 6, 6) stack alone would be 11 MB
+    import tracemalloc
+
+    monkeypatch.setattr(grassmann, "DET_CHUNK_ENTRIES", 64 * 36)
+    peaks = []
+    for m, k in ((12, 4), (20, 6)):
+        G = random_subspace(m, k, seed=m).basis
+        tracemalloc.start()
+        try:
+            _zonotope_log_volume(G)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**16, peaks
+
+
+@pytest.mark.parametrize("budget,direction", [(70, "exact"), (69, "upper")])
+def test_subset_budget_decides_the_cube_volume_label(monkeypatch, budget, direction):
+    # C(8, 4) = 70 subsets: within the budget the Cauchy-Binet sum runs, past
+    # it the tangent hull does
+    monkeypatch.setattr(grassmann, "SUBSET_BUDGET", budget)
+    F = random_subspace(8, 4, seed=13)
+    est = volume_radius_lowdim(project_body(cube(8), F), seed=14)
+    exact_volrad = (_cauchy_binet_volume(F.basis) / ball_volume(4)) ** 0.25
+    assert est.direction == direction
+    if direction == "exact":
+        assert est.value == pytest.approx(exact_volrad, rel=1e-12)
+    else:
+        assert exact_volrad < est.value <= 1.1 * exact_volrad
+
+
+def test_projected_cube_is_exact_above_the_hull_cap():
+    # only hulls are capped: the zonotope volume needs no qhull at k = 7
+    k = VOLUME_DIM_CAP + 1
+    F = random_subspace(9, k, seed=15)
+    est = volume_radius_lowdim(project_body(cube(9), F))
+    assert est.direction == "exact"
+    assert est.value == pytest.approx(
+        (_cauchy_binet_volume(F.basis) / ball_volume(k)) ** (1.0 / k), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_projected_cross_polytope_volume_is_exact(k):
+    # n = k: P_F is a rotation, so vol = vol(r B_1^k) = (2r)^k / k!
+    r = 1.5
+    F = random_subspace(k, k, seed=16 + k)
+    P = project_body(cross_polytope(k, r), F)
+    assert P.vertices.shape == (2 * k, k) and P.generators is None
+    est = volume_radius_lowdim(P)
+    assert est.direction == "exact"
+    truth = ((2.0 * r) ** k / math.factorial(k) / ball_volume(k)) ** (1.0 / k)
+    assert est.value == pytest.approx(truth, rel=1e-12)
+    # n = 8: the tangent polytope at the hull's own facet normals is P itself
+    from scipy.spatial import ConvexHull
+
+    P = project_body(cross_polytope(8, r), random_subspace(8, k, seed=20 + k))
+    normals = ConvexHull(P.vertices).equations[:, :k]
+    vol = _support_hull_volume(normals, P.support(normals))
+    est = volume_radius_lowdim(P)
+    assert est.direction == "exact"
+    assert est.value == pytest.approx((vol / ball_volume(k)) ** (1.0 / k), rel=1e-12)
+
+
+def test_vk_of_cross_polytope_is_a_lower_bound():
+    est = vk_estimate(unit_volume_copy(cross_polytope(6)), 3, trials=4, seed=17)
+    assert est.direction == "lower"
+    assert est.std_error == 0.0
 
 
 def test_support_hull_rejects_nonpositive_support():
