@@ -19,7 +19,10 @@ in-place squarings plus a multiply per set bit of p; only fractional p goes
 through np.power, with the entries whose power would be subnormal zeroed
 first.  At p = 2 the exact identity
 h_{Z_2}(theta)^2 = theta^T Sigma theta with Sigma = X^T X / N skips the
-(m, N) product altogether.
+(m, N) product altogether, for the support values and for the touching
+points Sigma theta / h alike.  The touching points grad h(theta) also give
+the support values, by Euler's identity h(theta) = <theta, grad h(theta)>
+for the 1-homogeneous h, so one pass yields both.
 """
 
 from __future__ import annotations
@@ -87,6 +90,17 @@ def _power(base: np.ndarray, p: float, out: np.ndarray) -> None:
             out *= base
 
 
+def _z2_form(pts: np.ndarray, theta: np.ndarray):
+    """(Sigma theta, h_{Z_2}(theta)) for each row theta, Sigma = X^T X / N.
+
+    h^2 = theta^T Sigma theta, clipped at 0 against round-off; no (m, N)
+    product is formed.
+    """
+    sigma = pts.T @ pts / len(pts)
+    grad = theta @ sigma
+    return grad, np.sqrt(np.maximum((grad * theta).sum(axis=1), 0.0))
+
+
 def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarray:
     """h_{Z_p}(theta) for one direction (dim,) or a batch (m, dim).
 
@@ -115,9 +129,7 @@ def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarr
     pts = samples.points
     n = samples.count
     if p == 2.0:
-        sigma = pts.T @ pts / n
-        quad = ((theta @ sigma) * theta).sum(axis=1)
-        out = np.sqrt(np.maximum(quad, 0.0))
+        out = _z2_form(pts, theta)[1]
         return out[0] if single else out
     integer = p == int(p)
     # a power of two is squared in place; any other integer p needs a second
@@ -155,7 +167,11 @@ def zp_touching_points(samples: SampleSet, p: float, directions: np.ndarray) -> 
     which normalizes to (h/M) w X / sum|u|^p with u = |X theta|/M, M its row
     max and w = sign(X theta) u^{p-1}, so powers only ever underflow.
     Blocks are direction-major as in zp_support, and u^{p-1} comes from the
-    same squarings for integer p and from np.power otherwise.
+    same squarings for integer p and from np.power otherwise.  At p = 2 the
+    gradient is Sigma theta / h in closed form, with no (m, N) product; there
+    a direction is taken as orthogonal to every sample when h is exactly 0.
+    Since h is 1-homogeneous, <theta, grad h(theta)> = h(theta) (Euler), so
+    the points also give the support values, to round-off.
     Convex hulls of these points are inner approximations of Z_p (the dual
     of the support-hull outer estimate).
     """
@@ -164,6 +180,11 @@ def zp_touching_points(samples: SampleSet, p: float, directions: np.ndarray) -> 
     if theta.ndim != 2 or theta.shape[1] != samples.dim:
         raise ValueError("directions must be (m, dim)")
     pts = samples.points
+    if p == 2.0:
+        grad, h = _z2_form(pts, theta)
+        if np.any(h == 0):
+            raise ValueError("a direction is orthogonal to every sample")
+        return grad / h[:, None]
     n = samples.count
     out = np.empty_like(theta)
     for rows, (dots, u, w) in _blocks(n, theta.shape[0], 3):

@@ -27,7 +27,7 @@ import numpy as np
 from .bodies import ConvexBody, ball, cross_polytope, cube, product_body, scale_body, unit_volume_copy
 from .centroid import centroid_body
 from .functionals import RadModel, bound_rhs, entropy_numbers, mean_width
-from .grassmann import project_body, random_subspace, volume_radius_lowdim
+from .grassmann import project_body, random_subspace, support_hull_volrad, volume_radius_lowdim
 from .isotropy import estimate_moments, exact_isotropic_constant
 from .measures import draw_samples, gaussian_measure, pushforward_measure, uniform_body_measure
 from .seeds import child_seed, sphere_directions
@@ -349,7 +349,10 @@ def _suite_kubota(dims, cfg: SuiteConfig):
     overshoots by more than the noise band.  We therefore certify the sandwich
     inner hull <= volrad(Z_p) <= outer hull (the inner one is the convex hull
     of exact touching points) and assert the inner value against the p-mean;
-    both lhs brackets go into the report.  The p-mean's SE comes from `trials`
+    both lhs brackets go into the report.  Each p makes one Z_p pass over the
+    hull directions: the touching points grad h(theta) span the inner hull,
+    and Euler's identity h(theta) = <theta, grad h(theta)> gives the outer
+    hull's support values from them.  The p-mean's SE comes from `trials`
     projections, so the gate's multiplier is the Student-t quantile with
     trials - 1 degrees of freedom at the one-sided rate Phi(-3) of a 3-SE
     normal gate.
@@ -369,13 +372,13 @@ def _suite_kubota(dims, cfg: SuiteConfig):
         seed = child_seed(cfg.seed, i)
         samples = draw_samples(gaussian_measure(n), cfg.n_samples, child_seed(seed, 0))
         zp = centroid_body(samples, float(p))
-        lhs_outer = volume_radius_lowdim(
-            zp, method="support-hull", n_directions=cfg.hull_directions,
-            seed=child_seed(seed, 1),
-        )
         dirs = sphere_directions(n, cfg.hull_directions, child_seed(seed, 1))
-        inner_vol = ConvexHull(zp_touching_points(samples, float(p), dirs)).volume
-        lhs_inner = (inner_vol / ball_volume(n)) ** (1.0 / n)
+        touching = zp_touching_points(samples, float(p), dirs)
+        # Euler's identity h(theta) = <theta, grad h(theta)>; the outer hull
+        # checks the dimension cap before the inner one is built
+        h = np.vecdot(dirs, touching)
+        lhs_outer = support_hull_volrad(dirs, h, child_seed(seed, 1), zp.family)
+        lhs_inner = (ConvexHull(touching).volume / ball_volume(n)) ** (1.0 / n)
         vr_p = np.empty(cfg.trials)
         for t in range(cfg.trials):
             F = random_subspace(n, p, child_seed(seed, 100 + 2 * t))

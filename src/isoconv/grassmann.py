@@ -32,9 +32,14 @@ DEFAULT_HULL_DIRECTIONS = 2000
 # 1 s at about 1 us per 6 x 6 determinant; above k = 6 it shrinks by (k/6)^3,
 # the growth of one determinant's cost.  Subsets go through np.linalg.det in
 # chunks of at most DET_CHUNK_ENTRIES matrix entries (1 MB), so memory does
-# not grow with C(m, k).
+# not grow with C(m, k); the tangent hull's flag determinants go through
+# _cofactor_det in chunks of the same size.
 SUBSET_BUDGET = 2**20
 DET_CHUNK_ENTRIES = 2**17
+# Doubles in one block of lifted directions u B^T (8 MB): a projected body's
+# support oracle lifts its directions to R^n a block at a time, so its memory
+# does not grow with n times the number of directions.
+LIFT_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,8 @@ def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
     data.  A cube [-a, a]^n becomes the zonotope with the n generators a B^T e_i
     (the rows of a B), and a cross-polytope r B_1^n the hull of the 2n vertices
     +-r B^T e_i; either is a support oracle that carries its polytope as data.
-    Everything else becomes a bare support oracle.
+    Everything else becomes a bare support oracle.  The oracle lifts a batch
+    of directions to R^n in blocks of at most LIFT_BLOCK doubles.
     """
     if F.ambient != body.dim:
         raise ValueError(f"subspace ambient {F.ambient} != body dim {body.dim}")
@@ -93,9 +99,14 @@ def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
         rows = body.analytic["cross_radius"] * B
         polytope["vertices"] = np.vstack([rows, -rows])
 
+    step = max(1, LIFT_BLOCK // len(B))
+
     def sup(u):
         arr = np.asarray(u, dtype=float)
-        return inner(arr @ B.T)  # rows u^T B^T = (B u)^T
+        if arr.ndim == 1 or len(arr) <= step:
+            return inner(arr @ B.T)  # rows u^T B^T = (B u)^T
+        return np.concatenate([inner(arr[i:i + step] @ B.T)
+                               for i in range(0, len(arr), step)])
 
     return ConvexBody(dim=F.k, support=sup, family=f"proj[{F.k}]({body.family})",
                       **polytope)
@@ -168,7 +179,9 @@ def _support_hull_volume(dirs: np.ndarray, h: np.ndarray) -> float:
     splits into coplanar pieces share one v_G, and their signed terms cancel
     exactly, so redundant halfspaces need no merging.  The orderings that
     differ only in their last two vertices are paired by linearity, so each
-    facet takes k!/2 determinants.
+    facet takes k!/2 determinants.  The flag matrices of all facets are
+    gathered as one (k, k, F) stack per ordering, and their determinants
+    taken by _cofactor_det.
     """
     from scipy.spatial import ConvexHull
 
@@ -182,7 +195,7 @@ def _support_hull_volume(dirs: np.ndarray, h: np.ndarray) -> float:
     orient = _facet_orientation(simplices, hull.neighbors)
 
     # The c-th j-subset S of facet g's sorted vertices has the dense key
-    # rank[j][g, c], and centre[j][key] = c_S.  A j-subset's integer key is
+    # rank[j][g, c], and centre[j][:, key] = c_S.  A j-subset's integer key is
     # built from the key of its first j - 1 vertices and its last vertex.
     combos = {j: list(itertools.combinations(range(k), j)) for j in range(1, k)}
     pos = {c: i for j in combos for i, c in enumerate(combos[j])}
@@ -195,24 +208,61 @@ def _support_hull_volume(dirs: np.ndarray, h: np.ndarray) -> float:
         uniq, inverse = np.unique(keys, return_inverse=True)
         rank[j] = inverse.reshape(keys.shape)
         flat = rank[j].ravel()
-        sums = np.column_stack([
+        sums = np.stack([
             np.bincount(flat, np.repeat(verts[:, d], len(combos[j])), len(uniq))
             for d in range(k)
         ])
-        centre[j] = sums / np.bincount(flat, minlength=len(uniq))[:, None]
+        centre[j] = sums / np.bincount(flat, minlength=len(uniq))  # (k, U)
 
-    mats = np.empty((len(verts), k, k))
-    mats[:, -1] = verts
+    # mats[i, j] is entry (i, j) of every facet's matrix, one contiguous row
+    mats = np.empty((k, k, len(verts)))
+    mats[-1] = verts.T
     total = np.zeros(len(verts))
     for perm in itertools.permutations(range(k)):
         if perm[-2] > perm[-1]:
             continue  # taken with its swap through the difference row below
         for j in range(1, k - 1):
-            mats[:, j - 1] = centre[j][rank[j][:, pos[tuple(sorted(perm[:j]))]]]
+            np.take(centre[j], rank[j][:, pos[tuple(sorted(perm[:j]))]], axis=1,
+                    out=mats[j - 1])
         a, b = (rank[k - 1][:, pos[tuple(sorted(perm[:-2] + (i,)))]] for i in perm[-2:])
-        mats[:, -2] = centre[k - 1][a] - centre[k - 1][b]
-        total += _perm_sign(perm) * np.linalg.det(mats)
+        np.subtract(centre[k - 1][:, a], centre[k - 1][:, b], out=mats[-2])
+        total += _perm_sign(perm) * _cofactor_det(mats)
     return float(abs(orient @ total)) / math.factorial(k)
+
+
+def _cofactor_det(mats: np.ndarray) -> np.ndarray:
+    """det of each mats[:, :, f], for mats of shape (k, k, F).
+
+    Laplace expansion from the bottom row up: the minors of the last r rows,
+    one array per r-subset of the columns, are expanded along row k - r from
+    the minors of the last r - 1 rows.  That is sum_r r C(k, r) products, 28
+    at k = 4 and 186 at k = 6, each a contiguous pass over one entry of the
+    matrices.  The matrices go in chunks of at most DET_CHUNK_ENTRIES entries,
+    so that a chunk's minors stay in cache.
+    """
+    k, _, f = mats.shape
+    out = np.empty(f)
+    step = max(1, DET_CHUNK_ENTRIES // k**2)
+    term = np.empty(min(f, step))
+    for start in range(0, f, step):
+        chunk = mats[:, :, start:start + step]
+        t = term[:chunk.shape[2]]
+        minors = {(c,): chunk[-1, c] for c in range(k)}
+        for r in range(2, k + 1):
+            row = chunk[k - r]
+            expanded = {}
+            for cols in itertools.combinations(range(k), r):
+                acc = row[cols[0]] * minors[cols[1:]]
+                for i in range(1, r):
+                    np.multiply(row[cols[i]], minors[cols[:i] + cols[i + 1:]], out=t)
+                    if i % 2:
+                        acc -= t
+                    else:
+                        acc += t
+                expanded[cols] = acc
+            minors = expanded
+        out[start:start + step] = minors[tuple(range(k))]
+    return out
 
 
 def _zonotope_log_volume(generators: np.ndarray) -> float:
@@ -233,6 +283,34 @@ def _zonotope_log_volume(generators: np.ndarray) -> float:
     while len(chunk := np.fromiter(itertools.islice(subsets, size), dtype=row)):
         total += float(np.abs(np.linalg.det(unit[chunk])).sum())
     return k * math.log(2.0 * scale) + math.log(total)
+
+
+def _check_hull_dim(k: int) -> None:
+    # closed-form volumes are fine at any dimension; hulls are not
+    if k > VOLUME_DIM_CAP:
+        raise ValueError(
+            f"volume method 'support-hull' capped at dim {VOLUME_DIM_CAP}, got {k}"
+        )
+
+
+def support_hull_volrad(dirs: np.ndarray, h: np.ndarray, seed: int, family: str) -> Estimate:
+    """Outer volume radius from the tangent halfspaces <theta_i, x> <= h_i.
+
+    dirs (m, k) are unit normals and h the body's support values there.  The
+    polytope they bound contains the body, so the estimate is `upper`; its
+    volume is _support_hull_volume's, for 2 <= k <= VOLUME_DIM_CAP.  Every
+    h_i must be positive (the origin interior); `family` names the body in
+    that error.
+    """
+    k = dirs.shape[1]
+    _check_hull_dim(k)
+    if np.any(h <= 0):
+        raise ValueError(
+            "support-hull method needs the origin in the interior (h > 0); "
+            f"family {family!r} has a nonpositive support value"
+        )
+    vol = _support_hull_volume(dirs, h)
+    return Estimate((vol / ball_volume(k)) ** (1.0 / k), 0.0, len(dirs), seed, "upper")
 
 
 def volume_radius_lowdim(
@@ -278,12 +356,6 @@ def volume_radius_lowdim(
             return Estimate(to_volrad(ConvexHull(V).volume), 0.0, len(V), seed, "exact")
         else:
             method = "support-hull"
-    if method != "analytic" and k > VOLUME_DIM_CAP:
-        # closed-form volumes are fine at any dimension; hulls are not
-        raise ValueError(
-            f"volume method {method!r} capped at dim {VOLUME_DIM_CAP}, got {k}"
-        )
-
     if method == "analytic":
         log_vol = body.analytic.get("log_volume")
         if log_vol is None:
@@ -291,19 +363,14 @@ def volume_radius_lowdim(
                 f"no analytic volume for family {body.family!r}"
             )
         return Estimate(log_to_volrad(log_vol), 0.0, 0, seed, "exact")
-    if method == "support-hull":
-        if k == 1:
-            return Estimate(to_volrad(_interval_volume(body)), 0.0, 2, seed, "exact")
-        dirs = sphere_directions(k, n_directions, seed)
-        h = np.asarray(body.support(dirs), dtype=float)
-        if np.any(h <= 0):
-            raise ValueError(
-                "support-hull method needs the origin in the interior (h > 0); "
-                f"family {body.family!r} has a nonpositive support value"
-            )
-        vol = _support_hull_volume(dirs, h)
-        return Estimate(to_volrad(vol), 0.0, n_directions, seed, "upper")
-    raise ValueError(f"unknown volume method {method!r}")
+    if method != "support-hull":
+        raise ValueError(f"unknown volume method {method!r}")
+    if k == 1:
+        return Estimate(to_volrad(_interval_volume(body)), 0.0, 2, seed, "exact")
+    _check_hull_dim(k)  # before the support pass that the cap would waste
+    dirs = sphere_directions(k, n_directions, seed)
+    h = np.asarray(body.support(dirs), dtype=float)
+    return support_hull_volrad(dirs, h, seed, body.family)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,25 @@ def test_zp_support_agrees_with_direct_power_mean():
         assert zp_support(s, p, np.vstack([dirs[:3], orth]))[3] == 0.0
 
 
+def test_z2_touching_points_are_the_direct_gradient():
+    # at p = 2 the touching points come from the second-moment matrix alone;
+    # the direct gradient is h^{1-p} mean(|t|^{p-1} sign(t) x) with t = <x, theta>
+    square = draw_samples(uniform_body_measure(cube(2, side=2.0)), 5000, seed=1)
+    s = _sample_set(np.hstack([square.points, np.zeros((square.count, 1))]))
+    dirs = np.vstack([np.hstack([sphere_directions(2, 200, seed=2), np.zeros((200, 1))]),
+                      sphere_directions(3, 200, seed=3)])
+    t = s.points @ dirs.T  # (N, m)
+    h = np.sqrt((t**2).mean(axis=0))
+    direct = (t.T @ s.points) / s.count / h[:, None]
+    np.testing.assert_allclose(zp_touching_points(s, 2.0, dirs), direct, rtol=1e-12,
+                               atol=0.0)
+    # e3 is orthogonal to every sample: no touching point, at p = 2 as at p = 3
+    orth = np.vstack([dirs[:3], [0.0, 0.0, 1.0]])
+    for p in (2.0, 3.0):
+        with pytest.raises(ValueError, match="orthogonal to every sample"):
+            zp_touching_points(s, p, orth)
+
+
 @pytest.mark.parametrize("m", [800, 8000])
 def test_zp_kernels_memory_does_not_grow_with_directions(m):
     s = draw_samples(gaussian_measure(8), 20_000, seed=30)

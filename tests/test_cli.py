@@ -413,3 +413,17 @@ def test_kubota_rejects_a_single_trial(capsys):
     assert rc == 2
     assert captured.err.startswith("error: ") and "trials >= 2" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_kubota_above_the_hull_cap_exits_2_before_any_hull(capsys):
+    # the touching points in R^7 are cheap; their hulls would not be
+    import time
+
+    start = time.perf_counter()
+    rc = cli.main(["verify", "--suite", "kubota", "--dims", "7", "--samples", "500",
+                   "--trials", "2", "--seed", "1"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2 and elapsed < 5.0
+    assert captured.err.startswith("error: ") and "capped at dim 6" in captured.err
+    assert captured.err.count("\n") == 1

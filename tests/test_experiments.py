@@ -222,3 +222,26 @@ def test_zn_volrad_regression_pins():
     assert set(got) == set(_ZN_PINNED)
     for key, pinned in _ZN_PINNED.items():
         assert got[key] == pytest.approx(pinned, rel=1e-9), key
+
+
+def test_kubota_makes_one_full_dimensional_zp_pass_per_p(monkeypatch):
+    # the touching points give the inner hull, and by Euler's identity the
+    # outer hull's support values; only the projections (rank 2 and 3 in R^4)
+    # pass over the samples again
+    from isoconv import centroid
+
+    passes = []
+
+    def counting(kernel):
+        def wrapped(samples, p, directions):
+            if np.linalg.matrix_rank(np.atleast_2d(directions)) == samples.dim:
+                passes.append((kernel.__name__, p))
+            return kernel(samples, p, directions)
+        return wrapped
+
+    for name in ("zp_support", "zp_touching_points"):
+        monkeypatch.setattr(centroid, name, counting(getattr(centroid, name)))
+    cfg = SuiteConfig(seed=3, n_samples=1000, trials=2, hull_directions=300)
+    result = run_suite("kubota", [4], cfg)
+    assert [r.quantity for r in result.rows].count("volrad-zp-outer") == 2
+    assert passes == [("zp_touching_points", 2.0), ("zp_touching_points", 3.0)]

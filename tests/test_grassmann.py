@@ -18,12 +18,15 @@ from isoconv.bodies import (
 from isoconv.centroid import zp_support
 from isoconv import grassmann
 from isoconv.grassmann import (
+    LIFT_BLOCK,
     VOLUME_DIM_CAP,
     Subspace,
+    _cofactor_det,
     _support_hull_volume,
     _zonotope_log_volume,
     project_body,
     random_subspace,
+    support_hull_volrad,
     vk_estimate,
     volume_radius_lowdim,
 )
@@ -224,6 +227,54 @@ def test_cross_polytope_from_its_facet_normals(k):
     dirs = signs / math.sqrt(k)
     vol = _support_hull_volume(dirs, np.full(len(dirs), 1.0 / math.sqrt(k)))
     assert vol == pytest.approx(2.0**k / math.factorial(k), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_cofactor_det_matches_linalg_det(k):
+    # well-conditioned matrices near the identity, over several chunks
+    rng = np.random.default_rng(k)
+    mats = np.eye(k) + 0.3 * rng.standard_normal((40_000, k, k)) / math.sqrt(k)
+    expected = np.linalg.det(mats)
+    assert np.abs(expected).min() > 1e-3
+    det = _cofactor_det(np.ascontiguousarray(mats.transpose(1, 2, 0)))
+    np.testing.assert_allclose(det, expected, rtol=1e-12, atol=0.0)
+
+
+def test_support_hull_volrad_is_the_support_hull_method():
+    samples = draw_samples(gaussian_measure(3), 2000, seed=5)
+    dirs = sphere_directions(3, 500, seed=6)
+    est = support_hull_volrad(dirs, zp_support(samples, 3.0, dirs), 6, "zp")
+    body = ConvexBody(dim=3, support=lambda t: zp_support(samples, 3.0, t), family="zp")
+    assert est == volume_radius_lowdim(body, method="support-hull", n_directions=500, seed=6)
+    assert est.direction == "upper" and est.n_samples == 500
+    with pytest.raises(ValueError, match=r"h > 0.*'zp'"):
+        support_hull_volrad(dirs, -np.ones(len(dirs)), 6, "zp")
+    with pytest.raises(ValueError, match=f"capped at dim {VOLUME_DIM_CAP}"):
+        k = VOLUME_DIM_CAP + 1
+        support_hull_volrad(sphere_directions(k, 50, seed=7), np.ones(50), 7, "ball")
+
+
+def test_projected_support_lifts_directions_in_blocks():
+    # C(4000, 2) is past the subset budget, so the projected cube takes the
+    # tangent hull: 2000 directions lifted to R^4000 would be 64 MB at once,
+    # and 64 MB more for their absolute values
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        est = vk_estimate(cube(4000), 2, trials=1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.direction == "mc"
+    assert peak < 3 * 8 * LIFT_BLOCK, peak
+    # a batch within one block takes the single product, as before
+    F = random_subspace(4000, 2, seed=8)
+    u = sphere_directions(2, 1 + 2 * LIFT_BLOCK // 4000, seed=9)
+    P = project_body(cube(4000), F)  # h = ||B u||_1
+    np.testing.assert_allclose(P.support(u), np.abs(u @ F.basis.T).sum(axis=1), rtol=1e-12)
+    small = u[: LIFT_BLOCK // 4000]
+    assert np.array_equal(P.support(small), np.abs(small @ F.basis.T).sum(axis=1))
 
 
 def _halfspace_intersection_volume(dirs, h):
