@@ -4,7 +4,7 @@ Submodules:
 
 - ``bodies``       convex bodies as support-function oracles
 - ``measures``     seeded samplers for log-concave measures
-- ``isotropy``     empirical moments, whitening, isotropic constants
+- ``isotropy``     empirical moments, isotropic constants
 - ``centroid``     empirical L_p centroid bodies
 - ``grassmann``    random subspaces, projections, volume radii
 - ``functionals``  mean width, entropy numbers, named bound expressions

@@ -6,9 +6,9 @@ For a SampleSet X = {x_1..x_N} and p >= 1, the body Z_p(X) has support
 
 a norm in theta, so Z_p is always an origin-symmetric convex body.  All the
 classical inclusion/projection identities hold EXACTLY at the empirical level
-(power-mean inequality, <x, theta> = <P_F x, theta> for theta in F), which is
-what the deterministic checks below exploit: no tolerance debates, just
-floating-point round-off.
+(power-mean inequality, <x, theta> = <P_F x, theta> for theta in F, and
+Z_2 = B_2 for whitened samples), so acceptance criterion 1 checks them on
+zp_support itself, to floating-point round-off.
 
 Every p shares one kernel.  Each block of directions is formed
 direction-major as theta_b X^T, shape (b, N), so the abs, max, scaling, power
@@ -30,8 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bodies import ConvexBody
-from .measures import SampleSet, project_samples
-from .seeds import sphere_directions
+from .measures import SampleSet
 
 P_CAP = float(2**20)
 _DOT_BLOCK = 1 << 21  # doubles (16 MB) held by all (b, N) temporaries of one block
@@ -215,45 +214,3 @@ def centroid_body(samples: SampleSet, p: float) -> ConvexBody:
         membership=None,
         family=f"zp(p={p:g}, N={samples.count})",
     )
-
-
-def zp_monotonicity_check(
-    samples: SampleSet, p: float, q: float, directions: np.ndarray
-) -> float:
-    """Max violation of h_{Z_p} <= h_{Z_q} over the directions; p <= q.
-
-    The power-mean inequality is exact on the empirical measure, so the
-    return value is round-off, < 1e-12 relative.  Positive return = violation.
-    """
-    if not 1 <= p <= q:
-        raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
-    h_p = zp_support(samples, p, directions)
-    h_q = zp_support(samples, q, directions)
-    scale = np.maximum(h_q, 1e-300)
-    return float(((h_p - h_q) / scale).max())
-
-
-def projection_identity_check(
-    samples: SampleSet, p: float, subspace, directions: np.ndarray
-) -> float:
-    """Max relative deviation of h_{Z_p(S)}(B u) vs h_{Z_p(pi_F S)}(u).
-
-    directions u are (m, k), in the coordinates of the Subspace's basis B.
-    The identity <x, B u> = <B^T x, u> is exact, so deviation is round-off.
-    """
-    basis = subspace.basis
-    u = np.asarray(directions, dtype=float)
-    h_full = zp_support(samples, p, u @ basis.T)
-    h_proj = zp_support(project_samples(samples, subspace), p, u)
-    scale = np.maximum(np.maximum(h_full, h_proj), 1e-300)
-    return float((np.abs(h_full - h_proj) / scale).max())
-
-
-def z2_deviation_from_ball(samples: SampleSet, n_directions: int, seed: int) -> float:
-    """max over unit directions of |h_{Z_2}(theta) - 1|.
-
-    For a whitened SampleSet this is round-off: h_{Z_2}^2 is the quadratic
-    form of the second-moment matrix, which whitening makes exactly I.
-    """
-    dirs = sphere_directions(samples.dim, n_directions, seed)
-    return float(np.abs(zp_support(samples, 2.0, dirs) - 1.0).max())

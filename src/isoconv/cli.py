@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=_cmd_zp)
 
-    p = sub.add_parser("isotropy", help="moments, whitening data and L of a measure")
+    p = sub.add_parser("isotropy", help="moments and L of a measure")
     p.add_argument("--measure", required=True)
     p.add_argument("--samples", type=int, default=100_000)
     add_common(p)

@@ -364,6 +364,8 @@ def _suite_kubota(dims, cfg: SuiteConfig):
     from .centroid import zp_touching_points
 
     n = _one_dim("kubota", dims)
+    if n < 3:
+        raise ValueError(f"kubota projects to k = 2 and 3, so it needs n >= 3, got n={n}")
     if cfg.trials < 2:
         raise ValueError(f"kubota needs trials >= 2 for a standard error, got {cfg.trials}")
     t_gate = float(stdtrit(cfg.trials - 1, 1.0 - ndtr(-3.0)))
@@ -461,8 +463,8 @@ def _suite_covering_regularity(dims, cfg: SuiteConfig):
         l_k = exact_isotropic_constant(K)
         seed = child_seed(cfg.seed, d_idx)
         mstar = mean_width(K, cfg.sphere_samples, child_seed(seed, 0))
-        uppers = [upper for _, upper, _ in entropy_numbers(
-            K, j_max, step=0.01 if n < 3 else 0.012, seed=child_seed(seed, 1))]
+        uppers = entropy_numbers(K, j_max, step=0.01 if n < 3 else 0.012,
+                                 seed=child_seed(seed, 1))
         cover_r = np.array([u.value for u in uppers])
         log_counts = np.arange(1, j_max + 1) * math.log(2.0)
         for j, u in enumerate(uppers, start=1):
@@ -497,13 +499,18 @@ def _suite_covering_regularity(dims, cfg: SuiteConfig):
                 f"{1.25 * c_fit:.4f}",
             ))
         in_band = cover_r / math.sqrt(n) >= l_k  # stated validity: t >= rad*L_K
-        ratios14 = ratios_for("thm14")
-        c14 = float(ratios14[in_band].max()) if in_band.any() else float("nan")
+        if not in_band.any():
+            assertions.append(Assertion(
+                f"covering-thm14-n{n}", True,
+                "no covering radius in the band t >= L_K: no constant to fit, row omitted",
+            ))
+            continue
+        c14 = float(ratios_for("thm14")[in_band].max())
         rows.append(Row("covering-regularity", n, None, "cover-c-thm14",
                         c14, 0.0, "upper", seed, int(in_band.sum())))
         assertions.append(Assertion(
             f"covering-thm14-n{n}",
-            bool((not in_band.any()) or math.isfinite(c14)),
+            math.isfinite(c14),
             f"constant fitted over {int(in_band.sum())} in-band radii: {c14:.4f} "
             "(recorded; band too narrow for a held-out shape test)",
         ))
@@ -557,8 +564,10 @@ def emit_report(result: SuiteResult, config: dict, fmt: str, path: Optional[str]
 
     csv holds the rows under the CSV_COLUMNS header, each line ended by a bare
     line feed; json is {meta: {version, suite, config, fitted, passed}, assertions,
-    rows}, where config is the command's echo of its inputs.  The report goes to
-    `path`, or to stdout when path is None.
+    rows}, where config is the command's echo of its inputs.  JSON has no NaN or
+    infinity, so a non-finite value in a json report is a ValueError, raised
+    before anything is written.  The report goes to `path`, or to stdout when
+    path is None.
     """
     if fmt == "csv":
         def dump(fh):
@@ -578,10 +587,14 @@ def emit_report(result: SuiteResult, config: dict, fmt: str, path: Optional[str]
             "assertions": [asdict(a) for a in result.assertions],
             "rows": [asdict(r) for r in result.rows],
         }
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise ValueError(f"{result.suite} report has a non-finite value, "
+                             "which JSON cannot hold") from exc
 
         def dump(fh):
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     if path is None:

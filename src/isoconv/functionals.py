@@ -19,8 +19,7 @@ import numpy as np
 
 from .bodies import ConvexBody, UnsupportedOracleError
 from .estimates import Estimate
-from .grassmann import volume_radius_lowdim
-from .seeds import child_seed, rng_from, sphere_directions
+from .seeds import rng_from, sphere_directions
 
 DEFAULT_SPHERE_SAMPLES = 10_000
 
@@ -91,24 +90,8 @@ def mean_width(
     return Estimate(value, se, sphere_samples, seed, "mc")
 
 
-def urysohn_check(
-    body: ConvexBody,
-    sphere_samples: int = DEFAULT_SPHERE_SAMPLES,
-    seed: int = 0,
-):
-    """M*(K) >= volrad(K) with Monte Carlo slack.
-
-    Returns (mstar, volrad, passed); passed iff value + 3*(sum of SEs) covers
-    the volume radius.  Only meaningful in dims where volumes are computable.
-    """
-    mstar = mean_width(body, sphere_samples, child_seed(seed, 0))
-    vr = volume_radius_lowdim(body, seed=child_seed(seed, 1))
-    slack = 3.0 * (mstar.std_error + vr.std_error)
-    return mstar, vr, bool(mstar.value + slack >= vr.value)
-
-
 # ---------------------------------------------------------------------------
-# entropy numbers (low-dimensional, bounds only)
+# entropy numbers (low-dimensional, upper estimates)
 # ---------------------------------------------------------------------------
 
 ENTROPY_DIM_CAP = 4
@@ -216,42 +199,27 @@ def entropy_numbers(
     step: float = 0.05,
     seed: int = 0,
 ):
-    """Upper/lower brackets on e_j(K) for j = 1..j_max, dim <= 4.
+    """Upper estimates of e_j(K) for j = 1..j_max, dim <= 4.
 
-    Upper: greedy farthest-point covering of a grid cloud with 2^j centers,
-    plus the grid fill slack; `seed` picks the greedy start.  Lower: the
-    volumetric estimate e_j >= volrad(K) / 2^{j/k} in ambient dimension k,
-    from the body's exact log-volume.  Dimension 1 is exact: an interval of
-    length L has e_j = L / 2^{j+1}.
-    Returns a list of (j, upper Estimate, lower Estimate).
+    Greedy farthest-point covering of a grid cloud with 2^j centers, plus
+    the grid fill slack; `seed` picks the greedy start.  Dimension 1 is
+    exact: an interval of length L has e_j = L / 2^{j+1}.
+    Returns a list of Estimates, entry j - 1 for e_j.
     """
     k = body.dim
     if k > ENTROPY_DIM_CAP:
         raise ValueError(f"entropy numbers capped at dim {ENTROPY_DIM_CAP}, got {k}")
     if j_max < 1:
         raise ValueError(f"need j_max >= 1, got {j_max}")
-    out = []
+    js = range(1, j_max + 1)
     if k == 1:
         e = np.ones(1)
         length = float(body.support(e) + body.support(-e))
-        for j in range(1, j_max + 1):
-            exact = Estimate(length / 2 ** (j + 1), 0.0, 0, seed, "exact")
-            out.append((j, exact, exact))
-        return out
+        return [Estimate(length / 2 ** (j + 1), 0.0, 0, seed, "exact") for j in js]
     cloud, slack = _body_grid_cloud(body, step)
     radii = _greedy_covering_radii(cloud, 2**j_max, seed)
-    # the lower bound needs a volrad that is itself not an upper estimate
-    vr = volume_radius_lowdim(body, method="analytic")
-    for j in range(1, j_max + 1):
-        upper = Estimate(
-            float(radii[2**j - 1]) + slack, 0.0, cloud.shape[0], seed, "upper"
-        )
-        factor = 2.0 ** (-j / k)
-        lower = Estimate(
-            vr.value * factor, vr.std_error * factor, vr.n_samples, seed, "lower"
-        )
-        out.append((j, upper, lower))
-    return out
+    return [Estimate(float(radii[2**j - 1]) + slack, 0.0, cloud.shape[0], seed, "upper")
+            for j in js]
 
 
 # ---------------------------------------------------------------------------

@@ -396,12 +396,10 @@ def vk_estimate(body: ConvexBody, k: int, trials: int, seed: int) -> Estimate:
         # every F is a rotation, which preserves volume: v_n(K) = volrad(K)
         return volume_radius_lowdim(body, seed=child_seed(seed, 0))
     best = -math.inf
-    best_se = 0.0
     exact = True
     for i in range(trials):
         F = random_subspace(body.dim, k, child_seed(seed, i))
         est = volume_radius_lowdim(project_body(body, F), seed=child_seed(seed, trials + i))
         exact = exact and est.direction == "exact"
-        if est.value > best:
-            best, best_se = est.value, est.std_error
-    return Estimate(best, best_se, trials, seed, "lower" if exact else "mc")
+        best = max(best, est.value)
+    return Estimate(best, 0.0, trials, seed, "lower" if exact else "mc")

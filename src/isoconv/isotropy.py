@@ -1,4 +1,4 @@
-"""Moment estimation, whitening, and the isotropic constant.
+"""Moment estimation and the isotropic constant.
 
 The covariance here is the second-moment matrix about the sample mean with
 divisor N (the measure-theoretic definition; the 1/N vs 1/(N-1) difference is
@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .bodies import ConvexBody, UnsupportedOracleError
-from .measures import LogConcaveMeasure, SampleSet, draw_samples
-from .seeds import child_seed
+from .measures import SampleSet
 
 
 class DegenerateCovarianceError(ValueError):
@@ -86,35 +85,6 @@ def estimate_moments(samples: SampleSet) -> MomentSummary:
     )
 
 
-def whitening_map(summary: MomentSummary) -> Tuple[np.ndarray, np.ndarray]:
-    """T = C^{-1/2} (symmetric) and shift -b; x -> T(x + shift) is isotropic.
-
-    Applying the map to the generating samples makes the empirical barycenter
-    exactly 0 and covariance exactly I (up to round-off): this is algebra on
-    the empirical measure, not a new estimate.
-    """
-    evals = summary.eigenvalues
-    if evals[-1] <= 1e-10 * evals[0]:
-        raise DegenerateCovarianceError(
-            f"covariance is degenerate: smallest eigenvalue {evals[-1]:g} "
-            f"vs largest {evals[0]:g}"
-        )
-    w, V = np.linalg.eigh(summary.covariance)
-    T = (V * (1.0 / np.sqrt(w))) @ V.T
-    return T, -summary.barycenter
-
-
-def apply_whitening(samples: SampleSet, T: np.ndarray, shift: np.ndarray) -> SampleSet:
-    pts = (samples.points + shift) @ T.T
-    return SampleSet(
-        dim=samples.dim,
-        count=samples.count,
-        points=pts,
-        seed=samples.seed,
-        provenance=f"whitened({samples.provenance})",
-    )
-
-
 def isotropic_constant(summary: MomentSummary, log_density_sup: Optional[float]) -> float:
     """L = exp(log_density_sup / n) * det_root.  Needs an exact density sup.
 
@@ -127,24 +97,6 @@ def isotropic_constant(summary: MomentSummary, log_density_sup: Optional[float])
             "estimates of ||f||_inf are not supported"
         )
     return math.exp(log_density_sup / summary.dim) * summary.det_root
-
-
-def isotropic_constant_estimate(
-    measure: LogConcaveMeasure, n_samples: int, seed: int, batches: int = 8
-) -> Tuple[float, float]:
-    """(L_hat, std_error) by batch means: independent sub-draws, one L each."""
-    if measure.log_density_sup is None:
-        raise UnsupportedOracleError(
-            f"measure {measure.label!r} has no exact density sup"
-        )
-    if batches < 2:
-        raise ValueError("need at least 2 batches for a standard error")
-    per = max(measure.dim + 1, n_samples // batches)
-    vals = np.empty(batches)
-    for i in range(batches):
-        s = draw_samples(measure, per, child_seed(seed, i))
-        vals[i] = isotropic_constant(estimate_moments(s), measure.log_density_sup)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(batches))
 
 
 # exact isotropic constants used as oracles across the test suite

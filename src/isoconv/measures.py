@@ -138,21 +138,20 @@ def uniform_body_measure(body: ConvexBody) -> LogConcaveMeasure:
     )
 
 
-def pushforward_measure(
-    base: LogConcaveMeasure, T: np.ndarray, shift: Optional[np.ndarray] = None
-) -> LogConcaveMeasure:
-    """Affine pushforward x -> T x + shift; the density sup divides by |det T|."""
+def pushforward_measure(base: LogConcaveMeasure, T: np.ndarray) -> LogConcaveMeasure:
+    """Linear pushforward x -> T x; the density sup divides by |det T|."""
     T = np.asarray(T, dtype=float)
     if T.shape != (base.dim, base.dim):
         raise ValueError(f"T must be {base.dim}x{base.dim}, got {T.shape}")
     sign, logabsdet = np.linalg.slogdet(T)
     if sign == 0:
         raise ValueError("pushforward map is singular")
-    b = np.zeros(base.dim) if shift is None else np.asarray(shift, dtype=float)
     inner = base.sampler
 
     def sampler(count, seed):
-        return inner(count, seed) @ T.T + b
+        x = inner(count, seed)  # a fresh array, overwritten with its image
+        x @= T.T
+        return x
 
     return LogConcaveMeasure(
         dim=base.dim,

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from isoconv import cli
+from isoconv import cli, experiments
 from isoconv.bodies import lp_ball_log_volume
 from isoconv.experiments import Assertion, SuiteResult
 
@@ -415,6 +415,21 @@ def test_kubota_rejects_a_single_trial(capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dims", ["1", "2"])
+def test_kubota_below_dimension_3_exits_2_before_any_sampling(dims, capsys, monkeypatch):
+    # the suite projects to k = 2 and 3, so n < 3 is bad input, not a run
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("kubota sampled before rejecting its dimension")
+
+    monkeypatch.setattr(experiments, "draw_samples", no_sampling)
+    rc = cli.main(["verify", "--suite", "kubota", "--dims", dims, "--samples", "1000",
+                   "--trials", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"needs n >= 3, got n={dims}" in captured.err
+
+
 def test_kubota_above_the_hull_cap_exits_2_before_any_hull(capsys):
     # the touching points in R^7 are cheap; their hulls would not be
     import time
@@ -427,3 +442,51 @@ def test_kubota_above_the_hull_cap_exits_2_before_any_hull(capsys):
     assert rc == 2 and elapsed < 5.0
     assert captured.err.startswith("error: ") and "capped at dim 6" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def _reject_non_finite(token):
+    raise ValueError(f"report holds {token}, which is not JSON")
+
+
+@pytest.mark.parametrize("suite,args", [
+    ("theorem1", ["--dims", "2,3", "--samples", "2000", "--sphere-samples", "200"]),
+    ("paouris", ["--dims", "4", "--samples", "2000", "--sphere-samples", "200"]),
+    ("thm-main-aniso", ["--dims", "4", "--samples", "2000", "--sphere-samples", "200"]),
+    ("b1-scaling", ["--dims", "2,3,4,5", "--sphere-samples", "200"]),
+    ("qm-isotropy", ["--dims", "2", "--samples", "2000"]),
+    ("kubota", ["--dims", "3", "--samples", "1000", "--trials", "2"]),
+    ("zn-volrad", ["--dims", "2", "--samples", "1000"]),
+    ("covering-regularity", ["--dims", "1"]),
+])
+def test_every_suite_report_is_valid_json(suite, args, capsys):
+    # JSON has no NaN or Infinity; json.loads accepts them unless told not to.
+    # At these sizes some gates fail (exit 1), and the report is written anyway.
+    rc = cli.main(["verify", "--suite", suite, *args, "--seed", "1", "--out", "json"])
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
+    assert rc in (0, 1) and report["meta"]["suite"] == suite
+
+
+def test_covering_at_dimension_1_omits_the_empty_thm14_band(capsys):
+    # no covering radius of a segment reaches t >= L_K, so there is no constant
+    rc = cli.main(["verify", "--suite", "covering-regularity", "--dims", "1", "--seed", "1",
+                   "--out", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert "cover-c-thm14" not in [r["quantity"] for r in report["rows"]]
+    (thm14,) = [a for a in report["assertions"] if a["name"] == "covering-thm14-n1"]
+    assert "row omitted" in thm14["detail"]
+
+
+def test_non_finite_json_report_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
+    # the report is serialised before the file is opened, so nothing is written
+    def fake_run_suite(name, dims, config):
+        row = experiments.Row(name, 2, None, "x", math.nan, 0.0, "mc", 1, 0)
+        return SuiteResult(suite=name, rows=[row], assertions=[], fitted={})
+
+    monkeypatch.setattr(experiments, "run_suite", fake_run_suite)
+    path = tmp_path / "r.json"
+    rc = cli.main(["verify", "--suite", "paouris", "--dims", "2", "--seed", "1",
+                   "--out", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and not path.exists()
+    assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1

@@ -4,22 +4,8 @@ import numpy as np
 import pytest
 
 from isoconv.bodies import ball, cross_polytope, cube
-from isoconv.isotropy import (
-    DegenerateCovarianceError,
-    apply_whitening,
-    estimate_moments,
-    exact_isotropic_constant,
-    isotropic_constant,
-    isotropic_constant_estimate,
-    whitening_map,
-)
-from isoconv.measures import (
-    SampleSet,
-    draw_samples,
-    gaussian_measure,
-    pushforward_measure,
-    uniform_body_measure,
-)
+from isoconv.isotropy import estimate_moments, exact_isotropic_constant, isotropic_constant
+from isoconv.measures import SampleSet, draw_samples, gaussian_measure, uniform_body_measure
 
 
 def _sample_set(points, seed=0):
@@ -59,33 +45,6 @@ def test_estimate_moments_degenerate_flag():
     s = _sample_set(np.hstack([t, 2.0 * t]))
     m = estimate_moments(s)
     assert m.degenerate
-    with pytest.raises(DegenerateCovarianceError):
-        whitening_map(m)
-
-
-def test_whitening_gives_identity_second_moment():
-    mu = pushforward_measure(gaussian_measure(3),
-                             np.array([[2.0, 0.0, 0.0],
-                                       [0.5, 1.0, 0.0],
-                                       [0.0, 0.3, 0.25]]),
-                             shift=np.array([1.0, -2.0, 3.0]))
-    s = draw_samples(mu, 20_000, seed=5)
-    m = estimate_moments(s)
-    T, shift = whitening_map(m)
-    w = apply_whitening(s, T, shift)
-    mw = estimate_moments(w)
-    assert np.abs(mw.barycenter).max() < 1e-10
-    assert np.abs(mw.covariance - np.eye(3)).max() < 1e-10
-
-
-def test_whitening_idempotent():
-    s = draw_samples(gaussian_measure(2), 5000, seed=6)
-    m = estimate_moments(s)
-    T, shift = whitening_map(m)
-    w = apply_whitening(s, T, shift)
-    T2, shift2 = whitening_map(estimate_moments(w))
-    assert np.allclose(T2, np.eye(2), atol=1e-8)
-    assert np.allclose(shift2, 0.0, atol=1e-8)
 
 
 def test_isotropic_constant_formula():
@@ -113,13 +72,6 @@ def test_exact_isotropic_constants():
     # L is affine invariant: any radius gives the same value
     assert exact_isotropic_constant(ball(n, radius=5.0)) == pytest.approx(
         exact_isotropic_constant(ball(n)), rel=1e-12)
-
-
-def test_isotropic_constant_estimate_matches_exact():
-    K = cube(3, side=1.0)
-    est, se = isotropic_constant_estimate(uniform_body_measure(K), 40_000, seed=9)
-    assert abs(est - math.sqrt(1.0 / 12.0)) < 3.0 * se + 1e-3
-    assert se < 0.01
 
 
 def test_isotropic_constant_lower_bound_ball_is_min():
