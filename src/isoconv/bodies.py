@@ -46,6 +46,9 @@ def lp_ball_log_volume(dim: int, p: float) -> float:
 class ConvexBody:
     """Immutable oracle bundle for a convex body K in R^dim.
 
+    A body holds its dimension, its oracles, its exact facts and its polytope
+    data, and nothing else: it carries no name.
+
     support: theta -> h_K(theta), positively homogeneous and subadditive.
     membership: x -> bool, optional.
     analytic: known exact quantities keyed by name (log_volume, inradius,
@@ -65,7 +68,6 @@ class ConvexBody:
 
     dim: int
     support: Callable[[np.ndarray], np.ndarray]
-    family: str
     membership: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic: Mapping[str, float] = field(default_factory=dict)
     sample_exact: Optional[Callable[[int, int], np.ndarray]] = None
@@ -141,7 +143,6 @@ def cube(dim: int, side: float = 2.0) -> ConvexBody:
         membership=_vectorize_rows(
             lambda x: np.abs(x).max(axis=1) <= half * (1 + 1e-12)
         ),
-        family=f"cube({side:g})",
         analytic={
             "log_volume": dim * math.log(side),
             "inradius": half,
@@ -192,9 +193,6 @@ def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
         analytic["isotropic_constant"] = math.exp(
             -lp_ball_log_volume(dim, 2.0) / dim
         ) / math.sqrt(dim + 2)
-    family = {1.0: "cross-polytope", 2.0: "ball"}.get(p, f"lp-ball({p:g})")
-    if r != 1.0:
-        family += f"*{r:g}"
 
     def member(x):
         # sum |x_i / r|^p <= 1: the radius is divided out before the power, so
@@ -206,7 +204,6 @@ def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
         dim=dim,
         support=sup,
         membership=_vectorize_rows(member),
-        family=family,
         analytic=analytic,
         sample_exact=_lp_ball_sampler(dim, p, r),
     )
@@ -272,7 +269,6 @@ def ellipsoid(matrix: np.ndarray) -> ConvexBody:
         membership=_vectorize_rows(
             lambda x: np.linalg.norm(x @ A_inv.T, axis=1) <= 1 + 1e-12
         ),
-        family="ellipsoid",
         analytic={
             "log_volume": lp_ball_log_volume(n, 2.0) + logdet,
             "inradius": float(np.linalg.svd(A, compute_uv=False).min()),
@@ -320,7 +316,6 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
         membership=(lambda x: inner_mem(np.asarray(x, dtype=float) / t))
         if inner_mem
         else None,
-        family=f"scaled({body.family})",
         analytic=analytic,
         sample_exact=sampler if inner_samp else None,
     )
@@ -330,9 +325,7 @@ def unit_volume_copy(body: ConvexBody) -> ConvexBody:
     """Homothetic copy of volume one; requires analytic volume."""
     log_vol = body.analytic.get("log_volume")
     if log_vol is None:
-        raise UnsupportedOracleError(
-            f"unit_volume_copy needs an analytic volume for family {body.family!r}"
-        )
+        raise UnsupportedOracleError("unit_volume_copy needs an analytic volume")
     return scale_body(body, math.exp(-log_vol / body.dim))
 
 
@@ -372,7 +365,6 @@ def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
         dim=a + b,
         support=_vectorize_rows(lambda t: k_sup(t[:, :a]) + l_sup(t[:, a:])),
         membership=membership,
-        family=f"product({K.family},{L.family})",
         analytic=analytic,
         sample_exact=sampler,
     )

@@ -208,9 +208,4 @@ def centroid_body(samples: SampleSet, p: float) -> ConvexBody:
     def sup(theta):
         return zp_support(samples, p, theta)
 
-    return ConvexBody(
-        dim=samples.dim,
-        support=sup,
-        membership=None,
-        family=f"zp(p={p:g}, N={samples.count})",
-    )
+    return ConvexBody(dim=samples.dim, support=sup)

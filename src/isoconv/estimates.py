@@ -1,10 +1,11 @@
 """Tagged numeric results.
 
-Every measured quantity carries its uncertainty and a direction tag so
-downstream comparisons know what kind of statement they are making:
-`exact` (deterministic, std_error 0), `mc` (value +- std_error), `upper` /
-`lower` (one-sided bounds -- e.g. a sampled sup of exact values is only ever
-a lower bound).
+An Estimate holds a value, its standard error, the number of samples,
+directions or trials behind it, and a direction tag, so downstream
+comparisons know what kind of statement they are making: `exact`
+(deterministic, std_error 0), `mc` (value +- std_error), `upper` / `lower`
+(one-sided bounds -- e.g. a sampled sup of exact values is only ever a lower
+bound).  The seed that produced it is the caller's; it is not stored.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ class Estimate:
     value: float
     std_error: float
     n_samples: int
-    seed: int
     direction: str
 
     def __post_init__(self):

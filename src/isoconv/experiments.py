@@ -379,7 +379,7 @@ def _suite_kubota(dims, cfg: SuiteConfig):
         # Euler's identity h(theta) = <theta, grad h(theta)>; the outer hull
         # checks the dimension cap before the inner one is built
         h = np.vecdot(dirs, touching)
-        lhs_outer = support_hull_volrad(dirs, h, child_seed(seed, 1), zp.family)
+        lhs_outer = support_hull_volrad(dirs, h)
         lhs_inner = (ConvexHull(touching).volume / ball_volume(n)) ** (1.0 / n)
         vr_p = np.empty(cfg.trials)
         for t in range(cfg.trials):

@@ -80,14 +80,14 @@ def mean_width(
     t M*(K) is exact on matched seeds since the direction set is identical.
     """
     if "ball_radius" in body.analytic:
-        return Estimate(float(body.analytic["ball_radius"]), 0.0, 0, seed, "exact")
+        return Estimate(float(body.analytic["ball_radius"]), 0.0, 0, "exact")
     if sphere_samples < 100:
         raise ValueError(f"need sphere_samples >= 100, got {sphere_samples}")
     dirs = sphere_directions(body.dim, sphere_samples, seed)
     h = np.asarray(body.support(dirs), dtype=float)
     value = float(h.mean())
     se = float(h.std(ddof=1) / math.sqrt(sphere_samples))
-    return Estimate(value, se, sphere_samples, seed, "mc")
+    return Estimate(value, se, sphere_samples, "mc")
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +103,11 @@ def _body_grid_cloud(body: ConvexBody, step: float):
     Any x in K has a cloud point within slack = (step*sqrt(k)/2)(1 + R/r):
     shrink x toward the origin by step*sqrt(k)/(2r) so a full grid cell fits
     inside K around it (r = inradius, R = circumradius, origin interior).
+    The points come sorted by their first coordinate, the grid's slowest
+    axis, as `_greedy_covering_radii` needs them.
     """
     if body.membership is None:
-        raise UnsupportedOracleError(
-            f"greedy covering needs a membership oracle; family {body.family!r} has none"
-        )
+        raise UnsupportedOracleError("greedy covering needs a membership oracle")
     r_in = body.analytic.get("inradius")
     if r_in is None or r_in <= 0:
         raise ValueError("greedy covering needs a positive analytic inradius")
@@ -133,13 +133,14 @@ _SLAB_MARGIN = 1e-9
 def _greedy_covering_radii(cloud: np.ndarray, n_centers: int, seed: int) -> np.ndarray:
     """Farthest-point greedy: radii[j] = cloud covering radius with j+1 centers.
 
-    The cloud is copied once to coordinate-major (k, m) rows, stably sorted
-    by the first coordinate, and every buffer is allocated once per call.
-    Each centre c costs a few in-place passes over contiguous rows:
-    (x_0 - c_0)^2, then + (x_j - c_j)^2 for j = 1..k-1, folded into the
-    squared distances with a minimum.  That is the order in which
-    ((cloud - c)**2).sum(axis=1) adds its k terms, so every distance, and
-    with it every tie and radius, is bit-identical to the direct formula.
+    The cloud must be sorted by its first coordinate, as `_body_grid_cloud`
+    returns it.  It is copied once to coordinate-major (k, m) rows, and every
+    buffer is allocated once per call.  Each centre c costs a few in-place
+    passes over contiguous rows: (x_0 - c_0)^2, then + (x_j - c_j)^2 for
+    j = 1..k-1, folded into the squared distances with a minimum.  That is
+    the order in which ((cloud - c)**2).sum(axis=1) adds its k terms, so every
+    distance, and with it every tie and radius, is bit-identical to the
+    direct formula; `argmax` breaks ties by the first point.
 
     Slab pruning: with R the current covering radius, c can lower d^2(x)
     only where |x - c|^2 < d^2(x) <= R^2, so only for |x_0 - c_0| < R.  The
@@ -150,27 +151,18 @@ def _greedy_covering_radii(cloud: np.ndarray, n_centers: int, seed: int) -> np.n
     R each err by at most 2^-53 relative to R + |c_0|, far below the
     margin, and adding the other nonnegative terms never lowers a sum.
 
-    Ties: `argmax` picks the first maximum in sorted order; a later sorted
-    point with an equal distance wins when it came first in the caller's
-    order.  That check runs only when some later sorted point has a
-    smaller caller index, so a cloud already sorted by its first
-    coordinate (as `_body_grid_cloud` returns it) never pays for it.
     Radii past the m-th centre are 0.
     """
     m, k = cloud.shape
-    order = np.argsort(cloud[:, 0], kind="stable")
-    # smallest caller index among the sorted points after each position
-    later_min = np.empty(m, dtype=order.dtype)
-    later_min[-1] = m
-    np.minimum.accumulate(order[:0:-1], out=later_min[-2::-1])
-    cols = np.take(cloud.T, order, axis=1)
+    cols = np.ascontiguousarray(cloud.T)
     x0 = cols[0]
+    if not np.all(x0[:-1] <= x0[1:]):
+        raise ValueError("greedy covering needs a cloud sorted by its first coordinate")
     d2 = np.full(m, np.inf)
     new = np.empty(m)
     term = np.empty(m)
     radii = np.zeros(n_centers)
-    start = int(rng_from(seed).integers(0, m))  # an index in the caller's order
-    nxt = int(np.flatnonzero(order == start)[0])
+    nxt = int(rng_from(seed).integers(0, m))
     radius = math.inf
     for j in range(min(n_centers, m)):
         c0 = x0[nxt]
@@ -186,9 +178,6 @@ def _greedy_covering_radii(cloud: np.ndarray, n_centers: int, seed: int) -> np.n
             np.add(dist, part, out=dist)
         np.minimum(d2[slab], dist, out=d2[slab])
         nxt = int(np.argmax(d2))
-        if later_min[nxt] < order[nxt]:
-            tied = nxt + np.flatnonzero(d2[nxt:] == d2[nxt])
-            nxt = int(tied[np.argmin(order[tied])])
         radius = radii[j] = math.sqrt(float(d2[nxt]))
     return radii
 
@@ -215,10 +204,10 @@ def entropy_numbers(
     if k == 1:
         e = np.ones(1)
         length = float(body.support(e) + body.support(-e))
-        return [Estimate(length / 2 ** (j + 1), 0.0, 0, seed, "exact") for j in js]
+        return [Estimate(length / 2 ** (j + 1), 0.0, 0, "exact") for j in js]
     cloud, slack = _body_grid_cloud(body, step)
     radii = _greedy_covering_radii(cloud, 2**j_max, seed)
-    return [Estimate(float(radii[2**j - 1]) + slack, 0.0, cloud.shape[0], seed, "upper")
+    return [Estimate(float(radii[2**j - 1]) + slack, 0.0, cloud.shape[0], "upper")
             for j in js]
 
 

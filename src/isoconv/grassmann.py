@@ -11,6 +11,9 @@ and then a signed sum over flags with k!/2 determinants per dual facet, so its
 cost grows like k! times the facet count.  The sup/inf functionals over the
 Grassmannian are sampled over Haar subspaces and therefore only ever one-sided
 -- results are tagged accordingly and the tags are load-bearing downstream.
+
+A Subspace holds its orthonormal basis and nothing else; ambient and k are
+read from the basis's shape.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bodies
-from .bodies import ConvexBody, UnsupportedOracleError, ball_volume
+from .bodies import ConvexBody, ball_volume
 from .estimates import Estimate
 from .seeds import child_seed, rng_from, sphere_directions
 
@@ -44,22 +47,31 @@ LIFT_BLOCK = 2**20
 
 @dataclass(frozen=True)
 class Subspace:
-    """k-dimensional subspace of R^ambient with an explicit orthonormal basis."""
+    """k-dimensional subspace F of R^ambient, held as its orthonormal basis.
 
-    ambient: int
-    k: int
+    The basis is a read-only (ambient, k) array B with B^T B = I_k, and
+    ambient and k are read from its shape.
+    """
+
     basis: np.ndarray  # (ambient, k), B^T B = I_k
-    seed: int
 
     def __post_init__(self):
         B = np.asarray(self.basis, dtype=float).view()  # freeze a view, not the caller's array
-        if B.shape != (self.ambient, self.k):
-            raise ValueError(f"basis shape {B.shape} != ({self.ambient}, {self.k})")
+        if B.ndim != 2 or not 1 <= B.shape[1] <= B.shape[0]:
+            raise ValueError(f"basis must be (ambient, k) with 1 <= k <= ambient, got {B.shape}")
         gram = B.T @ B
-        if np.abs(gram - np.eye(self.k)).max() > 1e-12:
+        if np.abs(gram - np.eye(B.shape[1])).max() > 1e-12:
             raise ValueError("basis columns are not orthonormal to 1e-12")
         B.setflags(write=False)
         object.__setattr__(self, "basis", B)
+
+    @property
+    def ambient(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.basis.shape[1]
 
 
 def random_subspace(n: int, k: int, seed: int) -> Subspace:
@@ -73,7 +85,7 @@ def random_subspace(n: int, k: int, seed: int) -> Subspace:
     g = rng_from(seed).standard_normal((n, k))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r))[None, :]
-    return Subspace(ambient=n, k=k, basis=q, seed=seed)
+    return Subspace(q)
 
 
 def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
@@ -108,8 +120,7 @@ def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
         return np.concatenate([inner(arr[i:i + step] @ B.T)
                                for i in range(0, len(arr), step)])
 
-    return ConvexBody(dim=F.k, support=sup, family=f"proj[{F.k}]({body.family})",
-                      **polytope)
+    return ConvexBody(dim=F.k, support=sup, **polytope)
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +304,23 @@ def _check_hull_dim(k: int) -> None:
         )
 
 
-def support_hull_volrad(dirs: np.ndarray, h: np.ndarray, seed: int, family: str) -> Estimate:
+def support_hull_volrad(dirs: np.ndarray, h: np.ndarray) -> Estimate:
     """Outer volume radius from the tangent halfspaces <theta_i, x> <= h_i.
 
     dirs (m, k) are unit normals and h the body's support values there.  The
     polytope they bound contains the body, so the estimate is `upper`; its
     volume is _support_hull_volume's, for 2 <= k <= VOLUME_DIM_CAP.  Every
-    h_i must be positive (the origin interior); `family` names the body in
-    that error.
+    h_i must be positive (the origin interior).
     """
     k = dirs.shape[1]
     _check_hull_dim(k)
     if np.any(h <= 0):
         raise ValueError(
             "support-hull method needs the origin in the interior (h > 0); "
-            f"family {family!r} has a nonpositive support value"
+            "the body has a nonpositive support value"
         )
     vol = _support_hull_volume(dirs, h)
-    return Estimate((vol / ball_volume(k)) ** (1.0 / k), 0.0, len(dirs), seed, "upper")
+    return Estimate((vol / ball_volume(k)) ** (1.0 / k), 0.0, len(dirs), "upper")
 
 
 def volume_radius_lowdim(
@@ -321,12 +331,10 @@ def volume_radius_lowdim(
 ) -> Estimate:
     """volrad(K) = (Vol K / Vol B_2^k)^{1/k}; the hulls are capped at k <= 6.
 
-    methods: `analytic` (exact, from the body's stored log-volume, any k;
-    raises UnsupportedOracleError for a body without one), `support-hull`
-    (outer polytope from `n_directions` tangent halfspaces at seeded
-    directions -> upper bound), and `auto`, which takes the first exact fact
-    the body has, in this order:
-      1. its log-volume (`analytic`);
+    methods: `support-hull` (outer polytope from `n_directions` tangent
+    halfspaces at seeded directions -> upper bound), and `auto`, which takes
+    the first exact fact the body has, in this order:
+      1. its log-volume, at any k;
       2. its zonotope generators, when C(m, k) is within SUBSET_BUDGET: the
          Cauchy-Binet sum 2^k sum_S |det G_S|, any k;
       3. its vertices, when 1 < k <= 6: the volume of their convex hull;
@@ -346,31 +354,22 @@ def volume_radius_lowdim(
     if method == "auto":
         G, V = body.generators, body.vertices
         if "log_volume" in body.analytic:
-            method = "analytic"
-        elif G is not None and math.comb(len(G), k) * max(k, 6) ** 3 <= SUBSET_BUDGET * 6**3:
+            return Estimate(log_to_volrad(body.analytic["log_volume"]), 0.0, 0, "exact")
+        if G is not None and math.comb(len(G), k) * max(k, 6) ** 3 <= SUBSET_BUDGET * 6**3:
             vr = log_to_volrad(_zonotope_log_volume(G))
-            return Estimate(vr, 0.0, math.comb(len(G), k), seed, "exact")
-        elif V is not None and 1 < k <= VOLUME_DIM_CAP:
+            return Estimate(vr, 0.0, math.comb(len(G), k), "exact")
+        if V is not None and 1 < k <= VOLUME_DIM_CAP:
             from scipy.spatial import ConvexHull
 
-            return Estimate(to_volrad(ConvexHull(V).volume), 0.0, len(V), seed, "exact")
-        else:
-            method = "support-hull"
-    if method == "analytic":
-        log_vol = body.analytic.get("log_volume")
-        if log_vol is None:
-            raise UnsupportedOracleError(
-                f"no analytic volume for family {body.family!r}"
-            )
-        return Estimate(log_to_volrad(log_vol), 0.0, 0, seed, "exact")
-    if method != "support-hull":
+            return Estimate(to_volrad(ConvexHull(V).volume), 0.0, len(V), "exact")
+    elif method != "support-hull":
         raise ValueError(f"unknown volume method {method!r}")
     if k == 1:
-        return Estimate(to_volrad(_interval_volume(body)), 0.0, 2, seed, "exact")
+        return Estimate(to_volrad(_interval_volume(body)), 0.0, 2, "exact")
     _check_hull_dim(k)  # before the support pass that the cap would waste
     dirs = sphere_directions(k, n_directions, seed)
     h = np.asarray(body.support(dirs), dtype=float)
-    return support_hull_volrad(dirs, h, seed, body.family)
+    return support_hull_volrad(dirs, h)
 
 
 # ---------------------------------------------------------------------------
@@ -402,4 +401,4 @@ def vk_estimate(body: ConvexBody, k: int, trials: int, seed: int) -> Estimate:
         est = volume_radius_lowdim(project_body(body, F), seed=child_seed(seed, trials + i))
         exact = exact and est.direction == "exact"
         best = max(best, est.value)
-    return Estimate(best, 0.0, trials, seed, "lower" if exact else "mc")
+    return Estimate(best, 0.0, trials, "lower" if exact else "mc")

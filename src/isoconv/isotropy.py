@@ -103,7 +103,5 @@ def isotropic_constant(summary: MomentSummary, log_density_sup: Optional[float])
 def exact_isotropic_constant(body: ConvexBody) -> float:
     val = body.analytic.get("isotropic_constant")
     if val is None:
-        raise UnsupportedOracleError(
-            f"no analytic isotropic constant for family {body.family!r}"
-        )
+        raise UnsupportedOracleError("no analytic isotropic constant for this body")
     return float(val)

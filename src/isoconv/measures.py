@@ -5,7 +5,8 @@ log of the sup of its density when that is exactly known.  The log stays
 finite where the sup itself over- or underflows (the gaussian's (2 pi)^{-n/2}
 rounds to 0 from n = 811 on).  Exact samplers exist for the gaussian,
 coordinate products and the bodies that carry one; a body without an exact
-sampler is rejected.
+sampler is rejected.  A draw is a SampleSet, which holds its points and
+nothing else.
 
 Determinism contract: same (measure, N, seed) gives bit-identical output
 within a build.  Chunked draws derive chunk seeds via the frozen splitting
@@ -31,39 +32,42 @@ DEFAULT_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Immutable batch of points with its generating seed and provenance."""
+    """Immutable batch of finite points, a read-only (count, dim) array.
 
-    dim: int
-    count: int
+    count and dim are read from the array's shape; the seed that drew the
+    points is the caller's and is not stored.
+    """
+
     points: np.ndarray  # (count, dim)
-    seed: int
-    provenance: str
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"SampleSet needs count >= 1, got {self.count}")
         pts = np.asarray(self.points, dtype=float).view()  # freeze a view, not the caller's array
-        if pts.shape != (self.count, self.dim):
-            raise ValueError(
-                f"points shape {pts.shape} != (count, dim) = ({self.count}, {self.dim})"
-            )
+        if pts.ndim != 2:
+            raise ValueError(f"SampleSet points must be (count, dim), got shape {pts.shape}")
+        if len(pts) < 1:
+            raise ValueError(f"SampleSet needs count >= 1, got {len(pts)}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("SampleSet points contain non-finite values")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
+    @property
+    def count(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
 
 @dataclass(frozen=True)
 class LogConcaveMeasure:
-    """Sampler oracle plus the log of the sup of its density.
-
-    label carries the human-readable construction (the provenance of every
-    draw); log_density_sup is log sup f_mu when exactly known, None otherwise.
+    """Sampler oracle (count, seed) -> (count, dim) points on R^dim, plus
+    log_density_sup, the log of sup f_mu when exactly known and None otherwise.
     """
 
     dim: int
     sampler: Callable[[int, int], np.ndarray]
-    label: str
     log_density_sup: Optional[float] = None
 
 
@@ -72,6 +76,7 @@ def draw_samples(measure: LogConcaveMeasure, count: int, seed: int) -> SampleSet
 
     Chunk i of size <= DEFAULT_CHUNK uses child_seed(seed, i), so the same
     (measure, count, seed) replays bit-identically and workers can split chunks.
+    Each chunk must come back from the sampler with shape (size, dim).
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
@@ -80,12 +85,16 @@ def draw_samples(measure: LogConcaveMeasure, count: int, seed: int) -> SampleSet
     index = 0
     while done < count:
         take = min(DEFAULT_CHUNK, count - done)
-        blocks.append(measure.sampler(take, child_seed(seed, index)))
+        block = measure.sampler(take, child_seed(seed, index))
+        if np.shape(block) != (take, measure.dim):
+            raise ValueError(
+                f"sampler returned shape {np.shape(block)}, expected ({take}, {measure.dim})"
+            )
+        blocks.append(block)
         done += take
         index += 1
     pts = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-    return SampleSet(dim=measure.dim, count=count, points=pts, seed=seed,
-                     provenance=measure.label)
+    return SampleSet(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +113,6 @@ def gaussian_measure(dim: int) -> LogConcaveMeasure:
     return LogConcaveMeasure(
         dim=dim,
         sampler=sampler,
-        label=f"gaussian({dim})",
         log_density_sup=-0.5 * dim * math.log(2.0 * math.pi),
     )
 
@@ -120,7 +128,6 @@ def exponential_product_measure(dim: int) -> LogConcaveMeasure:
     return LogConcaveMeasure(
         dim=dim,
         sampler=sampler,
-        label=f"exponential-product({dim})",
         log_density_sup=-dim * math.log(2.0),
     )
 
@@ -128,12 +135,11 @@ def exponential_product_measure(dim: int) -> LogConcaveMeasure:
 def uniform_body_measure(body: ConvexBody) -> LogConcaveMeasure:
     """Uniform probability measure on a body with an exact sampler."""
     if body.sample_exact is None:
-        raise UnsupportedOracleError(f"no exact sampler for family {body.family!r}")
+        raise UnsupportedOracleError("uniform measure needs a body with an exact sampler")
     log_vol = body.analytic.get("log_volume")
     return LogConcaveMeasure(
         dim=body.dim,
         sampler=body.sample_exact,
-        label=f"uniform-body({body.family})",
         log_density_sup=None if log_vol is None else -log_vol,
     )
 
@@ -156,7 +162,6 @@ def pushforward_measure(base: LogConcaveMeasure, T: np.ndarray) -> LogConcaveMea
     return LogConcaveMeasure(
         dim=base.dim,
         sampler=sampler,
-        label=f"pushforward({base.label})",
         log_density_sup=None
         if base.log_density_sup is None
         else base.log_density_sup - logabsdet,
@@ -175,14 +180,7 @@ def project_samples(samples: SampleSet, subspace: Subspace) -> SampleSet:
         raise ValueError(
             f"basis shape {basis.shape} incompatible with ambient dim {samples.dim}"
         )
-    pts = samples.points @ basis
-    return SampleSet(
-        dim=basis.shape[1],
-        count=samples.count,
-        points=pts,
-        seed=samples.seed,
-        provenance=f"project[{basis.shape[1]}]({samples.provenance})",
-    )
+    return SampleSet(samples.points @ basis)
 
 
 # ---------------------------------------------------------------------------

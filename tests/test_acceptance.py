@@ -33,8 +33,7 @@ def _report(capsys, criterion: str, ok: bool, detail: str):
 
 
 def _subset(samples: SampleSet, lo: int, hi: int) -> SampleSet:
-    return SampleSet(dim=samples.dim, count=hi - lo, points=samples.points[lo:hi].copy(),
-                     seed=samples.seed, provenance=samples.provenance)
+    return SampleSet(samples.points[lo:hi].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +75,7 @@ def test_criterion_1_exact_identities(capsys):
     m = estimate_moments(s5)
     w, V = np.linalg.eigh(m.covariance)
     T = (V * (1.0 / np.sqrt(w))) @ V.T
-    white = SampleSet(dim=5, count=s5.count, points=(s5.points - m.barycenter) @ T.T,
-                      seed=s5.seed, provenance="whitened")
+    white = SampleSet((s5.points - m.barycenter) @ T.T)
     z2_dev = float(np.abs(zp_support(white, 2.0, sphere_directions(5, 500, 109)) - 1.0).max())
 
     worst_amgm = 0.0
@@ -147,11 +145,12 @@ def test_criterion_3_urysohn(capsys):
     failures = []
     ball_gap = 0.0
     for n in range(2, 7):
-        for K in (ball(n), cube(n, side=2.0), cross_polytope(n)):
+        for name, K in (("ball", ball(n)), ("cube", cube(n, side=2.0)),
+                        ("cross", cross_polytope(n))):
             mstar = mean_width(K, sphere_samples=20_000, seed=child_seed(300 + n, 0))
             vr = volume_radius_lowdim(K, seed=child_seed(300 + n, 1))
             if mstar.value + 3.0 * (mstar.std_error + vr.std_error) < vr.value:
-                failures.append(f"{K.family} dim {n}")
+                failures.append(f"{name} dim {n}")
             if "ball_radius" in K.analytic:
                 ball_gap = max(ball_gap, abs(mstar.value - vr.value))
     ok = not failures and ball_gap < 1e-8
@@ -213,7 +212,7 @@ def test_criterion_7_qm_isotropy(capsys):
     tol = 5.0 / math.sqrt(N)
     worst = 0.0
     cases = []
-    for K in (cube(4, side=1.0), unit_volume_copy(cross_polytope(2))):
+    for name, K in (("cube", cube(4, side=1.0)), ("cross", unit_volume_copy(cross_polytope(2)))):
         for extra in (1, 4):
             m = K.dim + extra
             Q = qm_body(K, m)
@@ -224,7 +223,7 @@ def test_criterion_7_qm_isotropy(capsys):
             off = float(np.abs(cov - np.diag(diag)).max()) / scale
             spread = float(np.abs(diag - scale).max()) / scale
             worst = max(worst, off, spread)
-            cases.append(f"{K.family}->R^{m}: off {off:.4f}, spread {spread:.4f}")
+            cases.append(f"{name}->R^{m}: off {off:.4f}, spread {spread:.4f}")
     _report(capsys, "criterion-7 qm-isotropy", worst <= tol,
             f"{'; '.join(cases)} (limit {tol:.4f})")
 

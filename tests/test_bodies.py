@@ -165,8 +165,7 @@ def test_ellipsoid_past_gamma_overflow_takes_its_volume_from_logs():
 
 
 def test_unit_volume_copy_requires_volume():
-    free = bodies.ConvexBody(dim=2, support=lambda t: np.linalg.norm(t, axis=-1),
-                             family="custom")
+    free = bodies.ConvexBody(dim=2, support=lambda t: np.linalg.norm(t, axis=-1))
     with pytest.raises(UnsupportedOracleError):
         unit_volume_copy(free)
 

@@ -18,12 +18,6 @@ from isoconv.measures import (
 from isoconv.seeds import sphere_directions
 
 
-def _sample_set(points):
-    points = np.asarray(points, dtype=float)
-    return SampleSet(dim=points.shape[1], count=points.shape[0], points=points,
-                     seed=0, provenance="fixture")
-
-
 # gaussian h_{Z_p}(theta) = (E|g|^p)^{1/p} for unit theta
 GAUSS_CP = {
     1.0: math.sqrt(2.0 / math.pi),
@@ -34,7 +28,7 @@ GAUSS_CP = {
 
 def test_zp_support_two_point_example():
     # S = {(1,0), (-1,0)}: h_{Z_p}(e1) = 1, h(e2) = 0, h((1,1)/sqrt2) = 1/sqrt2
-    s = _sample_set([[1.0, 0.0], [-1.0, 0.0]])
+    s = SampleSet([[1.0, 0.0], [-1.0, 0.0]])
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
     diag = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -46,7 +40,7 @@ def test_zp_support_two_point_example():
 
 def test_zp_support_mixed_mass_example():
     # S = {(1,0), (0,0)}: |<x,e1>|^p averages to 1/2
-    s = _sample_set([[1.0, 0.0], [0.0, 0.0]])
+    s = SampleSet([[1.0, 0.0], [0.0, 0.0]])
     e1 = np.array([1.0, 0.0])
     assert zp_support(s, 1.0, e1) == pytest.approx(0.5, rel=1e-12)
     assert zp_support(s, 2.0, e1) == pytest.approx(math.sqrt(0.5), rel=1e-12)
@@ -60,7 +54,7 @@ def test_zp_support_agrees_with_direct_power_mean():
     # powers up to p = 512.5 neither overflow nor lose their leading terms.
     # e3 is orthogonal to every sample.
     square = draw_samples(uniform_body_measure(cube(2, side=2.0)), 5000, seed=1)
-    s = _sample_set(np.hstack([square.points, np.zeros((square.count, 1))]))
+    s = SampleSet(np.hstack([square.points, np.zeros((square.count, 1))]))
     dirs = np.hstack([sphere_directions(2, 200, seed=2), np.zeros((200, 1))])
     orth = np.array([0.0, 0.0, 1.0])
     for p in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 32.0, 33.0, 64.0, 512.0,
@@ -78,7 +72,7 @@ def test_z2_touching_points_are_the_direct_gradient():
     # at p = 2 the touching points come from the second-moment matrix alone;
     # the direct gradient is h^{1-p} mean(|t|^{p-1} sign(t) x) with t = <x, theta>
     square = draw_samples(uniform_body_measure(cube(2, side=2.0)), 5000, seed=1)
-    s = _sample_set(np.hstack([square.points, np.zeros((square.count, 1))]))
+    s = SampleSet(np.hstack([square.points, np.zeros((square.count, 1))]))
     dirs = np.vstack([np.hstack([sphere_directions(2, 200, seed=2), np.zeros((200, 1))]),
                       sphere_directions(3, 200, seed=3)])
     t = s.points @ dirs.T  # (N, m)
@@ -135,7 +129,7 @@ def test_zp_support_huge_p_no_overflow():
 
 
 def test_zp_support_p_out_of_range():
-    s = _sample_set([[1.0], [-1.0]])
+    s = SampleSet([[1.0], [-1.0]])
     with pytest.raises(ValueError):
         zp_support(s, 0.5, np.array([1.0]))
     with pytest.raises(ValueError):
@@ -192,7 +186,7 @@ def test_z2_of_whitened_samples_is_unit_ball():
     m = estimate_moments(s)
     w, V = np.linalg.eigh(m.covariance)
     pts = (s.points - m.barycenter) @ ((V * (1.0 / np.sqrt(w))) @ V.T).T
-    h = zp_support(_sample_set(pts), 2.0, sphere_directions(4, 1000, seed=22))
+    h = zp_support(SampleSet(pts), 2.0, sphere_directions(4, 1000, seed=22))
     assert np.abs(h - 1.0).max() < 1e-8
 
 

@@ -108,14 +108,16 @@ def _direct_covering_radii(cloud, n_centers, seed):
 def test_greedy_covering_is_bit_identical_to_the_direct_formula(k):
     # integer and body grids put many points at equal distances, so every
     # argmax tie-break is exercised; the cross-polytope grid has slices of
-    # different sizes, the permuted grid is unsorted with ties across slices,
-    # and a constant first coordinate puts the whole cloud in every slab
+    # different sizes, the permuted grid is shuffled within each slice of
+    # equal first coordinate, and a constant first coordinate puts the whole
+    # cloud in every slab
     side = {2: 40, 3: 12, 4: 6}[k]
     step = {2: 0.05, 3: 0.1, 4: 0.2}[k]
     integer_grid = np.indices((side,) * k).reshape(k, -1).T.astype(float)
     body_grid, _ = _body_grid_cloud(cube(k, side=1.0), step)
     cross_grid, _ = _body_grid_cloud(cross_polytope(k), step)
     permuted_grid = body_grid[rng_from(k).permutation(body_grid.shape[0])]
+    permuted_grid = permuted_grid[np.argsort(permuted_grid[:, 0], kind="stable")]
     flat = np.indices((side,) * (k - 1)).reshape(k - 1, -1).T.astype(float)
     flat = np.hstack([np.full((flat.shape[0], 1), 0.25), flat])
     for cloud in (integer_grid, body_grid, cross_grid, permuted_grid, flat):
@@ -127,11 +129,18 @@ def test_greedy_covering_is_bit_identical_to_the_direct_formula(k):
 
 
 def test_greedy_covering_pads_past_the_cloud_with_zeros():
-    cloud = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [1.0, 2.0], [0.5, 1.0]])
+    cloud = np.array([[0.0, 0.0], [0.0, 2.0], [0.5, 1.0], [1.0, 0.0], [1.0, 2.0]])
     radii = _greedy_covering_radii(cloud, 16, 3)
     assert np.array_equal(radii, _direct_covering_radii(cloud, 16, 3))
     assert radii.shape == (16,)
     assert np.all(radii[cloud.shape[0] - 1:] == 0.0)
+
+
+def test_greedy_covering_rejects_an_unsorted_cloud():
+    cloud = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="sorted by its first coordinate") as info:
+        _greedy_covering_radii(cloud, 4, 0)
+    assert "\n" not in str(info.value)
 
 
 def test_greedy_covering_memory_does_not_grow_with_centers():

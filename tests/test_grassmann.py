@@ -6,7 +6,6 @@ import pytest
 
 from isoconv.bodies import (
     ConvexBody,
-    UnsupportedOracleError,
     ball,
     ball_volume,
     cross_polytope,
@@ -87,7 +86,7 @@ def test_project_body_support_closure():
 def test_project_cube_onto_diagonal():
     # [-1,1]^2 onto span{(1,1)/sqrt2} = segment of half-length sqrt(2)
     B = np.array([[1.0], [1.0]]) / math.sqrt(2.0)
-    F = Subspace(ambient=2, k=1, basis=B, seed=0)
+    F = Subspace(B)
     P = project_body(cube(2, side=2.0), F)
     assert P.support(np.array([1.0])) == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert volume_radius_lowdim(P).value == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -95,10 +94,19 @@ def test_project_cube_onto_diagonal():
 
 def test_subspace_leaves_callers_array_writeable():
     B = np.eye(3)[:, :2]
-    F = Subspace(ambient=3, k=2, basis=B, seed=0)
+    F = Subspace(B)
+    assert (F.ambient, F.k) == (3, 2)
     assert B.flags.writeable
     assert not F.basis.flags.writeable
     assert np.shares_memory(F.basis, B)  # frozen without a copy
+
+
+@pytest.mark.parametrize("basis", [np.ones(3) / math.sqrt(3.0), np.eye(3, 4), np.zeros((3, 0))])
+def test_subspace_rejects_a_basis_of_the_wrong_shape(basis):
+    # a 1-D array, k > ambient and k = 0 are no (ambient, k) basis
+    with pytest.raises(ValueError, match=r"basis must be \(ambient, k\)") as info:
+        Subspace(basis)
+    assert "\n" not in str(info.value)
 
 
 def test_projection_composition_consistency():
@@ -115,8 +123,7 @@ def test_projection_composition_consistency():
 
 def test_volume_radius_interval_exact():
     # [-0.5, 1.5] as a bare 1-D support oracle: h(t) = max(-0.5 t, 1.5 t)
-    seg = ConvexBody(dim=1, support=lambda t: np.maximum(-0.5 * t, 1.5 * t)[..., 0],
-                     family="segment")
+    seg = ConvexBody(dim=1, support=lambda t: np.maximum(-0.5 * t, 1.5 * t)[..., 0])
     est = volume_radius_lowdim(seg)
     assert est.value == pytest.approx(1.0, rel=1e-12)  # length 2 / ball length 2
     assert est.direction == "exact"
@@ -124,8 +131,8 @@ def test_volume_radius_interval_exact():
 
 
 def test_volume_radius_analytic_ball_any_dim():
-    # analytic route has no dimension cap
-    est = volume_radius_lowdim(ball(12), method="analytic")
+    # the log-volume route has no dimension cap
+    est = volume_radius_lowdim(ball(12))
     assert est.value == pytest.approx(1.0, rel=1e-12)
     assert est.direction == "exact"
 
@@ -133,7 +140,8 @@ def test_volume_radius_analytic_ball_any_dim():
 def test_volume_radius_square_all_methods():
     K = cube(2, side=2.0)
     truth = (4.0 / math.pi) ** 0.5
-    exact = volume_radius_lowdim(K, method="analytic")
+    exact = volume_radius_lowdim(K)
+    assert exact.direction == "exact"
     assert exact.value == pytest.approx(truth, rel=1e-12)
     hull = volume_radius_lowdim(K, method="support-hull", n_directions=4000, seed=1)
     assert hull.direction == "upper"
@@ -143,7 +151,9 @@ def test_volume_radius_square_all_methods():
 def test_volume_radius_cross_polytope_3d():
     truth = (1.0 / math.pi) ** (1.0 / 3.0)  # vol B_1^3 = 4/3, ball 4pi/3
     K = cross_polytope(3)
-    assert volume_radius_lowdim(K, method="analytic").value == pytest.approx(truth, rel=1e-12)
+    exact = volume_radius_lowdim(K)
+    assert exact.direction == "exact"
+    assert exact.value == pytest.approx(truth, rel=1e-12)
     hull = volume_radius_lowdim(K, method="support-hull", n_directions=4000, seed=3)
     assert truth - 1e-9 <= hull.value <= truth * 1.05
 
@@ -152,14 +162,10 @@ def test_volume_radius_dim_cap_applies_to_hulls_only():
     K = cube(VOLUME_DIM_CAP + 1, side=1.0)
     with pytest.raises(ValueError):
         volume_radius_lowdim(K, method="support-hull", seed=1)
-    # analytic is fine above the cap
-    assert volume_radius_lowdim(K, method="analytic").value > 0
-
-
-def test_volume_radius_analytic_requires_a_log_volume():
-    free = project_body(cube(4, side=1.0), random_subspace(4, 3, seed=5))
-    with pytest.raises(UnsupportedOracleError):
-        volume_radius_lowdim(free, method="analytic")
+    # the log-volume route is fine above the cap
+    exact = volume_radius_lowdim(K)
+    assert exact.direction == "exact"
+    assert exact.value > 0
 
 
 def test_vk_estimate_ball_is_one():
@@ -243,15 +249,15 @@ def test_cofactor_det_matches_linalg_det(k):
 def test_support_hull_volrad_is_the_support_hull_method():
     samples = draw_samples(gaussian_measure(3), 2000, seed=5)
     dirs = sphere_directions(3, 500, seed=6)
-    est = support_hull_volrad(dirs, zp_support(samples, 3.0, dirs), 6, "zp")
-    body = ConvexBody(dim=3, support=lambda t: zp_support(samples, 3.0, t), family="zp")
+    est = support_hull_volrad(dirs, zp_support(samples, 3.0, dirs))
+    body = ConvexBody(dim=3, support=lambda t: zp_support(samples, 3.0, t))
     assert est == volume_radius_lowdim(body, method="support-hull", n_directions=500, seed=6)
     assert est.direction == "upper" and est.n_samples == 500
-    with pytest.raises(ValueError, match=r"h > 0.*'zp'"):
-        support_hull_volrad(dirs, -np.ones(len(dirs)), 6, "zp")
+    with pytest.raises(ValueError, match=r"h > 0.*nonpositive support value"):
+        support_hull_volrad(dirs, -np.ones(len(dirs)))
     with pytest.raises(ValueError, match=f"capped at dim {VOLUME_DIM_CAP}"):
         k = VOLUME_DIM_CAP + 1
-        support_hull_volrad(sphere_directions(k, 50, seed=7), np.ones(50), 7, "ball")
+        support_hull_volrad(sphere_directions(k, 50, seed=7), np.ones(50))
 
 
 def test_projected_support_lifts_directions_in_blocks():
@@ -351,7 +357,7 @@ def test_projected_cube_volume_past_float_range():
     # the shadow of [-1e-3, 1e-3]^121 on its first 120 coordinates has volume
     # (2e-3)^120 = 1e-324, at the bottom of the float range; C(121, 120) = 121
     # subsets of 120 x 120 determinants are within the budget
-    F = Subspace(ambient=121, k=120, basis=np.eye(121)[:, :120], seed=0)
+    F = Subspace(np.eye(121)[:, :120])
     est = volume_radius_lowdim(project_body(cube(121, side=2e-3), F))
     assert est.direction == "exact"
     truth = math.exp((120 * math.log(2e-3) - lp_ball_log_volume(120, 2.0)) / 120)
@@ -432,9 +438,8 @@ def test_vk_of_cross_polytope_is_a_lower_bound():
 
 def test_support_hull_rejects_nonpositive_support():
     # unit disc centred at (3, 0): the origin is outside, h < 0 when theta_1 < -1/3
-    off = ConvexBody(dim=2, support=lambda t: 3.0 * t[..., 0] + np.linalg.norm(t, axis=-1),
-                     family="off-centre-disc")
-    with pytest.raises(ValueError, match=r"h > 0.*'off-centre-disc'") as info:
+    off = ConvexBody(dim=2, support=lambda t: 3.0 * t[..., 0] + np.linalg.norm(t, axis=-1))
+    with pytest.raises(ValueError, match=r"h > 0.*nonpositive support value") as info:
         volume_radius_lowdim(off, method="support-hull", seed=1)
     assert "\n" not in str(info.value)
 
@@ -448,8 +453,7 @@ def test_support_hull_rejects_unbounded_halfspaces():
 
 def test_support_hull_k1_takes_the_exact_interval():
     # [0.5, 1.5]: h(-1) < 0, yet dimension 1 never samples directions
-    seg = ConvexBody(dim=1, support=lambda t: np.maximum(0.5 * t, 1.5 * t)[..., 0],
-                     family="segment")
+    seg = ConvexBody(dim=1, support=lambda t: np.maximum(0.5 * t, 1.5 * t)[..., 0])
     est = volume_radius_lowdim(seg, method="support-hull", seed=3)
     assert est.value == pytest.approx(0.5, rel=1e-12)  # length 1 / ball length 2
     assert est.direction == "exact"

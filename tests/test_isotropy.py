@@ -8,16 +8,10 @@ from isoconv.isotropy import estimate_moments, exact_isotropic_constant, isotrop
 from isoconv.measures import SampleSet, draw_samples, gaussian_measure, uniform_body_measure
 
 
-def _sample_set(points, seed=0):
-    points = np.asarray(points, dtype=float)
-    return SampleSet(dim=points.shape[1], count=points.shape[0], points=points,
-                     seed=seed, provenance="fixture")
-
-
 def test_estimate_moments_four_point_exact():
     # points at (+-a, 0), (0, +-b): barycenter 0, cov = diag(a^2/2, b^2/2)
     a, b = 2.0, 1.0
-    s = _sample_set([[a, 0.0], [-a, 0.0], [0.0, b], [0.0, -b]])
+    s = SampleSet([[a, 0.0], [-a, 0.0], [0.0, b], [0.0, -b]])
     m = estimate_moments(s)
     assert np.allclose(m.barycenter, 0.0, atol=1e-15)
     assert np.allclose(m.covariance, np.diag([a * a / 2.0, b * b / 2.0]), atol=1e-14)
@@ -29,20 +23,20 @@ def test_estimate_moments_four_point_exact():
 def test_estimate_moments_centers_before_covariance():
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((1000, 3)) + np.array([5.0, -2.0, 0.5])
-    m = estimate_moments(_sample_set(pts))
+    m = estimate_moments(SampleSet(pts))
     assert np.abs(m.barycenter - np.array([5.0, -2.0, 0.5])).max() < 0.15
     assert np.abs(np.diag(m.covariance) - 1.0).max() < 0.2
 
 
 def test_estimate_moments_requires_enough_points():
     with pytest.raises(ValueError):
-        estimate_moments(_sample_set(np.eye(3)))  # 3 points in dim 3
+        estimate_moments(SampleSet(np.eye(3)))  # 3 points in dim 3
 
 
 def test_estimate_moments_degenerate_flag():
     # all mass on a line in R^2
     t = np.linspace(-1, 1, 50)[:, None]
-    s = _sample_set(np.hstack([t, 2.0 * t]))
+    s = SampleSet(np.hstack([t, 2.0 * t]))
     m = estimate_moments(s)
     assert m.degenerate
 

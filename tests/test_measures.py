@@ -150,15 +150,32 @@ def test_parse_measure_rejects_garbage():
             parse_measure(bad)
 
 
+def test_draw_samples_rejects_a_sampler_of_the_wrong_shape():
+    # the sampler drops a coordinate: (count, dim - 1) instead of (count, dim)
+    mu = measures.LogConcaveMeasure(
+        dim=3, sampler=lambda count, seed: np.zeros((count, 2)))
+    with pytest.raises(ValueError, match=r"sampler returned shape \(5, 2\), "
+                       r"expected \(5, 3\)") as info:
+        draw_samples(mu, 5, seed=1)
+    assert "\n" not in str(info.value)
+
+
 def test_sample_set_rejects_nonfinite():
     with pytest.raises(ValueError):
-        measures.SampleSet(dim=2, count=1, points=np.array([[np.nan, 0.0]]),
-                           seed=0, provenance="test")
+        measures.SampleSet(np.array([[np.nan, 0.0]]))
 
 
 def test_sample_set_leaves_callers_array_writeable():
     pts = np.zeros((3, 2))
-    s = measures.SampleSet(dim=2, count=3, points=pts, seed=0, provenance="test")
+    s = measures.SampleSet(pts)
     assert pts.flags.writeable
     assert not s.points.flags.writeable
     assert np.shares_memory(s.points, pts)  # frozen without a copy
+
+
+def test_sample_set_takes_count_and_dim_from_its_points():
+    s = measures.SampleSet(np.zeros((4, 3)))
+    assert (s.count, s.dim) == (4, 3)
+    for bad in (np.zeros(3), np.zeros((0, 3))):
+        with pytest.raises(ValueError):
+            measures.SampleSet(bad)

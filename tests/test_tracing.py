@@ -2,7 +2,8 @@
 
 perfbench/tracing.py wraps isoconv functions and reads some of their
 parameters by name (volume_radius_lowdim's method and n_directions,
-emit_report's path); a signature change there breaks
+emit_report's path), and zp_support's `samples.count`, a property of the
+SampleSet's points; a signature or record change there breaks
 `perfbench/run.py --trace 1` without failing any other test.
 """
 
@@ -36,6 +37,7 @@ def test_traced_cli_run_records_hull_halfspaces(tmp_path, capsys):
     assert rc_vk == 0 and rc_kubota == 0
     totals = tracer.layer_totals()
     assert totals["grassmann.volume_radius_lowdim"]["halfspaces"] > 0
+    assert totals["centroid.zp_support"]["products"] > 0
     assert totals["experiments.emit_report"]["bytes_written"] > 0
 
 
