@@ -23,9 +23,23 @@ h_{Z_2}(theta)^2 = theta^T Sigma theta with Sigma = X^T X / N skips the
 points Sigma theta / h alike.  The touching points grad h(theta) also give
 the support values, by Euler's identity h(theta) = <theta, grad h(theta)>
 for the 1-homogeneous h, so one pass yields both.
+
+isoconv runs its own threads instead of BLAS's.  Importing this module sets
+numpy's OpenBLAS to one thread for the whole process and keeps one pool of
+WORKERS threads, as many as OpenBLAS was loaded with (ISOCONV_THREADS, for
+the CLI), at most one per core.  Both kernels hand their direction blocks to
+that pool; every block does the same single-threaded work on its own rows,
+and the blocks do not depend on WORKERS, so neither does any value.  A
+threaded BLAS splits a long dot product across its threads, so before this
+the last digit of a row could move with the thread cap.
 """
 
 from __future__ import annotations
+
+import ctypes
+import glob
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -33,7 +47,7 @@ from .bodies import ConvexBody
 from .measures import SampleSet
 
 P_CAP = float(2**20)
-_DOT_BLOCK = 1 << 21  # doubles (16 MB) held by all (b, N) temporaries of one block
+_DOT_BLOCK = 1 << 21  # doubles (16 MB) held by all (b, N) temporaries of all workers
 
 
 def _check_p(p: float) -> None:
@@ -42,17 +56,77 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be in [1, {P_CAP:g}], got {p}")
 
 
-def _blocks(n_points: int, n_dirs: int, temporaries: int):
-    """Direction slices, each with `temporaries` (b, N) buffers.
+# the cores this process may run on: the most workers there can be
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
-    The buffers are allocated once and reused by every block, and together
-    they fit in _DOT_BLOCK whatever the number of directions.
+
+def _openblas_workers() -> int:
+    """Set numpy's OpenBLAS to one thread; return the kernels' worker count.
+
+    The count is the thread pool size OpenBLAS was loaded with (the CLI sets
+    it from ISOCONV_THREADS before numpy loads), clamped to _CORES.  Without
+    OpenBLAS's runtime setter it is 1.
     """
-    step = max(1, min(n_dirs, _DOT_BLOCK // (n_points * temporaries)))
-    buffers = [np.empty((step, n_points)) for _ in range(temporaries)]
-    for start in range(0, n_dirs, step):
-        b = min(step, n_dirs - start)
-        yield slice(start, start + b), [buf[:b] for buf in buffers]
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
+            get = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        workers = get()
+        set_threads(1)
+        return max(1, min(workers, _CORES))
+    return 1
+
+
+def _new_pool() -> None:
+    """A fresh pool; a forked child gets one, as its parent's threads are gone."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(WORKERS, thread_name_prefix="isoconv-zp")  # threads start on use
+
+
+WORKERS = _openblas_workers()
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _run_blocks(n_points: int, n_dirs: int, temporaries: int, work) -> None:
+    """Call work(rows, buffers) on every direction block, on the pool.
+
+    The directions are cut into blocks of near-equal height, at least one
+    per core, with _CORES blocks' `temporaries` (b, N) buffers fitting in
+    _DOT_BLOCK together.  Block j goes to lane j mod WORKERS, and each lane
+    runs its blocks on one worker with its own buffers.  They are allocated
+    here, once per call and in the calling thread, so no worker's malloc
+    arena holds them.  Each is an array of its own, not a view into one
+    shared array: a freed 16 MB array raises glibc's dynamic mmap threshold
+    to 16 MB, and the next call's smaller buffers would then come from the
+    heap and stay resident.  The blocks depend on the core count and never on
+    WORKERS, because BLAS may round a row differently in a block of another
+    height; so the worker count cannot change a value.  Every lane finishes
+    before the first error, if any, reaches the caller.
+    """
+    most = max(1, _DOT_BLOCK // (n_points * temporaries * _CORES))
+    n_blocks = max(-(-n_dirs // most), min(_CORES, n_dirs))
+    lanes = min(WORKERS, n_blocks)
+    height = -(-n_dirs // max(1, n_blocks))
+    buffers = [[np.empty((height, n_points)) for _ in range(temporaries)] for _ in range(lanes)]
+
+    def lane(k):
+        for j in range(k, n_blocks, lanes):
+            start, stop = j * n_dirs // n_blocks, (j + 1) * n_dirs // n_blocks
+            work(slice(start, stop), [buf[: stop - start] for buf in buffers[k]])
+
+    futures = [_POOL.submit(lane, k) for k in range(lanes)]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _power(base: np.ndarray, p: float, out: np.ndarray) -> None:
@@ -135,12 +209,14 @@ def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarr
     # (b, N) buffer for its power
     in_place = not integer or bin(int(p)).count("1") == 1
     out = np.empty(theta.shape[0])
-    for rows, (u, *w) in _blocks(n, theta.shape[0], 1 if in_place else 2):
+
+    def block(rows, buffers):
+        u, *w = buffers
         np.matmul(theta[rows], pts.T, out=u)  # one contiguous row per direction
         np.abs(u, out=u)
         if p == 1.0:
             out[rows] = u.mean(axis=1)
-            continue
+            return
         scale = u.max(axis=1)
         scale[scale == 0.0] = 1.0  # an all-zero row stays 0
         u *= (1.0 / scale)[:, None]
@@ -155,6 +231,8 @@ def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarr
             _power(u, p - 1, w[0])
             sums = np.vecdot(u, w[0])
         out[rows] = scale * (sums / n) ** (1.0 / p)
+
+    _run_blocks(n, theta.shape[0], 1 if in_place else 2, block)
     return out[0] if single else out
 
 
@@ -186,7 +264,9 @@ def zp_touching_points(samples: SampleSet, p: float, directions: np.ndarray) -> 
         return grad / h[:, None]
     n = samples.count
     out = np.empty_like(theta)
-    for rows, (dots, u, w) in _blocks(n, theta.shape[0], 3):
+
+    def block(rows, buffers):
+        dots, u, w = buffers
         np.matmul(theta[rows], pts.T, out=dots)  # (b, N)
         np.abs(dots, out=u)
         scale = u.max(axis=1)
@@ -198,6 +278,8 @@ def zp_touching_points(samples: SampleSet, p: float, directions: np.ndarray) -> 
         h = scale * (wp_sum / n) ** (1.0 / p)
         np.copysign(w, dots, out=w)
         out[rows] = (w @ pts) * (h / (scale * wp_sum))[:, None]  # (b, dim)
+
+    _run_blocks(n, theta.shape[0], 3, block)
     return out
 
 

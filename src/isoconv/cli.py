@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Heavy imports happen inside the command handlers so that ISOCONV_THREADS can
-cap the BLAS pool before numpy loads, and so --help stays instant.
+size the BLAS pool before numpy loads, and so --help stays instant;
+isoconv.centroid takes that size for its kernel pool and sets BLAS to one
+thread.
 
 Exit codes: 0 success, 1 verify-suite assertion failure, 2 usage or any other
 error (one line on stderr, no traceback).
@@ -20,12 +22,29 @@ from typing import Optional
 
 
 def _apply_thread_cap():
+    """Set the BLAS thread variables from ISOCONV_THREADS; return its value.
+
+    Returns None when the variable is unset.  A value that is not an integer
+    of at least 1 is a ValueError; one above the cores this process may run
+    on is clamped to them.  isoconv.centroid sizes its kernel pool from the
+    OpenBLAS thread count set here, then runs OpenBLAS on one thread.
+    """
     cap = os.environ.get("ISOCONV_THREADS")
     if not cap:
-        return
+        return None
+    try:
+        threads = int(cap)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"ISOCONV_THREADS must be an integer >= 1, got {cap!r}")
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    threads = min(threads, cores)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+        os.environ.setdefault(var, str(threads))
+    return threads
 
 
 def _resolve_out(out: Optional[str], fmt: Optional[str]):
@@ -333,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.dims == []:
-        parser.error("--dims must name at least one dimension")
     try:
+        _apply_thread_cap()
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "verify" and args.dims == []:
+            parser.error("--dims must name at least one dimension")
         return args.fn(args)
     except Exception as exc:
         # exit 1 is reserved for suite failures; any error is one line and exit 2.

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bodies import ConvexBody, ball, cross_polytope, cube, product_body, scale_body, unit_volume_copy
-from .centroid import centroid_body
+from .centroid import WORKERS, centroid_body
 from .functionals import RadModel, bound_rhs, entropy_numbers, mean_width
 from .grassmann import project_body, random_subspace, support_hull_volrad, volume_radius_lowdim
 from .isotropy import estimate_moments, exact_isotropic_constant
@@ -563,8 +563,9 @@ def emit_report(result: SuiteResult, config: dict, fmt: str, path: Optional[str]
     """Write a SuiteResult, the report of every command.
 
     csv holds the rows under the CSV_COLUMNS header, each line ended by a bare
-    line feed; json is {meta: {version, suite, config, fitted, passed}, assertions,
-    rows}, where config is the command's echo of its inputs.  JSON has no NaN or
+    line feed; json is {meta: {version, suite, config, fitted, passed, threads},
+    assertions, rows}, where config is the command's echo of its inputs and
+    threads the Z_p kernels' worker count.  JSON has no NaN or
     infinity, so a non-finite value in a json report is a ValueError, raised
     before anything is written.  The report goes to `path`, or to stdout when
     path is None.
@@ -583,6 +584,7 @@ def emit_report(result: SuiteResult, config: dict, fmt: str, path: Optional[str]
                 "config": config,
                 "fitted": result.fitted,
                 "passed": result.passed,
+                "threads": WORKERS,
             },
             "assertions": [asdict(a) for a in result.assertions],
             "rows": [asdict(r) for r in result.rows],

@@ -1,9 +1,15 @@
 import math
+import multiprocessing
+import os
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from isoconv import centroid
 from isoconv.bodies import cube
 from isoconv.centroid import P_CAP, centroid_body, zp_support, zp_touching_points
 from isoconv.grassmann import random_subspace
@@ -101,21 +107,93 @@ def test_zp_kernels_memory_does_not_grow_with_directions(m):
         assert peak < 64 * 2**20, (kernel.__name__, peak)
 
 
+@contextmanager
+def kernel_workers(count, cores):
+    """Run the Z_p kernels on `count` workers, blocked for `cores` cores."""
+    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(count) as pool:
+        mp.setattr(centroid, "_CORES", cores)
+        mp.setattr(centroid, "WORKERS", count)
+        mp.setattr(centroid, "_POOL", pool)
+        yield
+
+
 def test_zp_kernels_blocks_fit_the_dot_budget():
-    # every (b, N) temporary of a block, the extra copy that an integer p
-    # other than a power of two needs included, fits in the 16 MB block
+    # every (b, N) temporary of every worker's block, the extra copy that an
+    # integer p other than a power of two needs included, fits in the 16 MB
+    # block
     s = draw_samples(gaussian_measure(8), 20_000, seed=30)
     dirs = sphere_directions(8, 8000, seed=31)
     cases = [(zp_support, p) for p in (1.0, 1.5, 3.0, 8.0)]
     cases += [(zp_touching_points, p) for p in (2.0, 3.0, 4.5)]
-    for kernel, p in cases:
-        tracemalloc.start()
-        try:
-            kernel(s, p, dirs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (16 + 2) * 2**20, (kernel.__name__, p, peak)
+    for workers in (1, 2):
+        with kernel_workers(workers, cores=2):
+            for kernel, p in cases:
+                tracemalloc.start()
+                try:
+                    kernel(s, p, dirs)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= (16 + 2) * 2**20, (workers, kernel.__name__, p, peak)
+
+
+def test_zp_kernels_do_not_depend_on_the_worker_count():
+    # BLAS rounds a row differently in blocks of other heights, so the blocks
+    # follow the core count alone; 5 workers is more than there are cores, and
+    # the short switch interval interleaves them as often as it can
+    s = draw_samples(gaussian_measure(8), 20_000, seed=32)
+    dirs = sphere_directions(8, 701, seed=33)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 5):
+            with kernel_workers(workers, cores=5):
+                runs.append(
+                    [zp_support(s, p, dirs) for p in (1.0, 1.5, 2.0, 3.0, 8.0, 64.0, P_CAP)]
+                    + [zp_touching_points(s, p, dirs) for p in (2.0, 3.0, 4.5)])
+    finally:
+        sys.setswitchinterval(interval)
+    for other in runs[1:]:
+        for a, b in zip(runs[0], other):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_orthogonal_direction_error_reaches_the_caller_from_a_worker():
+    plane = draw_samples(gaussian_measure(2), 20_000, seed=34).points
+    s = SampleSet(np.hstack([plane, np.zeros((len(plane), 1))]))
+    dirs = np.hstack([sphere_directions(2, 300, seed=35), np.zeros((300, 1))])
+    dirs[-1] = [0.0, 0.0, 1.0]  # in the last block, which the second worker runs
+    with kernel_workers(2, cores=2):
+        with pytest.raises(ValueError, match="orthogonal to every sample") as info:
+            zp_touching_points(s, 3.0, dirs)
+        assert any(entry.name == "lane" for entry in info.traceback)
+        assert np.all(np.isfinite(zp_touching_points(s, 3.0, dirs[:-1])))
+
+
+def _zp_in_child(samples, dirs, queue):
+    queue.put(zp_support(samples, 3.0, dirs))
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_zp_kernels_run_in_a_forked_child():
+    # a forked child has none of its parent's pool threads; it gets a pool of
+    # its own, where the parent's would take the blocks and never run them
+    s = draw_samples(gaussian_measure(4), 20_000, seed=36)
+    dirs = sphere_directions(4, 200, seed=37)
+    h = zp_support(s, 3.0, dirs)  # the parent's pool threads are running now
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_zp_in_child, args=(s, dirs, queue))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+    np.testing.assert_array_equal(got, h)
 
 
 def test_zp_support_huge_p_no_overflow():

@@ -1,13 +1,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from isoconv import cli, experiments
+from isoconv import centroid, cli, experiments
 from isoconv.bodies import lp_ball_log_volume
 from isoconv.experiments import Assertion, SuiteResult
 
@@ -244,10 +245,63 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip() == "2"
 
 
-def test_thread_cap_env_is_accepted(monkeypatch, capsys):
-    monkeypatch.setenv("ISOCONV_THREADS", "1")
+@pytest.fixture
+def thread_env(monkeypatch):
+    """No thread variable set; whatever the CLI sets is undone afterwards."""
+    for var in ("ISOCONV_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    return monkeypatch
+
+
+def test_thread_cap_env_is_accepted(thread_env, capsys):
+    thread_env.setenv("ISOCONV_THREADS", "1")
     rc = cli.main(["meanwidth", "--body", "ball:3", "--seed", "9"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_cap_is_one_line_exit_2(cap, thread_env, capsys):
+    thread_env.setenv("ISOCONV_THREADS", cap)
+    rc = cli.main(["meanwidth", "--body", "ball:3", "--seed", "9"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: ISOCONV_THREADS must be an integer >= 1, got {cap!r}\n"
+
+
+def test_thread_cap_is_clamped_to_the_cores(thread_env):
+    # resolved without starting anything, so no pool of that size is made
+    cores = len(os.sched_getaffinity(0))
+    for cap, resolved in (("1", 1), (str(cores), cores), (str(cores + 1000), cores)):
+        thread_env.setenv("ISOCONV_THREADS", cap)
+        thread_env.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert cli._apply_thread_cap() == resolved
+        assert os.environ["OPENBLAS_NUM_THREADS"] == str(resolved)
+
+
+@pytest.mark.parametrize("argv", [
+    ["zp", "--measure", "gaussian:32", "--p", "8", "--samples", "20000",
+     "--directions", "50"],
+    ["verify", "--suite", "thm-main-aniso", "--dims", "32", "--samples", "20000",
+     "--sphere-samples", "400", "--p-values", "2,8,64"],
+])
+def test_report_does_not_depend_on_the_thread_cap(argv):
+    # a threaded BLAS splits each dot product of over 10^4 entries across its
+    # threads, which moved the last digit of 8 of these 50 zp rows
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    reports = []
+    for cap in (1, 2):
+        env["ISOCONV_THREADS"] = str(cap)
+        proc = subprocess.run([sys.executable, "-m", "isoconv", *argv, "--seed", "1",
+                               "--out", "json"], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode in (0, 1), proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["meta"]["threads"] == min(cap, len(os.sched_getaffinity(0)))
+        reports.append((proc.returncode, payload["rows"], payload["assertions"]))
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -328,7 +382,9 @@ def test_every_command_writes_the_one_report_shape(command, fmt, tmp_path, capsy
         else:
             payload = json.loads(text)
             assert set(payload) == {"meta", "assertions", "rows"}
-            assert set(payload["meta"]) == {"version", "suite", "config", "fitted", "passed"}
+            assert set(payload["meta"]) == {"version", "suite", "config", "fitted", "passed",
+                                            "threads"}
+            assert payload["meta"]["threads"] == centroid.WORKERS
             assert payload["meta"]["suite"] == suite
             assert payload["meta"]["config"]["seed"] == 1 and payload["rows"]
 
