@@ -6,6 +6,7 @@ Submodules:
 - ``measures``     seeded samplers for log-concave measures
 - ``isotropy``     empirical moments, isotropic constants
 - ``centroid``     empirical L_p centroid bodies
+- ``pool``         the worker pool and the thread and malloc settings
 - ``grassmann``    random subspaces, projections, volume radii
 - ``functionals``  mean width, entropy numbers, named bound expressions
 - ``experiments``  verification suites and report emission

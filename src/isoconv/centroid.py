@@ -24,25 +24,22 @@ points Sigma theta / h alike.  The touching points grad h(theta) also give
 the support values, by Euler's identity h(theta) = <theta, grad h(theta)>
 for the 1-homogeneous h, so one pass yields both.
 
-isoconv runs its own threads instead of BLAS's.  Importing this module sets
-numpy's OpenBLAS to one thread for the whole process and keeps one pool of
-WORKERS threads, as many as OpenBLAS was loaded with (ISOCONV_THREADS, for
-the CLI), at most one per core.  Both kernels hand their direction blocks to
-that pool; every block does the same single-threaded work on its own rows,
-and the blocks do not depend on WORKERS, so neither does any value.  A
-threaded BLAS splits a long dot product across its threads, so before this
-the last digit of a row could move with the thread cap.
+This module owns the kernels and their cut of the directions into blocks;
+isoconv.pool owns the threads that run the blocks, their count WORKERS and
+the core count _CORES.  Every block does the same single-threaded work on
+its own rows, and the blocks do not depend on WORKERS, so neither does any
+value.  A threaded BLAS splits a long dot product across its threads, so
+before the kernels ran on their own pool the last digit of a row could move
+with the thread cap.
 """
 
 from __future__ import annotations
 
-import ctypes
-import glob
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import functools
 
 import numpy as np
 
+from . import pool
 from .bodies import ConvexBody
 from .measures import SampleSet
 
@@ -56,52 +53,12 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be in [1, {P_CAP:g}], got {p}")
 
 
-# the cores this process may run on: the most workers there can be
-_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-          else os.cpu_count() or 1)
-
-
-def _openblas_workers() -> int:
-    """Set numpy's OpenBLAS to one thread; return the kernels' worker count.
-
-    The count is the thread pool size OpenBLAS was loaded with (the CLI sets
-    it from ISOCONV_THREADS before numpy loads), clamped to _CORES.  Without
-    OpenBLAS's runtime setter it is 1.
-    """
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        try:
-            lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
-            get = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        workers = get()
-        set_threads(1)
-        return max(1, min(workers, _CORES))
-    return 1
-
-
-def _new_pool() -> None:
-    """A fresh pool; a forked child gets one, as its parent's threads are gone."""
-    global _POOL
-    _POOL = ThreadPoolExecutor(WORKERS, thread_name_prefix="isoconv-zp")  # threads start on use
-
-
-WORKERS = _openblas_workers()
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
-
-
 def _run_blocks(n_points: int, n_dirs: int, temporaries: int, work) -> None:
-    """Call work(rows, buffers) on every direction block, on the pool.
+    """Call work(rows, buffers) on every direction block, on isoconv's pool.
 
     The directions are cut into blocks of near-equal height, at least one
-    per core, with _CORES blocks' `temporaries` (b, N) buffers fitting in
-    _DOT_BLOCK together.  Block j goes to lane j mod WORKERS, and each lane
+    per core, with pool._CORES blocks' `temporaries` (b, N) buffers fitting
+    in _DOT_BLOCK together.  Block j goes to lane j mod WORKERS, and each lane
     runs its blocks on one worker with its own buffers.  They are allocated
     here, once per call and in the calling thread, so no worker's malloc
     arena holds them.  Each is an array of its own, not a view into one
@@ -109,12 +66,15 @@ def _run_blocks(n_points: int, n_dirs: int, temporaries: int, work) -> None:
     to 16 MB, and the next call's smaller buffers would then come from the
     heap and stay resident.  The blocks depend on the core count and never on
     WORKERS, because BLAS may round a row differently in a block of another
-    height; so the worker count cannot change a value.  Every lane finishes
-    before the first error, if any, reaches the caller.
+    height; so the worker count cannot change a value.  The lanes are
+    pool.run_tasks tasks: every lane finishes before the first error, if
+    any, reaches the caller, and a call from inside a pool task is a
+    RuntimeError instead of a wait that never ends.
     """
-    most = max(1, _DOT_BLOCK // (n_points * temporaries * _CORES))
-    n_blocks = max(-(-n_dirs // most), min(_CORES, n_dirs))
-    lanes = min(WORKERS, n_blocks)
+    cores = pool._CORES
+    most = max(1, _DOT_BLOCK // (n_points * temporaries * cores))
+    n_blocks = max(-(-n_dirs // most), min(cores, n_dirs))
+    lanes = min(pool.WORKERS, n_blocks)
     height = -(-n_dirs // max(1, n_blocks))
     buffers = [[np.empty((height, n_points)) for _ in range(temporaries)] for _ in range(lanes)]
 
@@ -123,10 +83,7 @@ def _run_blocks(n_points: int, n_dirs: int, temporaries: int, work) -> None:
             start, stop = j * n_dirs // n_blocks, (j + 1) * n_dirs // n_blocks
             work(slice(start, stop), [buf[: stop - start] for buf in buffers[k]])
 
-    futures = [_POOL.submit(lane, k) for k in range(lanes)]
-    wait(futures)
-    for future in futures:
-        future.result()
+    pool.run_tasks([functools.partial(lane, k) for k in range(lanes)])
 
 
 def _power(base: np.ndarray, p: float, out: np.ndarray) -> None:

@@ -2,7 +2,7 @@
 
 Heavy imports happen inside the command handlers so that ISOCONV_THREADS can
 size the BLAS pool before numpy loads, and so --help stays instant;
-isoconv.centroid takes that size for its kernel pool and sets BLAS to one
+isoconv.pool takes that size for its worker pool and sets BLAS to one
 thread.
 
 Exit codes: 0 success, 1 verify-suite assertion failure, 2 usage or any other
@@ -26,7 +26,7 @@ def _apply_thread_cap():
 
     Returns None when the variable is unset.  A value that is not an integer
     of at least 1 is a ValueError; one above the cores this process may run
-    on is clamped to them.  isoconv.centroid sizes its kernel pool from the
+    on is clamped to them.  isoconv.pool sizes its worker pool from the
     OpenBLAS thread count set here, then runs OpenBLAS on one thread.
     """
     cap = os.environ.get("ISOCONV_THREADS")

@@ -15,6 +15,7 @@ std_error, direction, seed, samples.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import sys
@@ -25,9 +26,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bodies import ConvexBody, ball, cross_polytope, cube, product_body, scale_body, unit_volume_copy
-from .centroid import WORKERS, centroid_body
+from . import pool
+from .centroid import centroid_body
 from .functionals import RadModel, bound_rhs, entropy_numbers, mean_width
-from .grassmann import project_body, random_subspace, support_hull_volrad, volume_radius_lowdim
+from .grassmann import (check_hull_dim, project_body, random_subspace, support_hull_task,
+                        support_hull_volrad)
 from .isotropy import estimate_moments, exact_isotropic_constant
 from .measures import draw_samples, gaussian_measure, pushforward_measure, uniform_body_measure
 from .seeds import child_seed, sphere_directions
@@ -352,10 +355,12 @@ def _suite_kubota(dims, cfg: SuiteConfig):
     both lhs brackets go into the report.  Each p makes one Z_p pass over the
     hull directions: the touching points grad h(theta) span the inner hull,
     and Euler's identity h(theta) = <theta, grad h(theta)> gives the outer
-    hull's support values from them.  The p-mean's SE comes from `trials`
-    projections, so the gate's multiplier is the Student-t quantile with
-    trials - 1 degrees of freedom at the one-sided rate Phi(-3) of a 3-SE
-    normal gate.
+    hull's support values from them.  The support values of every hull are
+    taken first; then the outer, inner and projection hulls of one p, which
+    are independent, run together on the pool.  The p-mean's SE comes from
+    `trials` projections, so the gate's multiplier is the Student-t quantile
+    with trials - 1 degrees of freedom at the one-sided rate Phi(-3) of a
+    3-SE normal gate.
     """
     from scipy.spatial import ConvexHull
     from scipy.special import ndtr, stdtrit
@@ -366,6 +371,7 @@ def _suite_kubota(dims, cfg: SuiteConfig):
     n = _one_dim("kubota", dims)
     if n < 3:
         raise ValueError(f"kubota projects to k = 2 and 3, so it needs n >= 3, got n={n}")
+    check_hull_dim(n)
     if cfg.trials < 2:
         raise ValueError(f"kubota needs trials >= 2 for a standard error, got {cfg.trials}")
     t_gate = float(stdtrit(cfg.trials - 1, 1.0 - ndtr(-3.0)))
@@ -376,19 +382,17 @@ def _suite_kubota(dims, cfg: SuiteConfig):
         zp = centroid_body(samples, float(p))
         dirs = sphere_directions(n, cfg.hull_directions, child_seed(seed, 1))
         touching = zp_touching_points(samples, float(p), dirs)
-        # Euler's identity h(theta) = <theta, grad h(theta)>; the outer hull
-        # checks the dimension cap before the inner one is built
-        h = np.vecdot(dirs, touching)
-        lhs_outer = support_hull_volrad(dirs, h)
-        lhs_inner = (ConvexHull(touching).volume / ball_volume(n)) ** (1.0 / n)
-        vr_p = np.empty(cfg.trials)
+        h = np.vecdot(dirs, touching)  # Euler's identity h(theta) = <theta, grad h(theta)>
+        projections = []
         for t in range(cfg.trials):
             F = random_subspace(n, p, child_seed(seed, 100 + 2 * t))
-            est = volume_radius_lowdim(
-                project_body(zp, F), method="support-hull",
-                n_directions=cfg.hull_directions, seed=child_seed(seed, 101 + 2 * t),
-            )
-            vr_p[t] = est.value**p
+            projections.append(support_hull_task(project_body(zp, F), cfg.hull_directions,
+                                                 child_seed(seed, 101 + 2 * t)))
+        lhs_outer, inner_vol, *projected = pool.run_tasks(
+            [functools.partial(support_hull_volrad, dirs, h),
+             lambda: ConvexHull(touching).volume, *projections])
+        lhs_inner = (inner_vol / ball_volume(n)) ** (1.0 / n)
+        vr_p = np.array([est.value**p for est in projected])
         mean_p = float(vr_p.mean())
         rhs = mean_p ** (1.0 / p)
         se_mean = float(vr_p.std(ddof=1)) / math.sqrt(cfg.trials)
@@ -412,8 +416,15 @@ def _suite_kubota(dims, cfg: SuiteConfig):
 
 
 def _suite_zn_volrad(dims, cfg: SuiteConfig):
-    """volrad(Z_n) * L_K / (sqrt(n) det_root): recorded, regression-checked in tests."""
-    rows, assertions = [], []
+    """volrad(Z_n) * L_K / (sqrt(n) det_root): recorded, regression-checked in tests.
+
+    Every n is checked against the hull cap before the first sample.  The
+    support values of each (family, n) are taken in turn; then all the
+    hulls, which are independent, run together on the pool.
+    """
+    for n in dims:
+        check_hull_dim(n)
+    cases, hulls = [], []
     for f_idx, fam in enumerate(("cube", "cross")):
         for j, n in enumerate(dims):
             K = dict(_unit_bodies(n))[fam]
@@ -421,25 +432,24 @@ def _suite_zn_volrad(dims, cfg: SuiteConfig):
             samples = draw_samples(uniform_body_measure(K), cfg.n_samples,
                                    child_seed(seed, 0))
             zn = centroid_body(samples, float(n))
-            vr = volume_radius_lowdim(
-                zn, method="support-hull", n_directions=cfg.hull_directions,
-                seed=child_seed(seed, 1),
-            )
+            hulls.append(support_hull_task(zn, cfg.hull_directions, child_seed(seed, 1)))
             det_root = estimate_moments(samples).det_root
-            l_k = exact_isotropic_constant(K)
-            ratio = vr.value * l_k / (math.sqrt(n) * det_root)
-            rows += [
-                Row("zn-volrad", n, float(n), f"volrad-zn-{fam}", vr.value, 0.0,
-                    "upper", seed, cfg.n_samples),
-                Row("zn-volrad", n, float(n), f"zn-ratio-{fam}", ratio, 0.0,
-                    "upper", seed, cfg.n_samples),
-            ]
-            assertions.append(Assertion(
-                f"zn-ratio-finite-{fam}-n{n}",
-                math.isfinite(ratio) and ratio > 0,
-                f"ratio {ratio:.5f} recorded (two-sided constants unspecified; "
-                "stability is regression-checked)",
-            ))
+            cases.append((fam, n, seed, exact_isotropic_constant(K), det_root))
+    rows, assertions = [], []
+    for (fam, n, seed, l_k, det_root), vr in zip(cases, pool.run_tasks(hulls)):
+        ratio = vr.value * l_k / (math.sqrt(n) * det_root)
+        rows += [
+            Row("zn-volrad", n, float(n), f"volrad-zn-{fam}", vr.value, 0.0,
+                "upper", seed, cfg.n_samples),
+            Row("zn-volrad", n, float(n), f"zn-ratio-{fam}", ratio, 0.0,
+                "upper", seed, cfg.n_samples),
+        ]
+        assertions.append(Assertion(
+            f"zn-ratio-finite-{fam}-n{n}",
+            math.isfinite(ratio) and ratio > 0,
+            f"ratio {ratio:.5f} recorded (two-sided constants unspecified; "
+            "stability is regression-checked)",
+        ))
     return rows, assertions, {}
 
 
@@ -565,10 +575,9 @@ def emit_report(result: SuiteResult, config: dict, fmt: str, path: Optional[str]
     csv holds the rows under the CSV_COLUMNS header, each line ended by a bare
     line feed; json is {meta: {version, suite, config, fitted, passed, threads},
     assertions, rows}, where config is the command's echo of its inputs and
-    threads the Z_p kernels' worker count.  JSON has no NaN or
-    infinity, so a non-finite value in a json report is a ValueError, raised
-    before anything is written.  The report goes to `path`, or to stdout when
-    path is None.
+    threads the pool's worker count.  JSON has no NaN or infinity, so a
+    non-finite value in a json report is a ValueError, raised before anything
+    is written.  The report goes to `path`, or to stdout when path is None.
     """
     if fmt == "csv":
         def dump(fh):
@@ -584,7 +593,7 @@ def emit_report(result: SuiteResult, config: dict, fmt: str, path: Optional[str]
                 "config": config,
                 "fitted": result.fitted,
                 "passed": result.passed,
-                "threads": WORKERS,
+                "threads": pool.WORKERS,
             },
             "assertions": [asdict(a) for a in result.assertions],
             "rows": [asdict(r) for r in result.rows],

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bodies import ConvexBody, UnsupportedOracleError
 from .estimates import Estimate
-from .seeds import rng_from, sphere_directions
+from .seeds import rng_from, sphere_direction_blocks
 
 DEFAULT_SPHERE_SAMPLES = 10_000
 
@@ -78,13 +78,20 @@ def mean_width(
     Balls short-circuit to the exact value M* = radius.  Everything else is
     Monte Carlo over seeded directions, value +- SE.  Linearity M*(tK) =
     t M*(K) is exact on matched seeds since the direction set is identical.
+    The directions are drawn and evaluated in blocks of at most
+    DIRECTION_BLOCK, so memory does not grow with sphere_samples beyond the
+    (sphere_samples,) support values.
     """
     if "ball_radius" in body.analytic:
         return Estimate(float(body.analytic["ball_radius"]), 0.0, 0, "exact")
     if sphere_samples < 100:
         raise ValueError(f"need sphere_samples >= 100, got {sphere_samples}")
-    dirs = sphere_directions(body.dim, sphere_samples, seed)
-    h = np.asarray(body.support(dirs), dtype=float)
+    h = np.empty(sphere_samples)
+    start = 0
+    for dirs in sphere_direction_blocks(body.dim, sphere_samples, seed):
+        h[start:start + len(dirs)] = body.support(dirs)
+        start += len(dirs)
+        del dirs  # before the next block is drawn
     value = float(h.mean())
     se = float(h.std(ddof=1) / math.sqrt(sphere_samples))
     return Estimate(value, se, sphere_samples, "mc")

@@ -18,6 +18,7 @@ read from the basis's shape.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -296,8 +297,11 @@ def _zonotope_log_volume(generators: np.ndarray) -> float:
     return k * math.log(2.0 * scale) + math.log(total)
 
 
-def _check_hull_dim(k: int) -> None:
-    # closed-form volumes are fine at any dimension; hulls are not
+def check_hull_dim(k: int) -> None:
+    """Reject a hull volume in dimension k > VOLUME_DIM_CAP.
+
+    Closed-form volumes are fine at any dimension; hulls are not.
+    """
     if k > VOLUME_DIM_CAP:
         raise ValueError(
             f"volume method 'support-hull' capped at dim {VOLUME_DIM_CAP}, got {k}"
@@ -313,7 +317,7 @@ def support_hull_volrad(dirs: np.ndarray, h: np.ndarray) -> Estimate:
     h_i must be positive (the origin interior).
     """
     k = dirs.shape[1]
-    _check_hull_dim(k)
+    check_hull_dim(k)
     if np.any(h <= 0):
         raise ValueError(
             "support-hull method needs the origin in the interior (h > 0); "
@@ -364,12 +368,25 @@ def volume_radius_lowdim(
             return Estimate(to_volrad(ConvexHull(V).volume), 0.0, len(V), "exact")
     elif method != "support-hull":
         raise ValueError(f"unknown volume method {method!r}")
+    return support_hull_task(body, n_directions, seed)()
+
+
+def support_hull_task(body: ConvexBody, n_directions: int, seed: int):
+    """volume_radius_lowdim(body, "support-hull", n_directions, seed), in two steps.
+
+    The support values at the seeded directions are taken now, in the
+    calling thread; the hull volume is left to the zero-argument callable
+    returned, which calls no support oracle and may run as a pool.run_tasks
+    task.  In dimension 1 the interval length is exact and taken now.
+    """
+    k = body.dim
     if k == 1:
-        return Estimate(to_volrad(_interval_volume(body)), 0.0, 2, "exact")
-    _check_hull_dim(k)  # before the support pass that the cap would waste
+        est = Estimate(_interval_volume(body) / ball_volume(1), 0.0, 2, "exact")
+        return lambda: est
+    check_hull_dim(k)  # before the support pass that the cap would waste
     dirs = sphere_directions(k, n_directions, seed)
     h = np.asarray(body.support(dirs), dtype=float)
-    return support_hull_volrad(dirs, h)
+    return functools.partial(support_hull_volrad, dirs, h)
 
 
 # ---------------------------------------------------------------------------

@@ -38,17 +38,20 @@ def generate_seed() -> int:
     return secrets.randbits(63)
 
 
-def sphere_directions(dim: int, count: int, seed: int) -> np.ndarray:
-    """`count` directions uniform on S^{dim-1}, as a (count, dim) array.
+# Rows in one block of sphere_direction_blocks: every default direction count
+# of the CLI and the suites fits in one block.
+DIRECTION_BLOCK = 1 << 16
 
-    Normalized standard Gaussians; rows with pathologically small norm are
-    redrawn (probability ~0, but keeps the normalization well defined).
-    """
+
+def _check_sphere(dim: int, count: int) -> None:
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = rng_from(seed)
+
+
+def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """`count` normalized standard Gaussian rows from rng, redrawing tiny norms."""
     g = rng.standard_normal((count, dim))
     norms = np.linalg.norm(g, axis=1)
     bad = norms < 1e-12
@@ -58,3 +61,26 @@ def sphere_directions(dim: int, count: int, seed: int) -> np.ndarray:
         bad = norms < 1e-12
     g /= norms[:, None]
     return g
+
+
+def sphere_directions(dim: int, count: int, seed: int) -> np.ndarray:
+    """`count` directions uniform on S^{dim-1}, as a (count, dim) array.
+
+    Normalized standard Gaussians; rows with pathologically small norm are
+    redrawn (probability ~0, but keeps the normalization well defined).
+    """
+    _check_sphere(dim, count)
+    return _unit_rows(rng_from(seed), count, dim)
+
+
+def sphere_direction_blocks(dim: int, count: int, seed: int):
+    """The rows of sphere_directions(dim, count, seed), DIRECTION_BLOCK at a time.
+
+    A generator of (b, dim) arrays.  One Generator draws every block, and
+    successive standard_normal draws continue one stream, so the rows are
+    those of sphere_directions unless a row is redrawn (probability ~0).
+    """
+    _check_sphere(dim, count)
+    rng = rng_from(seed)
+    for start in range(0, count, DIRECTION_BLOCK):
+        yield _unit_rows(rng, min(DIRECTION_BLOCK, count - start), dim)

@@ -1,3 +1,4 @@
+import functools
 import math
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from isoconv import centroid
+from isoconv import pool as isoconv_pool
 from isoconv.bodies import cube
 from isoconv.centroid import P_CAP, centroid_body, zp_support, zp_touching_points
 from isoconv.grassmann import random_subspace
@@ -111,9 +112,9 @@ def test_zp_kernels_memory_does_not_grow_with_directions(m):
 def kernel_workers(count, cores):
     """Run the Z_p kernels on `count` workers, blocked for `cores` cores."""
     with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(count) as pool:
-        mp.setattr(centroid, "_CORES", cores)
-        mp.setattr(centroid, "WORKERS", count)
-        mp.setattr(centroid, "_POOL", pool)
+        mp.setattr(isoconv_pool, "_CORES", cores)
+        mp.setattr(isoconv_pool, "WORKERS", count)
+        mp.setattr(isoconv_pool, "_POOL", pool)
         yield
 
 
@@ -172,13 +173,15 @@ def test_orthogonal_direction_error_reaches_the_caller_from_a_worker():
 
 
 def _zp_in_child(samples, dirs, queue):
-    queue.put(zp_support(samples, 3.0, dirs))
+    tasks = [functools.partial(abs, -i) for i in range(4)]
+    queue.put((zp_support(samples, 3.0, dirs), isoconv_pool.run_tasks(tasks)))
 
 
 @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
 def test_zp_kernels_run_in_a_forked_child():
     # a forked child has none of its parent's pool threads; it gets a pool of
-    # its own, where the parent's would take the blocks and never run them
+    # its own, where the parent's would take the blocks, or the tasks, and
+    # never run them
     s = draw_samples(gaussian_measure(4), 20_000, seed=36)
     dirs = sphere_directions(4, 200, seed=37)
     h = zp_support(s, 3.0, dirs)  # the parent's pool threads are running now
@@ -193,7 +196,8 @@ def test_zp_kernels_run_in_a_forked_child():
         if child.is_alive():
             child.kill()
     assert not child.is_alive() and child.exitcode == 0
-    np.testing.assert_array_equal(got, h)
+    np.testing.assert_array_equal(got[0], h)
+    assert got[1] == [0, 1, 2, 3]
 
 
 def test_zp_support_huge_p_no_overflow():

@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from isoconv import centroid, cli, experiments
+from isoconv import cli, experiments, pool
 from isoconv.bodies import lp_ball_log_volume
 from isoconv.experiments import Assertion, SuiteResult
 
@@ -285,6 +286,9 @@ def test_thread_cap_is_clamped_to_the_cores(thread_env):
      "--directions", "50"],
     ["verify", "--suite", "thm-main-aniso", "--dims", "32", "--samples", "20000",
      "--sphere-samples", "400", "--p-values", "2,8,64"],
+    # their hull volumes run as pool tasks
+    ["verify", "--suite", "kubota", "--dims", "3", "--samples", "1000", "--trials", "3"],
+    ["verify", "--suite", "zn-volrad", "--dims", "2,3", "--samples", "1000"],
 ])
 def test_report_does_not_depend_on_the_thread_cap(argv):
     # a threaded BLAS splits each dot product of over 10^4 entries across its
@@ -302,6 +306,34 @@ def test_report_does_not_depend_on_the_thread_cap(argv):
         assert payload["meta"]["threads"] == min(cap, len(os.sched_getaffinity(0)))
         reports.append((proc.returncode, payload["rows"], payload["assertions"]))
     assert reports[0] == reports[1]
+
+
+_RSS_SCRIPT = """
+import contextlib, io, resource, sys
+from isoconv import cli
+peaks = []
+for seed in range(1, 6):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(sys.argv[1:] + ["--seed", str(seed)])
+    assert rc in (0, 1), rc
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+print(peaks[0], peaks[-1])
+"""
+
+
+def test_repeated_kubota_calls_do_not_grow_the_peak_rss():
+    # hull temporaries freed in a worker thread's own malloc arena stay
+    # resident; with one arena per worker this peak grew by 11-17 MB over the
+    # four calls after the first (0-1.2 MB with the single arena)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["ISOCONV_THREADS"] = "2"
+    proc = subprocess.run([sys.executable, "-c", _RSS_SCRIPT, "verify", "--suite", "kubota",
+                           "--dims", "4", "--samples", "2000", "--trials", "2"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    first, last = map(float, proc.stdout.split())
+    assert last - first <= 5.0, (first, last)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -384,7 +416,7 @@ def test_every_command_writes_the_one_report_shape(command, fmt, tmp_path, capsy
             assert set(payload) == {"meta", "assertions", "rows"}
             assert set(payload["meta"]) == {"version", "suite", "config", "fitted", "passed",
                                             "threads"}
-            assert payload["meta"]["threads"] == centroid.WORKERS
+            assert payload["meta"]["threads"] == pool.WORKERS
             assert payload["meta"]["suite"] == suite
             assert payload["meta"]["config"]["seed"] == 1 and payload["rows"]
 
@@ -486,18 +518,30 @@ def test_kubota_below_dimension_3_exits_2_before_any_sampling(dims, capsys, monk
     assert f"needs n >= 3, got n={dims}" in captured.err
 
 
-def test_kubota_above_the_hull_cap_exits_2_before_any_hull(capsys):
-    # the touching points in R^7 are cheap; their hulls would not be
-    import time
+def _hull_cap_exits_2_before_any_sampling(argv, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before rejecting a dimension above the hull cap")
 
+    monkeypatch.setattr(experiments, "draw_samples", no_sampling)
     start = time.perf_counter()
-    rc = cli.main(["verify", "--suite", "kubota", "--dims", "7", "--samples", "500",
-                   "--trials", "2", "--seed", "1"])
+    rc = cli.main(["verify", *argv, "--samples", "500", "--trials", "2", "--seed", "1"])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert rc == 2 and elapsed < 5.0
     assert captured.err.startswith("error: ") and "capped at dim 6" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_kubota_above_the_hull_cap_exits_2_before_any_hull(capsys, monkeypatch):
+    # the touching points in R^7 are cheap; their hulls would not be
+    _hull_cap_exits_2_before_any_sampling(["--suite", "kubota", "--dims", "7"], capsys,
+                                          monkeypatch)
+
+
+def test_zn_volrad_above_the_hull_cap_exits_2_before_any_zp_pass(capsys, monkeypatch):
+    # n = 3 is fine, but no n is sampled before every n is checked
+    _hull_cap_exits_2_before_any_sampling(["--suite", "zn-volrad", "--dims", "3,7"], capsys,
+                                          monkeypatch)
 
 
 def _reject_non_finite(token):

@@ -17,7 +17,7 @@ from isoconv.functionals import (
     parse_rad_model,
 )
 from isoconv.grassmann import vk_estimate
-from isoconv.seeds import rng_from
+from isoconv.seeds import DIRECTION_BLOCK, rng_from, sphere_directions
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,26 @@ def test_greedy_covering_memory_does_not_grow_with_centers():
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 2**20, peaks
     assert max(peaks) <= (k + 3) * m * 8 + 2**20, peaks
+
+
+def test_mean_width_memory_does_not_grow_with_the_directions():
+    # the directions come DIRECTION_BLOCK rows at a time: past the first
+    # block only the (m,) support values grow, not the (m, n) directions
+    n = 8
+    K = cube(n, side=1.0)
+    peaks = []
+    for m in (DIRECTION_BLOCK, 4 * DIRECTION_BLOCK + 5):
+        tracemalloc.start()
+        try:
+            est = mean_width(K, m, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 8 * (3 * DIRECTION_BLOCK + 5) + 2**20, peaks
+    # the streamed value and SE are those of one (m, n) draw
+    h = K.support(sphere_directions(n, m, seed=3))
+    assert est.value == float(h.mean())
+    assert est.std_error == float(h.std(ddof=1) / math.sqrt(m))
 
 
 def test_vk_below_twice_entropy_upper():
