@@ -12,8 +12,7 @@ Submodules:
 - ``experiments``  verification suites and report emission
 - ``cli``          the ``isoconv`` command
 
-Import the submodules directly; this package module stays import-light so the
-CLI can configure threading before numpy loads.
+Import the submodules directly; this package module imports none of them.
 """
 
 __version__ = "0.1.0"

@@ -60,16 +60,15 @@ def _run_blocks(n_points: int, n_dirs: int, temporaries: int, work) -> None:
     per core, with pool._CORES blocks' `temporaries` (b, N) buffers fitting
     in _DOT_BLOCK together.  Block j goes to lane j mod WORKERS, and each lane
     runs its blocks on one worker with its own buffers.  They are allocated
-    here, once per call and in the calling thread, so no worker's malloc
-    arena holds them.  Each is an array of its own, not a view into one
-    shared array: a freed 16 MB array raises glibc's dynamic mmap threshold
-    to 16 MB, and the next call's smaller buffers would then come from the
-    heap and stay resident.  The blocks depend on the core count and never on
-    WORKERS, because BLAS may round a row differently in a block of another
-    height; so the worker count cannot change a value.  The lanes are
-    pool.run_tasks tasks: every lane finishes before the first error, if
-    any, reaches the caller, and a call from inside a pool task is a
-    RuntimeError instead of a wait that never ends.
+    here, once per call and in the calling thread.  Each is an array of its
+    own, not a view into one shared array: a freed 16 MB array raises glibc's
+    dynamic mmap threshold to 16 MB, and the next call's smaller buffers would
+    then come from the heap and stay resident.  The blocks depend on the core
+    count and never on WORKERS, because BLAS may round a row differently in a
+    block of another height; so the worker count cannot change a value.  The
+    lanes are pool.run_tasks tasks: every lane finishes before the first
+    error, if any, reaches the caller, and a call from inside a pool task is
+    a RuntimeError instead of a wait that never ends.
     """
     cores = pool._CORES
     most = max(1, _DOT_BLOCK // (n_points * temporaries * cores))

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Heavy imports happen inside the command handlers so that ISOCONV_THREADS can
-size the BLAS pool before numpy loads, and so --help stays instant;
-isoconv.pool takes that size for its worker pool and sets BLAS to one
-thread.
+The other isoconv modules are imported in build_parser and the command
+handlers, which run inside main's try, and not at the top of this module:
+isoconv.pool reads ISOCONV_THREADS when it is first imported (build_parser
+imports it, through experiments), so a bad value is one error line with exit
+2, like any other bad input, and not a traceback.
 
 Exit codes: 0 success, 1 verify-suite assertion failure, 2 usage or any other
 error (one line on stderr, no traceback).
@@ -16,35 +17,8 @@ report sent to stdout gets stdout to itself, human-readable lines go to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
-
-
-def _apply_thread_cap():
-    """Set the BLAS thread variables from ISOCONV_THREADS; return its value.
-
-    Returns None when the variable is unset.  A value that is not an integer
-    of at least 1 is a ValueError; one above the cores this process may run
-    on is clamped to them.  isoconv.pool sizes its worker pool from the
-    OpenBLAS thread count set here, then runs OpenBLAS on one thread.
-    """
-    cap = os.environ.get("ISOCONV_THREADS")
-    if not cap:
-        return None
-    try:
-        threads = int(cap)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"ISOCONV_THREADS must be an integer >= 1, got {cap!r}")
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    threads = min(threads, cores)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
-    return threads
 
 
 def _resolve_out(out: Optional[str], fmt: Optional[str]):
@@ -237,11 +211,12 @@ def _cmd_verify(args) -> int:
 def _cmd_scaling(args) -> int:
     """Mean-width scaling fit across dims for a body-descriptor template."""
     from .bodies import parse_body
-    from .experiments import Row, fit_scaling_slope
+    from .experiments import Row, check_slope_dims, fit_scaling_slope
     from .functionals import mean_width
     from .seeds import child_seed
 
     log = _log(args)
+    check_slope_dims(args.dims)
     seed = _resolve_seed(args)
     rows, pairs = [], []
     for j, n in enumerate(args.dims):
@@ -353,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
         parser = build_parser()
         args = parser.parse_args(argv)
         if args.command == "verify" and args.dims == []:

@@ -35,18 +35,6 @@ from .isotropy import estimate_moments, exact_isotropic_constant
 from .measures import draw_samples, gaussian_measure, pushforward_measure, uniform_body_measure
 from .seeds import child_seed, sphere_directions
 
-SUITE_NAMES = (
-    "theorem1",
-    "paouris",
-    "thm-main-aniso",
-    "b1-scaling",
-    "qm-isotropy",
-    "kubota",
-    "zn-volrad",
-    "covering-regularity",
-)
-
-
 @dataclass(frozen=True)
 class Row:
     suite: str
@@ -92,21 +80,30 @@ class SuiteResult:
         return all(a.passed for a in self.assertions)
 
 
+def check_slope_dims(dims) -> None:
+    """ValueError unless a slope fit over these n is defined: >= 4 of them, two distinct.
+
+    fit_scaling_slope applies this rule, so a caller can check its dims
+    with it before doing any work.
+    """
+    if len(dims) < 4:
+        raise ValueError(f"need >= 4 points for a slope fit, got {len(dims)}")
+    if len(set(dims)) < 2:
+        raise ValueError("all n equal: slope is undefined")
+
+
 def fit_scaling_slope(pairs) -> tuple:
     """OLS slope of log(value) on log(n); returns (slope, intercept, half_width).
 
-    half_width is twice the slope's standard error.  Needs >= 4 points with
-    positive values and at least two distinct n.
+    half_width is twice the slope's standard error.  Needs positive n and
+    values, and n that check_slope_dims accepts.
     """
     pts = [(float(n), float(v)) for n, v in pairs]
-    if len(pts) < 4:
-        raise ValueError(f"need >= 4 points for a slope fit, got {len(pts)}")
+    check_slope_dims([n for n, _ in pts])
     if any(v <= 0 or n <= 0 for n, v in pts):
         raise ValueError("slope fit needs positive n and values")
     x = np.log([n for n, _ in pts])
     y = np.log([v for _, v in pts])
-    if np.ptp(x) == 0:
-        raise ValueError("all n equal: slope is undefined")
     xc = x - x.mean()
     slope = float((xc * y).sum() / (xc * xc).sum())
     intercept = float(y.mean() - slope * x.mean())
@@ -189,7 +186,7 @@ def _suite_theorem1(dims, cfg: SuiteConfig):
                 Row("theorem1", n, None, f"l-{fam}", det_root, 0.0, "mc", seed, cfg.n_samples),
                 Row("theorem1", n, None, f"thm1-ratio-{fam}", ratio, 0.0, "mc", seed, 0),
             ]
-        bound = 2.0 * ratios[0][1]
+        bound = 2.0 * min(ratios)[1]  # the ratio at the smallest n
         worst = max(r for _, r in ratios)
         assertions.append(Assertion(
             f"theorem1-ratio-bounded-{fam}",
@@ -288,6 +285,7 @@ def _suite_thm_main_aniso(dims, cfg: SuiteConfig):
 
 def _suite_b1_scaling(dims, cfg: SuiteConfig):
     """Growth exponent of M* for the unit-volume l1 ball across n."""
+    check_slope_dims(dims)
     rows, pairs = [], []
     for j, n in enumerate(dims):
         K = unit_volume_copy(cross_polytope(n))
@@ -465,10 +463,11 @@ def _suite_covering_regularity(dims, cfg: SuiteConfig):
     without a held-out assertion.
     """
     j_max = 8
-    rows, assertions = [], []
-    for d_idx, n in enumerate(dims):
+    for n in dims:
         if n > 3:
             raise ValueError(f"covering-regularity runs in dims <= 3, got {n}")
+    rows, assertions = [], []
+    for d_idx, n in enumerate(dims):
         K = cube(n, side=1.0)
         l_k = exact_isotropic_constant(K)
         seed = child_seed(cfg.seed, d_idx)
@@ -537,6 +536,7 @@ _SUITES = {
     "zn-volrad": _suite_zn_volrad,
     "covering-regularity": _suite_covering_regularity,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, dims: Sequence[int], config: SuiteConfig) -> SuiteResult:

@@ -1,10 +1,11 @@
 """isoconv's thread pool and the process settings that come with it.
 
-isoconv runs its own threads instead of BLAS's.  Importing this module sets
-numpy's OpenBLAS to one thread for the whole process, sets glibc's malloc to
-a single arena, and keeps one pool of WORKERS threads, as many as OpenBLAS
-was loaded with (ISOCONV_THREADS, for the CLI), at most one per core
-(_CORES).  A forked child gets a pool of its own.
+isoconv runs its own threads instead of BLAS's.  Importing this module reads
+ISOCONV_THREADS, sets numpy's OpenBLAS to one thread for the whole process,
+sets glibc's malloc to a single arena, and keeps one pool of WORKERS threads:
+ISOCONV_THREADS of them, or one per core (_CORES) when it is unset, never
+more than _CORES, and one when OpenBLAS cannot be set to one thread.  No
+other module decides the worker count.  A forked child gets a pool of its own.
 
 The pool runs two kinds of work, both through run_tasks: the Z_p kernels'
 direction blocks (isoconv.centroid) and independent hull volumes (the
@@ -35,27 +36,41 @@ _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
 
 
-def _openblas_workers() -> int:
-    """Set numpy's OpenBLAS to one thread; return the pool's worker count.
+def _thread_cap() -> int:
+    """The worker count ISOCONV_THREADS asks for, clamped to _CORES.
 
-    The count is the thread pool size OpenBLAS was loaded with (the CLI sets
-    it from ISOCONV_THREADS before numpy loads), clamped to _CORES.  Without
-    OpenBLAS's runtime setter it is 1.
+    Unset or empty means every core.  A value that is not an integer of at
+    least 1 is a ValueError.
+    """
+    cap = os.environ.get("ISOCONV_THREADS")
+    if not cap:
+        return _CORES
+    try:
+        threads = int(cap)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"ISOCONV_THREADS must be an integer >= 1, got {cap!r}")
+    return min(threads, _CORES)
+
+
+def _one_openblas_thread() -> bool:
+    """Set numpy's OpenBLAS to one thread; False if its runtime setter is not found.
+
+    A threaded BLAS splits a long dot product across its threads, which would
+    move the last digit of a value with the thread count.
     """
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*")):
         try:
             lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
-            get = lib.scipy_openblas_get_num_threads64_
             set_threads = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        workers = get()
         set_threads(1)
-        return max(1, min(workers, _CORES))
-    return 1
+        return True
+    return False
 
 
 def _single_malloc_arena() -> None:
@@ -76,7 +91,9 @@ def _new_pool() -> None:
     _POOL = ThreadPoolExecutor(WORKERS, thread_name_prefix=_PREFIX)  # threads start on use
 
 
-WORKERS = _openblas_workers()
+WORKERS = _thread_cap()
+if not _one_openblas_thread():
+    WORKERS = 1
 _single_malloc_arena()
 _new_pool()
 if hasattr(os, "register_at_fork"):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from isoconv import cli, experiments, pool
+from isoconv import cli, experiments, functionals, pool
 from isoconv.bodies import lp_ball_log_volume
 from isoconv.experiments import Assertion, SuiteResult
 
@@ -246,39 +246,27 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip() == "2"
 
 
-@pytest.fixture
-def thread_env(monkeypatch):
-    """No thread variable set; whatever the CLI sets is undone afterwards."""
-    for var in ("ISOCONV_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    return monkeypatch
-
-
-def test_thread_cap_env_is_accepted(thread_env, capsys):
-    thread_env.setenv("ISOCONV_THREADS", "1")
-    rc = cli.main(["meanwidth", "--body", "ball:3", "--seed", "9"])
-    assert rc == 0
-
-
 @pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
-def test_bad_thread_cap_is_one_line_exit_2(cap, thread_env, capsys):
-    thread_env.setenv("ISOCONV_THREADS", cap)
-    rc = cli.main(["meanwidth", "--body", "ball:3", "--seed", "9"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert captured.err == f"error: ISOCONV_THREADS must be an integer >= 1, got {cap!r}\n"
+def test_bad_thread_cap_is_one_line_exit_2(cap):
+    # isoconv.pool reads the variable once, when first imported, so only a
+    # fresh process sees a new value
+    env = dict(os.environ, ISOCONV_THREADS=cap)
+    proc = subprocess.run([sys.executable, "-m", "isoconv", "meanwidth", "--body", "ball:3",
+                           "--seed", "9"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: ISOCONV_THREADS must be an integer >= 1, got {cap!r}\n"
 
 
-def test_thread_cap_is_clamped_to_the_cores(thread_env):
-    # resolved without starting anything, so no pool of that size is made
+def test_thread_cap_is_clamped_to_the_cores(monkeypatch):
+    # the reader alone, so no pool of that size is made
     cores = len(os.sched_getaffinity(0))
+    monkeypatch.delenv("ISOCONV_THREADS", raising=False)
+    assert pool._thread_cap() == cores
     for cap, resolved in (("1", 1), (str(cores), cores), (str(cores + 1000), cores)):
-        thread_env.setenv("ISOCONV_THREADS", cap)
-        thread_env.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        assert cli._apply_thread_cap() == resolved
-        assert os.environ["OPENBLAS_NUM_THREADS"] == str(resolved)
+        monkeypatch.setenv("ISOCONV_THREADS", cap)
+        assert pool._thread_cap() == resolved
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,9 +280,9 @@ def test_thread_cap_is_clamped_to_the_cores(thread_env):
 ])
 def test_report_does_not_depend_on_the_thread_cap(argv):
     # a threaded BLAS splits each dot product of over 10^4 entries across its
-    # threads, which moved the last digit of 8 of these 50 zp rows
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    # threads, which moved the last digit of 8 of these 50 zp rows.
+    # OPENBLAS_NUM_THREADS does not size the pool; ISOCONV_THREADS alone does
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     reports = []
     for cap in (1, 2):
         env["ISOCONV_THREADS"] = str(cap)
@@ -542,6 +530,26 @@ def test_zn_volrad_above_the_hull_cap_exits_2_before_any_zp_pass(capsys, monkeyp
     # n = 3 is fine, but no n is sampled before every n is checked
     _hull_cap_exits_2_before_any_sampling(["--suite", "zn-volrad", "--dims", "3,7"], capsys,
                                           monkeypatch)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--suite", "covering-regularity", "--dims", "2,3,4"], "dims <= 3, got 4"),
+    (["verify", "--suite", "b1-scaling", "--dims", "64,128,256"], "need >= 4 points"),
+    (["verify", "--suite", "b1-scaling", "--dims", "8,8,8,8"], "all n equal"),
+    (["scaling", "--body", "b1tilde:{n}", "--dims", "64,128,256"], "need >= 4 points"),
+])
+def test_bad_dims_exit_2_before_any_work(argv, message, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before rejecting the dims")
+
+    for module in (experiments, functionals):
+        monkeypatch.setattr(module, "mean_width", no_work)
+    monkeypatch.setattr(experiments, "entropy_numbers", no_work)
+    rc = cli.main([*argv, "--sphere-samples", "200", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def _reject_non_finite(token):

@@ -132,6 +132,18 @@ def test_every_suite_runs_small():
             assert math.isfinite(row.value)
 
 
+def test_theorem1_bound_is_twice_the_ratio_at_the_smallest_n():
+    # the dims are not sorted: n = 4 is the reference, not the first listed
+    result = run_suite("theorem1", [8, 4], SuiteConfig(seed=1, n_samples=2000,
+                                                       sphere_samples=500))
+    assert len(result.assertions) == 2
+    for fam in ("cube", "cross"):
+        (ratio,) = [r.value for r in result.rows
+                    if r.quantity == f"thm1-ratio-{fam}" and r.n == 4]
+        (a,) = [a for a in result.assertions if a.name == f"theorem1-ratio-bounded-{fam}"]
+        assert a.detail.endswith(f"2x smallest-n ratio {2.0 * ratio:.4f}")
+
+
 def test_suite_seed_recorded_in_rows():
     r = run_suite("zn-volrad", [3], FAST)
     assert all(isinstance(row.seed, int) for row in r.rows)
