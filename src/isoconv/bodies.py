@@ -2,11 +2,14 @@
 
 A body is its support function h_K(theta) = sup{<x, theta> : x in K}, plus an
 optional membership oracle and whatever analytic facts (log-volume, isotropic
-constant, inradius) are known for the family.  All constructions wrap oracles;
-nothing materializes geometry, so dimensions up to ~128 stay cheap.
+constant, inradius) are known for the family.  The standard families and
+their constructions are oracles over closed forms, so dimensions up to ~128
+stay cheap; only polytopes carry geometry, as the (m, dim) generators or
+vertices arrays of a projected cube or cross-polytope.
 
-Oracles are vectorized: support accepts a single direction of shape (dim,) or
-a batch (m, dim); membership likewise accepts a point or a batch of points.
+Oracles take batches only: support maps an (m, dim) array of directions to
+an (m,) float array, and membership an (m, dim) array of points to an (m,)
+bool array.  A single direction is passed as a (1, dim) batch.
 Exact uniform samplers, where a family admits one, ride along on the body so
 measure construction can reuse them.
 """
@@ -35,6 +38,11 @@ def ball_volume(dim: int, radius: float = 1.0) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius**dim
 
 
+def volume_radius(volume: float, dim: int) -> float:
+    """(volume / Vol B_2^dim)^{1/dim}, the radius of the ball of that volume."""
+    return (volume / ball_volume(dim)) ** (1.0 / dim)
+
+
 def lp_ball_log_volume(dim: int, p: float) -> float:
     """log vol B_p^dim = n log(2 Gamma(1+1/p)) - log Gamma(1+n/p), finite at any n."""
     return dim * (math.log(2.0) + math.lgamma(1.0 + 1.0 / p)) - math.lgamma(
@@ -49,8 +57,9 @@ class ConvexBody:
     A body holds its dimension, its oracles, its exact facts and its polytope
     data, and nothing else: it carries no name.
 
-    support: theta -> h_K(theta), positively homogeneous and subadditive.
-    membership: x -> bool, optional.
+    support: (m, dim) directions theta -> (m,) float array h_K(theta),
+        positively homogeneous and subadditive.
+    membership: optional (m, dim) points x -> (m,) bool array, x in K.
     analytic: known exact quantities keyed by name (log_volume, inradius,
         ball_radius, cube_half_side, cross_radius, isotropic_constant).  The
         volume is carried only as its log, which stays finite where the volume
@@ -90,16 +99,9 @@ class ConvexBody:
             object.__setattr__(self, name, points)
 
 
-def _vectorize_rows(fn):
-    """Lift a batch oracle on (m, dim) arrays to also accept a single (dim,)."""
-
-    def wrapped(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 1:
-            return fn(arr[None, :])[0]
-        return fn(arr)
-
-    return wrapped
+def interval_length(body: ConvexBody) -> float:
+    """Length h(1) + h(-1) of a body in R^1, the interval [-h(-1), h(1)]; exact."""
+    return float(body.support(np.array([[1.0], [-1.0]])).sum())
 
 
 def _check_dim(dim) -> int:
@@ -130,8 +132,8 @@ def ball(dim: int, radius: float = 1.0) -> ConvexBody:
 def cube(dim: int, side: float = 2.0) -> ConvexBody:
     """Axis cube [-side/2, side/2]^dim; h(theta) = (side/2)*||theta||_1."""
     dim = _check_dim(dim)
-    if side <= 0:
-        raise BodyConstructionError(f"side must be positive, got {side}")
+    if not 0 < side < math.inf:
+        raise BodyConstructionError(f"side must be positive and finite, got {side}")
     half = side / 2.0
 
     def sampler(count, seed):
@@ -139,10 +141,8 @@ def cube(dim: int, side: float = 2.0) -> ConvexBody:
 
     return ConvexBody(
         dim=dim,
-        support=_vectorize_rows(lambda t: half * np.abs(t).sum(axis=1)),
-        membership=_vectorize_rows(
-            lambda x: np.abs(x).max(axis=1) <= half * (1 + 1e-12)
-        ),
+        support=lambda t: half * np.abs(t).sum(axis=1),
+        membership=lambda x: np.abs(x).max(axis=1) <= half * (1 + 1e-12),
         analytic={
             "log_volume": dim * math.log(side),
             "inradius": half,
@@ -162,20 +162,18 @@ def cross_polytope(dim: int, radius: float = 1.0) -> ConvexBody:
 def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
     """radius * B_p^dim for p >= 1; support is the dual-norm radius*||theta||_q."""
     dim = _check_dim(dim)
-    if p < 1:
+    if not p >= 1:
         raise BodyConstructionError(f"p must be >= 1, got {p}")
-    if radius <= 0:
-        raise BodyConstructionError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise BodyConstructionError(f"radius must be positive and finite, got {radius}")
     r = float(radius)
     if p == 1.0:
-        sup = _vectorize_rows(lambda t: r * np.abs(t).max(axis=1))
+        sup = lambda t: r * np.abs(t).max(axis=1)
     elif math.isinf(p):
         raise BodyConstructionError("use cube() for the p=inf ball")
     else:
         q = p / (p - 1.0)
-        sup = _vectorize_rows(
-            lambda t: r * np.linalg.norm(t, ord=q, axis=1)
-        )
+        sup = lambda t: r * np.linalg.norm(t, ord=q, axis=1)
     analytic = {
         "log_volume": lp_ball_log_volume(dim, p) + dim * math.log(r),
         "inradius": r * min(1.0, dim ** (0.5 - 1.0 / p)),
@@ -203,7 +201,7 @@ def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:
     return ConvexBody(
         dim=dim,
         support=sup,
-        membership=_vectorize_rows(member),
+        membership=member,
         analytic=analytic,
         sample_exact=_lp_ball_sampler(dim, p, r),
     )
@@ -265,10 +263,8 @@ def ellipsoid(matrix: np.ndarray) -> ConvexBody:
     A_inv = np.linalg.inv(A)
     return ConvexBody(
         dim=n,
-        support=_vectorize_rows(lambda t: np.linalg.norm(t @ A, axis=1)),
-        membership=_vectorize_rows(
-            lambda x: np.linalg.norm(x @ A_inv.T, axis=1) <= 1 + 1e-12
-        ),
+        support=lambda t: np.linalg.norm(t @ A, axis=1),
+        membership=lambda x: np.linalg.norm(x @ A_inv.T, axis=1) <= 1 + 1e-12,
         analytic={
             "log_volume": lp_ball_log_volume(n, 2.0) + logdet,
             "inradius": float(np.linalg.svd(A, compute_uv=False).min()),
@@ -293,8 +289,8 @@ def _ellipsoid_sampler(dim, A):
 
 def scale_body(body: ConvexBody, t: float) -> ConvexBody:
     """t*K for t > 0: h_{tK}(theta) = t*h_K(theta)."""
-    if t <= 0:
-        raise BodyConstructionError(f"scale factor must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise BodyConstructionError(f"scale factor must be positive and finite, got {t}")
     t = float(t)
     inner_sup, inner_mem, inner_samp = body.support, body.membership, body.sample_exact
     analytic = dict(body.analytic)
@@ -313,9 +309,7 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
     return ConvexBody(
         dim=body.dim,
         support=lambda theta: t * inner_sup(theta),
-        membership=(lambda x: inner_mem(np.asarray(x, dtype=float) / t))
-        if inner_mem
-        else None,
+        membership=(lambda x: inner_mem(x / t)) if inner_mem else None,
         analytic=analytic,
         sample_exact=sampler if inner_samp else None,
     )
@@ -342,9 +336,8 @@ def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
 
     membership = None
     if k_mem is not None and l_mem is not None:
-        membership = _vectorize_rows(
-            lambda x: np.logical_and(k_mem(x[:, :a]), l_mem(x[:, a:]))
-        )
+        def membership(x):
+            return np.logical_and(k_mem(x[:, :a]), l_mem(x[:, a:]))
 
     sampler = None
     if k_samp is not None and l_samp is not None:
@@ -363,7 +356,7 @@ def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
         analytic["inradius"] = min(K.analytic["inradius"], L.analytic["inradius"])
     return ConvexBody(
         dim=a + b,
-        support=_vectorize_rows(lambda t: k_sup(t[:, :a]) + l_sup(t[:, a:])),
+        support=lambda t: k_sup(t[:, :a]) + l_sup(t[:, a:]),
         membership=membership,
         analytic=analytic,
         sample_exact=sampler,

@@ -119,6 +119,14 @@ def _power(base: np.ndarray, p: float, out: np.ndarray) -> None:
             out *= base
 
 
+def _directions(samples: SampleSet, directions: np.ndarray) -> np.ndarray:
+    """The (m, dim) batch of directions as floats; any other shape is a ValueError."""
+    theta = np.asarray(directions, dtype=float)
+    if theta.ndim != 2 or theta.shape[1] != samples.dim:
+        raise ValueError(f"directions must be (m, {samples.dim}), got shape {theta.shape}")
+    return theta
+
+
 def _z2_form(pts: np.ndarray, theta: np.ndarray):
     """(Sigma theta, h_{Z_2}(theta)) for each row theta, Sigma = X^T X / N.
 
@@ -131,7 +139,7 @@ def _z2_form(pts: np.ndarray, theta: np.ndarray):
 
 
 def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarray:
-    """h_{Z_p}(theta) for one direction (dim,) or a batch (m, dim).
+    """h_{Z_p}(theta), an (m,) array, for each row of a batch (m, dim).
 
     p = 1 is the mean of |X theta|; p = 2 is sqrt(theta^T Sigma theta).  Any
     other p is a power mean over each direction's contiguous row of the
@@ -147,19 +155,11 @@ def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarr
     largest sample spread.
     """
     _check_p(p)
-    theta = np.asarray(directions, dtype=float)
-    single = theta.ndim == 1
-    if single:
-        theta = theta[None, :]
-    if theta.shape[1] != samples.dim:
-        raise ValueError(
-            f"directions have dim {theta.shape[1]}, samples have dim {samples.dim}"
-        )
+    theta = _directions(samples, directions)
     pts = samples.points
     n = samples.count
     if p == 2.0:
-        out = _z2_form(pts, theta)[1]
-        return out[0] if single else out
+        return _z2_form(pts, theta)[1]
     integer = p == int(p)
     # a power of two is squared in place; any other integer p needs a second
     # (b, N) buffer for its power
@@ -189,7 +189,7 @@ def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarr
         out[rows] = scale * (sums / n) ** (1.0 / p)
 
     _run_blocks(n, theta.shape[0], 1 if in_place else 2, block)
-    return out[0] if single else out
+    return out
 
 
 def zp_touching_points(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarray:
@@ -209,9 +209,7 @@ def zp_touching_points(samples: SampleSet, p: float, directions: np.ndarray) -> 
     of the support-hull outer estimate).
     """
     _check_p(p)
-    theta = np.asarray(directions, dtype=float)
-    if theta.ndim != 2 or theta.shape[1] != samples.dim:
-        raise ValueError("directions must be (m, dim)")
+    theta = _directions(samples, directions)
     pts = samples.points
     if p == 2.0:
         grad, h = _z2_form(pts, theta)

@@ -199,7 +199,7 @@ def _cmd_verify(args) -> int:
         sphere_samples=args.sphere_samples,
         trials=args.trials,
         rad=parse_rad_model(args.rad),
-        p_values=tuple(_parse_values(args.p_values)) if args.p_values else None,
+        p_values=None if args.p_values is None else tuple(_parse_values(args.p_values)),
     )
     result = run_suite(args.suite, args.dims, cfg)
     for a in result.assertions:

@@ -129,9 +129,19 @@ def _one_dim(suite: str, dims) -> int:
     return int(dims[0])
 
 
-def _default_p_grid(n: int, cfg: SuiteConfig):
-    if cfg.p_values is not None:
-        return [float(p) for p in cfg.p_values]
+def _p_grid(cfg: SuiteConfig, default) -> list:
+    """The suite's p values: cfg.p_values, or `default` when that is None.
+
+    An empty cfg.p_values is a ValueError; the suites that read a p grid
+    call this before they draw a sample.
+    """
+    ps = default if cfg.p_values is None else cfg.p_values
+    if not len(ps):
+        raise ValueError("--p-values is empty; give at least one p")
+    return [float(p) for p in ps]
+
+
+def _powers_of_two_to_sqrt(n: int) -> list:
     ps, p = [], 1.0
     while p <= math.sqrt(n) + 1e-9:
         ps.append(p)
@@ -200,6 +210,7 @@ def _suite_paouris(dims, cfg: SuiteConfig):
     """Flatness of M*(Z_p)/sqrt(p) over p in [1, sqrt(n)] for isotropic sources."""
     rows, assertions = [], []
     for j, n in enumerate(dims):
+        ps = _p_grid(cfg, _powers_of_two_to_sqrt(n))
         sources = (
             ("gaussian", gaussian_measure(n)),
             ("cube", uniform_body_measure(cube(n, side=1.0))),
@@ -208,7 +219,7 @@ def _suite_paouris(dims, cfg: SuiteConfig):
             seed = child_seed(cfg.seed, 100 * j + s_idx)
             samples = draw_samples(mu, cfg.n_samples, child_seed(seed, 0))
             vals = []
-            for i, p in enumerate(_default_p_grid(n, cfg)):
+            for i, p in enumerate(ps):
                 zp = centroid_body(samples, p)
                 mstar = mean_width(zp, cfg.sphere_samples, child_seed(seed, 1 + i))
                 ratio = mstar.value / math.sqrt(p)
@@ -247,7 +258,7 @@ def _suite_thm_main_aniso(dims, cfg: SuiteConfig):
     """Spectral-shape transfer: one constant, fitted on the flat spectrum, must
     cover the decaying and spiked spectra within factor 1.5."""
     n = _one_dim("thm-main-aniso", dims)
-    ps = [float(p) for p in (cfg.p_values or (2.0, 8.0, float(n)))]
+    ps = _p_grid(cfg, (2.0, 8.0, float(n)))
     rows = []
     measured = {}
     for s_idx, kind in enumerate(_ANISO_SPECTRA):
@@ -363,7 +374,7 @@ def _suite_kubota(dims, cfg: SuiteConfig):
     from scipy.spatial import ConvexHull
     from scipy.special import ndtr, stdtrit
 
-    from .bodies import ball_volume
+    from .bodies import volume_radius
     from .centroid import zp_touching_points
 
     n = _one_dim("kubota", dims)
@@ -389,7 +400,7 @@ def _suite_kubota(dims, cfg: SuiteConfig):
         lhs_outer, inner_vol, *projected = pool.run_tasks(
             [functools.partial(support_hull_volrad, dirs, h),
              lambda: ConvexHull(touching).volume, *projections])
-        lhs_inner = (inner_vol / ball_volume(n)) ** (1.0 / n)
+        lhs_inner = volume_radius(inner_vol, n)
         vr_p = np.array([est.value**p for est in projected])
         mean_p = float(vr_p.mean())
         rhs = mean_p ** (1.0 / p)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, UnsupportedOracleError
+from .bodies import ConvexBody, UnsupportedOracleError, interval_length
 from .estimates import Estimate
 from .seeds import rng_from, sphere_direction_blocks
 
@@ -120,12 +120,12 @@ def _body_grid_cloud(body: ConvexBody, step: float):
         raise ValueError("greedy covering needs a positive analytic inradius")
     k = body.dim
     eye = np.eye(k)
-    hi = np.asarray(body.support(eye), dtype=float)
-    lo = -np.asarray(body.support(-eye), dtype=float)
+    hi = body.support(eye)
+    lo = -body.support(-eye)
     axes = [np.arange(lo[j], hi[j] + step, step) for j in range(k)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    inside = np.asarray(body.membership(pts), dtype=bool)
+    inside = body.membership(pts)
     cloud = pts[inside]
     if cloud.shape[0] == 0:
         raise ValueError("grid too coarse: no points landed inside the body")
@@ -209,8 +209,7 @@ def entropy_numbers(
         raise ValueError(f"need j_max >= 1, got {j_max}")
     js = range(1, j_max + 1)
     if k == 1:
-        e = np.ones(1)
-        length = float(body.support(e) + body.support(-e))
+        length = interval_length(body)
         return [Estimate(length / 2 ** (j + 1), 0.0, 0, "exact") for j in js]
     cloud, slack = _body_grid_cloud(body, step)
     radii = _greedy_covering_radii(cloud, 2**j_max, seed)

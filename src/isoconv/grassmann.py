@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bodies
-from .bodies import ConvexBody, ball_volume
+from .bodies import ConvexBody, interval_length, volume_radius
 from .estimates import Estimate
 from .seeds import child_seed, rng_from, sphere_directions
 
@@ -115,11 +115,10 @@ def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
     step = max(1, LIFT_BLOCK // len(B))
 
     def sup(u):
-        arr = np.asarray(u, dtype=float)
-        if arr.ndim == 1 or len(arr) <= step:
-            return inner(arr @ B.T)  # rows u^T B^T = (B u)^T
-        return np.concatenate([inner(arr[i:i + step] @ B.T)
-                               for i in range(0, len(arr), step)])
+        if len(u) <= step:
+            return inner(u @ B.T)  # rows u^T B^T = (B u)^T
+        return np.concatenate([inner(u[i:i + step] @ B.T)
+                               for i in range(0, len(u), step)])
 
     return ConvexBody(dim=F.k, support=sup, **polytope)
 
@@ -127,12 +126,6 @@ def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
 # ---------------------------------------------------------------------------
 # volume radius
 # ---------------------------------------------------------------------------
-
-
-def _interval_volume(body: ConvexBody) -> float:
-    # a 1-D convex body is [-h(-1), h(+1)]; its length is exact
-    e = np.ones(1)
-    return float(body.support(e) + body.support(-e))
 
 
 def _perm_sign(perm) -> int:
@@ -323,8 +316,7 @@ def support_hull_volrad(dirs: np.ndarray, h: np.ndarray) -> Estimate:
             "support-hull method needs the origin in the interior (h > 0); "
             "the body has a nonpositive support value"
         )
-    vol = _support_hull_volume(dirs, h)
-    return Estimate((vol / ball_volume(k)) ** (1.0 / k), 0.0, len(dirs), "upper")
+    return Estimate(volume_radius(_support_hull_volume(dirs, h), k), 0.0, len(dirs), "upper")
 
 
 def volume_radius_lowdim(
@@ -348,9 +340,6 @@ def volume_radius_lowdim(
     """
     k = body.dim
 
-    def to_volrad(vol):
-        return (vol / ball_volume(k)) ** (1.0 / k)
-
     def log_to_volrad(log_vol):
         # in logs, so the volume radius stays finite at any k
         return math.exp((log_vol - bodies.lp_ball_log_volume(k, 2.0)) / k)
@@ -365,7 +354,7 @@ def volume_radius_lowdim(
         if V is not None and 1 < k <= VOLUME_DIM_CAP:
             from scipy.spatial import ConvexHull
 
-            return Estimate(to_volrad(ConvexHull(V).volume), 0.0, len(V), "exact")
+            return Estimate(volume_radius(ConvexHull(V).volume, k), 0.0, len(V), "exact")
     elif method != "support-hull":
         raise ValueError(f"unknown volume method {method!r}")
     return support_hull_task(body, n_directions, seed)()
@@ -381,11 +370,11 @@ def support_hull_task(body: ConvexBody, n_directions: int, seed: int):
     """
     k = body.dim
     if k == 1:
-        est = Estimate(_interval_volume(body) / ball_volume(1), 0.0, 2, "exact")
+        est = Estimate(volume_radius(interval_length(body), 1), 0.0, 2, "exact")
         return lambda: est
     check_hull_dim(k)  # before the support pass that the cap would waste
     dirs = sphere_directions(k, n_directions, seed)
-    h = np.asarray(body.support(dirs), dtype=float)
+    h = body.support(dirs)
     return functools.partial(support_hull_volrad, dirs, h)
 
 

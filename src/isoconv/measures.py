@@ -10,7 +10,7 @@ nothing else.
 
 Determinism contract: same (measure, N, seed) gives bit-identical output
 within a build.  Chunked draws derive chunk seeds via the frozen splitting
-rule in seeds.py, so parallel workers replay exactly.
+rule in seeds.py, so a draw's points depend on nothing but its inputs.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ def draw_samples(measure: LogConcaveMeasure, count: int, seed: int) -> SampleSet
     """Deterministic draw of `count` points.
 
     Chunk i of size <= DEFAULT_CHUNK uses child_seed(seed, i), so the same
-    (measure, count, seed) replays bit-identically and workers can split chunks.
+    (measure, count, seed) replays bit-identically.  The chunks are drawn in
+    turn, in the calling thread.
     Each chunk must come back from the sampler with shape (size, dim).
     """
     if count < 1:

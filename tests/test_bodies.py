@@ -56,22 +56,22 @@ def test_lp_ball_volume_matches_special_cases():
 
 def test_ball_support_is_radius_times_norm():
     B = ball(5, radius=2.5)
-    theta = np.array([3.0, 0.0, 4.0, 0.0, 0.0])
-    assert B.support(theta) == pytest.approx(2.5 * 5.0, rel=1e-14)
+    theta = np.array([[3.0, 0.0, 4.0, 0.0, 0.0]])
+    assert B.support(theta) == pytest.approx([2.5 * 5.0], rel=1e-14)
     batch = sphere_directions(5, 64, seed=1)
     assert np.allclose(B.support(batch), 2.5, atol=1e-12)
 
 
 def test_cube_support_is_half_side_l1():
     K = cube(3, side=2.0)
-    assert K.support(np.array([1.0, -2.0, 3.0])) == pytest.approx(6.0, rel=1e-14)
+    assert K.support(np.array([[1.0, -2.0, 3.0]])) == pytest.approx([6.0], rel=1e-14)
     K1 = cube(3, side=1.0)
-    assert K1.support(np.array([1.0, 1.0, 1.0])) == pytest.approx(1.5, rel=1e-14)
+    assert K1.support(np.array([[1.0, 1.0, 1.0]])) == pytest.approx([1.5], rel=1e-14)
 
 
 def test_cross_polytope_support_is_max_norm():
     K = cross_polytope(4)
-    assert K.support(np.array([1.0, -7.0, 2.0, 0.5])) == pytest.approx(7.0, rel=1e-14)
+    assert K.support(np.array([[1.0, -7.0, 2.0, 0.5]])) == pytest.approx([7.0], rel=1e-14)
 
 
 def test_lp_ball_support_is_dual_norm():
@@ -79,16 +79,16 @@ def test_lp_ball_support_is_dual_norm():
     p = 3.0
     q = p / (p - 1.0)
     K = lp_ball(3, p)
-    theta = np.array([1.0, 2.0, -2.0])
-    expected = (np.abs(theta) ** q).sum() ** (1.0 / q)
+    theta = np.array([[1.0, 2.0, -2.0]])
+    expected = (np.abs(theta) ** q).sum(axis=1) ** (1.0 / q)
     assert K.support(theta) == pytest.approx(expected, rel=1e-12)
 
 
 def test_ellipsoid_support_closed_form():
     A = np.array([[2.0, 1.0], [0.0, 1.0]])
     E = ellipsoid(A)
-    theta = np.array([0.3, -1.2])
-    assert E.support(theta) == pytest.approx(np.linalg.norm(A.T @ theta), rel=1e-12)
+    theta = np.array([[0.3, -1.2]])
+    assert E.support(theta) == pytest.approx([np.linalg.norm(A.T @ theta[0])], rel=1e-12)
     assert E.analytic["log_volume"] == pytest.approx(
         math.log(abs(np.linalg.det(A)) * math.pi), abs=1e-12
     )
@@ -117,7 +117,7 @@ def test_support_subadditive_spot_check():
 def test_scale_body_scales_support_and_volume():
     K = cube(3, side=2.0)
     K2 = scale_body(K, 0.5)
-    theta = np.array([1.0, 2.0, -1.0])
+    theta = np.array([[1.0, 2.0, -1.0]])
     assert K2.support(theta) == pytest.approx(0.5 * K.support(theta), rel=1e-14)
     assert K2.analytic["log_volume"] == pytest.approx(0.0, abs=1e-12)
     assert K2.analytic["cube_half_side"] == 0.5
@@ -129,7 +129,7 @@ def test_unit_volume_copy():
     assert K.analytic["log_volume"] == pytest.approx(0.0, abs=1e-12)
     # radius must be (3/(4 pi))^(1/3)
     r = (1.0 / ball_volume(3)) ** (1.0 / 3.0) * 2.0 / 2.0
-    assert K.support(np.array([1.0, 0.0, 0.0])) == pytest.approx(r, rel=1e-12)
+    assert K.support(np.array([[1.0, 0.0, 0.0]])) == pytest.approx([r], rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [197, 256, 1000])
@@ -137,9 +137,9 @@ def test_unit_volume_copy_of_cross_polytope_past_float_range(n):
     # vol B_1^n = 2^n/n! leaves the float range, so the scale comes from its log
     K = unit_volume_copy(cross_polytope(n))
     scale = math.exp((math.lgamma(n + 1) - n * math.log(2.0)) / n)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    assert K.support(e1) == pytest.approx(scale, rel=1e-12)
+    e1 = np.zeros((1, n))
+    e1[0, 0] = 1.0
+    assert K.support(e1) == pytest.approx([scale], rel=1e-12)
     assert K.analytic["log_volume"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -184,9 +184,8 @@ def test_product_body_support_is_sum():
 
 def test_product_body_membership():
     P = product_body(cube(1, side=2.0), ball(2))
-    assert P.membership(np.array([0.9, 0.3, 0.3]))
-    assert not P.membership(np.array([1.1, 0.0, 0.0]))
-    assert not P.membership(np.array([0.0, 1.0, 0.5]))
+    points = np.array([[0.9, 0.3, 0.3], [1.1, 0.0, 0.0], [0.0, 1.0, 0.5]])
+    assert P.membership(points).tolist() == [True, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +195,9 @@ def test_product_body_membership():
 
 def test_parse_body_families():
     assert parse_body("ball:8").dim == 8
-    assert parse_body("ball:8").support(np.eye(8)[0]) == pytest.approx(1.0)
-    assert parse_body("cube:4:1").support(np.ones(4)) == pytest.approx(2.0)
-    assert parse_body("cross:3").support(np.array([0.0, 2.0, 0.0])) == pytest.approx(2.0)
+    assert parse_body("ball:8").support(np.eye(8)[:1]) == pytest.approx([1.0])
+    assert parse_body("cube:4:1").support(np.ones((1, 4))) == pytest.approx([2.0])
+    assert parse_body("cross:3").support(np.array([[0.0, 2.0, 0.0]])) == pytest.approx([2.0])
     assert parse_body("lpball:3:1.5").dim == 3
     K = parse_body("unitcube:5")
     assert K.analytic["log_volume"] == pytest.approx(0.0, abs=1e-12)
@@ -208,7 +207,7 @@ def test_parse_body_b1tilde_is_unit_volume_cross():
     K = parse_body("b1tilde:4")
     assert K.analytic["log_volume"] == pytest.approx(0.0, abs=1e-10)
     r = (math.factorial(4) / 2.0**4) ** (1.0 / 4.0)
-    assert K.support(np.array([1.0, 0.0, 0.0, 0.0])) == pytest.approx(r, rel=1e-12)
+    assert K.support(np.array([[1.0, 0.0, 0.0, 0.0]])) == pytest.approx([r], rel=1e-12)
 
 
 def test_parse_body_rejects_garbage():
@@ -222,7 +221,7 @@ def test_parse_body_ellipsoid_from_file(tmp_path):
     f = tmp_path / "diag.csv"
     f.write_text("2.0\n1.0\n0.5\n")
     E = parse_body(f"ellipsoid:3:@{f}")
-    assert E.support(np.array([1.0, 0.0, 0.0])) == pytest.approx(2.0, rel=1e-12)
+    assert E.support(np.array([[1.0, 0.0, 0.0]])) == pytest.approx([2.0], rel=1e-12)
     assert E.analytic["log_volume"] == pytest.approx(math.log(ball_volume(3)), abs=1e-12)
 
 
@@ -283,10 +282,10 @@ def test_lp_ball_sampler_at_large_p_is_finite_and_uniform():
 def test_lp_ball_membership_at_large_p_and_radius_not_one():
     # sum |x_i|^p against r^p: both sides underflow to 0 at r = 0.5, p = 2000,
     # and r^p overflows at r = 4, p = 600
-    assert not lp_ball(3, 2000.0, 0.5).membership(np.array([0.6, 0.0, 0.0]))
-    assert lp_ball(3, 2000.0, 0.5).membership(np.array([0.49, 0.49, 0.0]))
-    assert not lp_ball(3, 600.0, 4.0).membership(np.array([10.0, 0.0, 0.0]))
-    assert lp_ball(3, 600.0, 4.0).membership(np.array([3.9, -3.9, 3.9]))
+    small = lp_ball(3, 2000.0, 0.5).membership(np.array([[0.6, 0.0, 0.0], [0.49, 0.49, 0.0]]))
+    assert small.tolist() == [False, True]
+    large = lp_ball(3, 600.0, 4.0).membership(np.array([[10.0, 0.0, 0.0], [3.9, -3.9, 3.9]]))
+    assert large.tolist() == [False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -305,4 +304,13 @@ def test_constructor_validation():
         lp_ball(2, 0.5)
     with pytest.raises(BodyConstructionError):
         ellipsoid(np.array([[1.0, 0.0], [1.0, 0.0]]))  # singular
+    # every range check is written so that NaN fails it too
+    for build in (lambda v: cube(2, side=v), lambda v: lp_ball(2, 3.0, radius=v),
+                  lambda v: scale_body(cube(2), v)):
+        for value in (math.nan, math.inf):
+            with pytest.raises(BodyConstructionError, match="positive and finite"):
+                build(value)
+    with pytest.raises(BodyConstructionError, match="got nan"):
+        lp_ball(2, math.nan)
+
 

@@ -36,23 +36,21 @@ GAUSS_CP = {
 def test_zp_support_two_point_example():
     # S = {(1,0), (-1,0)}: h_{Z_p}(e1) = 1, h(e2) = 0, h((1,1)/sqrt2) = 1/sqrt2
     s = SampleSet([[1.0, 0.0], [-1.0, 0.0]])
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    diag = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    e1, e2, diag = np.array([[1.0, 0.0], [0.0, 1.0], [1.0 / math.sqrt(2.0)] * 2])
     for p in (1.0, 2.0, 5.0, 64.0):
-        assert zp_support(s, p, e1) == pytest.approx(1.0, rel=1e-12)
-        assert zp_support(s, p, e2) == pytest.approx(0.0, abs=1e-300)
-        assert zp_support(s, p, diag) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+        assert zp_support(s, p, e1[None]) == pytest.approx([1.0], rel=1e-12)
+        assert zp_support(s, p, e2[None]) == pytest.approx([0.0], abs=1e-300)
+        assert zp_support(s, p, diag[None]) == pytest.approx([1.0 / math.sqrt(2.0)], rel=1e-12)
 
 
 def test_zp_support_mixed_mass_example():
     # S = {(1,0), (0,0)}: |<x,e1>|^p averages to 1/2
     s = SampleSet([[1.0, 0.0], [0.0, 0.0]])
-    e1 = np.array([1.0, 0.0])
-    assert zp_support(s, 1.0, e1) == pytest.approx(0.5, rel=1e-12)
-    assert zp_support(s, 2.0, e1) == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    e1 = np.array([[1.0, 0.0]])
+    assert zp_support(s, 1.0, e1) == pytest.approx([0.5], rel=1e-12)
+    assert zp_support(s, 2.0, e1) == pytest.approx([math.sqrt(0.5)], rel=1e-12)
     # the max-scaled power mean keeps the 1/N mass of the zero dot product
-    assert zp_support(s, 64.0, e1) == pytest.approx(0.5 ** (1.0 / 64.0), rel=1e-12)
+    assert zp_support(s, 64.0, e1) == pytest.approx([0.5 ** (1.0 / 64.0)], rel=1e-12)
 
 
 def test_zp_support_agrees_with_direct_power_mean():
@@ -63,15 +61,12 @@ def test_zp_support_agrees_with_direct_power_mean():
     square = draw_samples(uniform_body_measure(cube(2, side=2.0)), 5000, seed=1)
     s = SampleSet(np.hstack([square.points, np.zeros((square.count, 1))]))
     dirs = np.hstack([sphere_directions(2, 200, seed=2), np.zeros((200, 1))])
-    orth = np.array([0.0, 0.0, 1.0])
+    orth = np.array([[0.0, 0.0, 1.0]])
     for p in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 32.0, 33.0, 64.0, 512.0,
               512.5):
         direct = (np.abs(s.points @ dirs.T) ** p).mean(axis=0) ** (1.0 / p)
         np.testing.assert_allclose(zp_support(s, p, dirs), direct, rtol=1e-12, atol=0.0)
-        single = zp_support(s, p, dirs[0])
-        assert np.ndim(single) == 0
-        assert single == pytest.approx(direct[0], rel=1e-12)
-        assert zp_support(s, p, orth) == 0.0
+        assert zp_support(s, p, orth).tolist() == [0.0]
         assert zp_support(s, p, np.vstack([dirs[:3], orth]))[3] == 0.0
 
 
@@ -213,11 +208,11 @@ def test_zp_support_huge_p_no_overflow():
 def test_zp_support_p_out_of_range():
     s = SampleSet([[1.0], [-1.0]])
     with pytest.raises(ValueError):
-        zp_support(s, 0.5, np.array([1.0]))
+        zp_support(s, 0.5, np.array([[1.0]]))
     with pytest.raises(ValueError):
-        zp_support(s, 2.0 * P_CAP, np.array([1.0]))
+        zp_support(s, 2.0 * P_CAP, np.array([[1.0]]))
     with pytest.raises(ValueError, match="got nan"):
-        zp_support(s, math.nan, np.array([1.0]))
+        zp_support(s, math.nan, np.array([[1.0]]))
     with pytest.raises(ValueError, match="got nan"):
         zp_touching_points(s, math.nan, np.array([[1.0]]))
     with pytest.raises(ValueError, match="got nan"):

@@ -598,3 +598,24 @@ def test_non_finite_json_report_is_one_line_exit_2(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert rc == 2 and not path.exists()
     assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("body", ["cube:3:nan", "cube:3:inf", "lpball:3:nan", "unitlpball:3:nan"])
+def test_non_finite_body_parameter_is_one_line_exit_2(body, capsys):
+    rc = cli.main(["meanwidth", "--body", body, "--sphere-samples", "200", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["paouris", "thm-main-aniso"])
+def test_empty_p_grid_is_one_line_exit_2_before_any_sampling(suite, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before rejecting the empty p grid")
+
+    monkeypatch.setattr(experiments, "draw_samples", no_sampling)
+    rc = cli.main(["verify", "--suite", suite, "--dims", "4", "--p-values", ",", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "--p-values" in captured.err
+    assert captured.err.count("\n") == 1

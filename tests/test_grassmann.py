@@ -88,7 +88,7 @@ def test_project_cube_onto_diagonal():
     B = np.array([[1.0], [1.0]]) / math.sqrt(2.0)
     F = Subspace(B)
     P = project_body(cube(2, side=2.0), F)
-    assert P.support(np.array([1.0])) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert P.support(np.array([[1.0], [-1.0]])) == pytest.approx([math.sqrt(2.0)] * 2, rel=1e-12)
     assert volume_radius_lowdim(P).value == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
