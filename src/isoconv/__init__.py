@@ -5,7 +5,7 @@ Submodules:
 - ``bodies``       convex bodies as support-function oracles
 - ``measures``     seeded samplers for log-concave measures
 - ``isotropy``     empirical moments, isotropic constants
-- ``centroid``     empirical L_p centroid bodies
+- ``centroid``     empirical L_p centroid bodies, exact ones of Gaussian laws
 - ``pool``         the worker pool and the thread and malloc settings
 - ``grassmann``    random subspaces, projections, volume radii
 - ``functionals``  mean width, entropy numbers, named bound expressions

@@ -1,4 +1,10 @@
-"""Empirical L_p-centroid bodies.
+"""L_p-centroid bodies: empirical ones, and exact ones for Gaussian laws.
+
+A Gaussian law T gamma_n has Z_p = c_p T B_2^n in closed form, where
+c_p = (E|g|^p)^{1/p} = sqrt(2) (Gamma((p+1)/2) / sqrt(pi))^{1/p}, since
+h(theta) = (E|<g, T^T theta>|^p)^{1/p} = c_p |T^T theta|.  exact_zp returns
+that body for a measure that carries its Gaussian map, and None for any
+other measure, whose Z_p is then taken from samples.
 
 For a SampleSet X = {x_1..x_N} and p >= 1, the body Z_p(X) has support
 
@@ -36,12 +42,14 @@ with the thread cap.
 from __future__ import annotations
 
 import functools
+import math
+from typing import Optional
 
 import numpy as np
 
 from . import pool
-from .bodies import ConvexBody
-from .measures import SampleSet
+from .bodies import ConvexBody, ball, ellipsoid
+from .measures import LogConcaveMeasure, SampleSet
 
 P_CAP = float(2**20)
 _DOT_BLOCK = 1 << 21  # doubles (16 MB) held by all (b, N) temporaries of all workers
@@ -245,3 +253,22 @@ def centroid_body(samples: SampleSet, p: float) -> ConvexBody:
         return zp_support(samples, p, theta)
 
     return ConvexBody(dim=samples.dim, support=sup)
+
+
+def exact_zp(measure: LogConcaveMeasure, p: float) -> Optional[ConvexBody]:
+    """Z_p of a Gaussian law T gamma_n, the ellipsoid c_p T B_2^n; None for
+    any other measure.
+
+    c_p = (E|g|^p)^{1/p} for a standard normal g.  When T is a multiple t I
+    of the identity the body is the ball of radius c_p |t|, whose mean width
+    is exact.
+    """
+    _check_p(p)
+    T = measure.gaussian_map
+    if T is None:
+        return None
+    c_p = math.sqrt(2.0) * math.exp((math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / p)
+    t = T[0, 0]
+    if np.array_equal(T, t * np.eye(measure.dim)):
+        return ball(measure.dim, c_p * abs(float(t)))
+    return ellipsoid(c_p * T)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bodies import ConvexBody, ball, cross_polytope, cube, product_body, scale_body, unit_volume_copy
 from . import pool
-from .centroid import centroid_body
+from .centroid import centroid_body, exact_zp
 from .functionals import RadModel, bound_rhs, entropy_numbers, mean_width
 from .grassmann import (check_hull_dim, project_body, random_subspace, support_hull_task,
                         support_hull_volrad)
@@ -207,7 +207,13 @@ def _suite_theorem1(dims, cfg: SuiteConfig):
 
 
 def _suite_paouris(dims, cfg: SuiteConfig):
-    """Flatness of M*(Z_p)/sqrt(p) over p in [1, sqrt(n)] for isotropic sources."""
+    """Flatness of M*(Z_p)/sqrt(p) over p in [1, sqrt(n)] for isotropic sources.
+
+    The Gaussian's Z_p is exact (centroid.exact_zp), so only the cube source
+    draws samples.  An M* row counts the samples behind its Z_p, or the
+    sphere directions when that Z_p is exact; a ratio row carries its M*
+    row's SE over sqrt(p) and its label.
+    """
     rows, assertions = [], []
     for j, n in enumerate(dims):
         ps = _p_grid(cfg, _powers_of_two_to_sqrt(n))
@@ -217,17 +223,22 @@ def _suite_paouris(dims, cfg: SuiteConfig):
         )
         for s_idx, (tag, mu) in enumerate(sources):
             seed = child_seed(cfg.seed, 100 * j + s_idx)
-            samples = draw_samples(mu, cfg.n_samples, child_seed(seed, 0))
+            samples = None  # drawn at the first p without an exact Z_p
             vals = []
             for i, p in enumerate(ps):
-                zp = centroid_body(samples, p)
+                zp, count = exact_zp(mu, p), cfg.sphere_samples
+                if zp is None:
+                    if samples is None:
+                        samples = draw_samples(mu, cfg.n_samples, child_seed(seed, 0))
+                    zp, count = centroid_body(samples, p), cfg.n_samples
                 mstar = mean_width(zp, cfg.sphere_samples, child_seed(seed, 1 + i))
                 ratio = mstar.value / math.sqrt(p)
                 vals.append(ratio)
                 rows += [
                     Row("paouris", n, p, f"mstar-zp-{tag}", mstar.value,
-                        mstar.std_error, "mc", seed, cfg.n_samples),
-                    Row("paouris", n, p, f"paouris-ratio-{tag}", ratio, 0.0, "mc", seed, 0),
+                        mstar.std_error, mstar.direction, seed, count),
+                    Row("paouris", n, p, f"paouris-ratio-{tag}", ratio,
+                        mstar.std_error / math.sqrt(p), mstar.direction, seed, 0),
                 ]
             flat = max(vals) / min(vals)
             rows.append(Row("paouris", n, None, f"flatness-{tag}", flat, 0.0, "mc", seed, 0))
@@ -256,7 +267,13 @@ def _aniso_lam(kind: str, n: int) -> np.ndarray:
 
 def _suite_thm_main_aniso(dims, cfg: SuiteConfig):
     """Spectral-shape transfer: one constant, fitted on the flat spectrum, must
-    cover the decaying and spiked spectra within factor 1.5."""
+    cover the decaying and spiked spectra within factor 1.5.
+
+    Every source is a Gaussian law, whose Z_p is exact (centroid.exact_zp),
+    so the suite draws no samples: the sphere directions of M* are all its
+    randomness, and the flat spectrum's M* of a ball is exact.  A ratio row
+    carries its M* row's SE over the exact bound, and its label.
+    """
     n = _one_dim("thm-main-aniso", dims)
     ps = _p_grid(cfg, (2.0, 8.0, float(n)))
     rows = []
@@ -265,20 +282,19 @@ def _suite_thm_main_aniso(dims, cfg: SuiteConfig):
         lam = _aniso_lam(kind, n)
         mu = pushforward_measure(gaussian_measure(n), np.diag(lam))
         seed = child_seed(cfg.seed, s_idx)
-        samples = draw_samples(mu, cfg.n_samples, child_seed(seed, 0))
         for i, p in enumerate(ps):
-            zp = centroid_body(samples, p)
-            mstar = mean_width(zp, cfg.sphere_samples, child_seed(seed, 1 + i))
+            mstar = mean_width(exact_zp(mu, p), cfg.sphere_samples, child_seed(seed, 1 + i))
             lhs = math.sqrt(n) * mstar.value
+            lhs_se = math.sqrt(n) * mstar.std_error
             rhs = bound_rhs("thm-main-arith", spectrum=lam, p=p, rad=cfg.rad)
             measured[(kind, p)] = (lhs, rhs)
             rows += [
-                Row("thm-main-aniso", n, p, f"sqrtn-mstar-zp-{kind}", lhs,
-                    math.sqrt(n) * mstar.std_error, "mc", seed, cfg.n_samples),
+                Row("thm-main-aniso", n, p, f"sqrtn-mstar-zp-{kind}", lhs, lhs_se,
+                    mstar.direction, seed, cfg.sphere_samples),
                 Row("thm-main-aniso", n, p, f"bound-arith-{kind}", rhs, 0.0,
                     "exact", seed, 0),
-                Row("thm-main-aniso", n, p, f"ratio-{kind}", lhs / rhs, 0.0,
-                    "mc", seed, 0),
+                Row("thm-main-aniso", n, p, f"ratio-{kind}", lhs / rhs, lhs_se / rhs,
+                    mstar.direction, seed, 0),
             ]
     c_fit = max(measured[("flat", p)][0] / measured[("flat", p)][1] for p in ps)
     assertions = []

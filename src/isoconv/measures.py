@@ -3,10 +3,11 @@
 A measure is a deterministic oracle (count, seed) -> points, tagged with the
 log of the sup of its density when that is exactly known.  The log stays
 finite where the sup itself over- or underflows (the gaussian's (2 pi)^{-n/2}
-rounds to 0 from n = 811 on).  Exact samplers exist for the gaussian,
-coordinate products and the bodies that carry one; a body without an exact
-sampler is rejected.  A draw is a SampleSet, which holds its points and
-nothing else.
+rounds to 0 from n = 811 on).  A Gaussian law T gamma_n also carries its map
+T, from which centroid.exact_zp reads its Z_p in closed form.  Exact
+samplers exist for the gaussian, coordinate products and the bodies that
+carry one; a body without an exact sampler is rejected.  A draw is a
+SampleSet, which holds its points and nothing else.
 
 Determinism contract: same (measure, N, seed) gives bit-identical output
 within a build.  Chunked draws derive chunk seeds via the frozen splitting
@@ -63,12 +64,24 @@ class SampleSet:
 @dataclass(frozen=True)
 class LogConcaveMeasure:
     """Sampler oracle (count, seed) -> (count, dim) points on R^dim, plus
-    log_density_sup, the log of sup f_mu when exactly known and None otherwise.
+    log_density_sup, the log of sup f_mu when exactly known and None otherwise,
+    and gaussian_map, the read-only (dim, dim) map T when the measure is the
+    Gaussian law T gamma_dim and None otherwise.
     """
 
     dim: int
     sampler: Callable[[int, int], np.ndarray]
     log_density_sup: Optional[float] = None
+    gaussian_map: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.gaussian_map is None:
+            return
+        T = np.asarray(self.gaussian_map, dtype=float).view()  # freeze a view only
+        if T.shape != (self.dim, self.dim):
+            raise ValueError(f"gaussian_map must be {self.dim}x{self.dim}, got {T.shape}")
+        T.setflags(write=False)
+        object.__setattr__(self, "gaussian_map", T)
 
 
 def draw_samples(measure: LogConcaveMeasure, count: int, seed: int) -> SampleSet:
@@ -115,6 +128,7 @@ def gaussian_measure(dim: int) -> LogConcaveMeasure:
         dim=dim,
         sampler=sampler,
         log_density_sup=-0.5 * dim * math.log(2.0 * math.pi),
+        gaussian_map=np.eye(dim),
     )
 
 
@@ -146,7 +160,11 @@ def uniform_body_measure(body: ConvexBody) -> LogConcaveMeasure:
 
 
 def pushforward_measure(base: LogConcaveMeasure, T: np.ndarray) -> LogConcaveMeasure:
-    """Linear pushforward x -> T x; the density sup divides by |det T|."""
+    """Linear pushforward x -> T x; the density sup divides by |det T|.
+
+    The pushforward of a Gaussian law S gamma_n is the Gaussian law
+    (T S) gamma_n; of any other measure, no Gaussian law.
+    """
     T = np.asarray(T, dtype=float)
     if T.shape != (base.dim, base.dim):
         raise ValueError(f"T must be {base.dim}x{base.dim}, got {T.shape}")
@@ -166,6 +184,7 @@ def pushforward_measure(base: LogConcaveMeasure, T: np.ndarray) -> LogConcaveMea
         log_density_sup=None
         if base.log_density_sup is None
         else base.log_density_sup - logabsdet,
+        gaussian_map=None if base.gaussian_map is None else T @ base.gaussian_map,
     )
 
 

@@ -12,14 +12,16 @@ import pytest
 
 from isoconv import pool as isoconv_pool
 from isoconv.bodies import cube
-from isoconv.centroid import P_CAP, centroid_body, zp_support, zp_touching_points
+from isoconv.centroid import P_CAP, centroid_body, exact_zp, zp_support, zp_touching_points
 from isoconv.grassmann import random_subspace
 from isoconv.isotropy import estimate_moments
 from isoconv.measures import (
     SampleSet,
     draw_samples,
+    exponential_product_measure,
     gaussian_measure,
     project_samples,
+    pushforward_measure,
     uniform_body_measure,
 )
 from isoconv.seeds import sphere_directions
@@ -278,3 +280,39 @@ def test_touching_points_euler_relation():
         probe = sphere_directions(3, 50, seed=25)
         hp = zp_support(s, p, probe)
         assert np.all(T @ probe.T <= hp[None, :] + 1e-10)
+
+
+def test_exact_zp_of_the_standard_gaussian_is_the_ball_of_radius_cp():
+    for p, cp in GAUSS_CP.items():
+        body = exact_zp(gaussian_measure(5), p)
+        assert body.analytic["ball_radius"] == pytest.approx(cp, rel=1e-12, abs=0.0)
+
+
+def test_exact_zp_support_agrees_with_the_sampled_pushforward():
+    # h_{Z_p}(T gamma)(theta) = c_p |T^T theta|; the empirical h is a power
+    # mean of N values y = |<x, theta>|^p, with SE h sd(y) / (p mean(y) sqrt N)
+    T = np.array([[1.5, 0.4, 0.0], [-0.3, 0.8, 0.2], [0.1, 0.0, 0.5]])
+    mu = pushforward_measure(gaussian_measure(3), T)
+    s = draw_samples(mu, 200_000, seed=40)
+    dirs = sphere_directions(3, 12, seed=41)
+    for p in (2.0, 3.0, 8.0):
+        exact = exact_zp(mu, p).support(dirs)
+        assert not np.allclose(exact, exact[0])  # an ellipsoid, not a ball
+        y = np.abs(s.points @ dirs.T) ** p  # (N, m)
+        h = zp_support(s, p, dirs)
+        se = h * y.std(axis=0, ddof=1) / (p * y.mean(axis=0) * math.sqrt(s.count))
+        assert np.all(np.abs(h - exact) <= 3.0 * se), (p, (h - exact) / se)
+
+
+def test_exact_zp_is_none_without_a_gaussian_law():
+    for mu in (uniform_body_measure(cube(3)), exponential_product_measure(3)):
+        assert exact_zp(mu, 2.0) is None
+        assert exact_zp(pushforward_measure(mu, np.diag([1.0, 2.0, 3.0])), 2.0) is None
+
+
+def test_exact_zp_rejects_p_outside_the_range():
+    mu = gaussian_measure(3)
+    with pytest.raises(ValueError, match="got nan"):
+        exact_zp(mu, math.nan)
+    with pytest.raises(ValueError, match=r"p must be in \[1, "):
+        exact_zp(mu, 0.5)

@@ -272,7 +272,7 @@ def test_thread_cap_is_clamped_to_the_cores(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["zp", "--measure", "gaussian:32", "--p", "8", "--samples", "20000",
      "--directions", "50"],
-    ["verify", "--suite", "thm-main-aniso", "--dims", "32", "--samples", "20000",
+    ["verify", "--suite", "paouris", "--dims", "32", "--samples", "20000",
      "--sphere-samples", "400", "--p-values", "2,8,64"],
     # their hull volumes run as pool tasks
     ["verify", "--suite", "kubota", "--dims", "3", "--samples", "1000", "--trials", "3"],

@@ -236,6 +236,45 @@ def test_zn_volrad_regression_pins():
         assert got[key] == pytest.approx(pinned, rel=1e-9), key
 
 
+@pytest.mark.parametrize("suite,draws", [("thm-main-aniso", 0), ("paouris", 1)])
+def test_gaussian_sources_draw_no_samples(suite, draws, monkeypatch):
+    # every Gaussian Z_p is exact; only paouris's cube source is sampled
+    from isoconv import experiments
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return draw_samples(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "draw_samples", counting)
+    run_suite(suite, [8], SuiteConfig(seed=2, n_samples=2000, sphere_samples=200))
+    assert len(calls) == draws
+
+
+def test_gaussian_mstar_rows_are_exact_and_ratios_carry_their_se():
+    cfg = SuiteConfig(seed=4, n_samples=2000, sphere_samples=200, p_values=(1.0, 2.0, 8.0))
+    for suite, mstar, ratio, exact_kinds in (
+        ("thm-main-aniso", "sqrtn-mstar-zp", "ratio", ("flat",)),
+        ("paouris", "mstar-zp", "paouris-ratio", ("gaussian",)),
+    ):
+        rows = run_suite(suite, [8], cfg).rows
+        bounds = {(r.quantity, r.p): r.value for r in rows if r.quantity.startswith("bound-")}
+        by_key = {(r.quantity, r.p): r for r in rows}
+        for r in rows:
+            if not r.quantity.startswith(mstar + "-"):
+                continue
+            kind = r.quantity.removeprefix(mstar + "-")
+            if kind in exact_kinds:
+                assert (r.direction, r.std_error, r.samples) == ("exact", 0.0, 200), r
+            else:
+                assert r.direction == "mc" and r.std_error > 0, r
+            den = bounds.get((f"bound-arith-{kind}", r.p), math.sqrt(r.p))
+            q = by_key[(f"{ratio}-{kind}", r.p)]
+            assert q.direction == r.direction
+            assert q.value == r.value / den and q.std_error == r.std_error / den
+
+
 def test_kubota_makes_one_full_dimensional_zp_pass_per_p(monkeypatch):
     # the touching points give the inner hull, and by Euler's identity the
     # outer hull's support values; only the projections (rank 2 and 3 in R^4)

@@ -113,6 +113,15 @@ def test_pushforward_measure_covariance():
     assert np.abs(cov - T @ T.T).max() < 0.05
 
 
+def test_pushforward_composes_the_gaussian_map():
+    S = np.array([[2.0, 0.0], [1.0, 1.0]])
+    T = np.array([[0.0, 1.0], [-3.0, 0.5]])
+    mu = pushforward_measure(pushforward_measure(gaussian_measure(2), S), T)
+    assert np.array_equal(gaussian_measure(2).gaussian_map, np.eye(2))
+    assert np.array_equal(mu.gaussian_map, T @ S)
+    assert not mu.gaussian_map.flags.writeable
+
+
 def test_pushforward_density_sup_scales_by_det():
     K = cube(2, side=1.0)
     T = np.diag([2.0, 0.5])
