@@ -42,11 +42,11 @@ def _log(args):
     return sys.stderr if fmt is not None and path is None else sys.stdout
 
 
-def _emit(args, seed: int, result) -> None:
+def _emit(args, seed: int, result, unread=()) -> None:
     """Write a command's SuiteResult where --out says, if anywhere.
 
-    The one config echo of every command: its parsed arguments with the
-    resolved seed.
+    The one config echo of every command: its parsed arguments, less the
+    `unread` ones, with the resolved seed.
     """
     path, fmt = _resolve_out(args.out, args.format)
     if fmt is None:
@@ -54,7 +54,7 @@ def _emit(args, seed: int, result) -> None:
     from .experiments import emit_report
 
     config = {k: v for k, v in vars(args).items()
-              if k not in ("command", "fn", "out", "format")}
+              if k not in ("command", "fn", "out", "format", *unread)}
     config["seed"] = seed
     emit_report(result, config, fmt, path)
 
@@ -187,12 +187,20 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+# verify's flags that set a SuiteConfig field, by field
+_VERIFY_FLAGS = {"n_samples": "samples", "sphere_samples": "sphere_samples",
+                 "trials": "trials", "rad": "rad", "p_values": "p_values"}
+
+
 def _cmd_verify(args) -> int:
-    from .experiments import SuiteConfig, run_suite
+    from .experiments import SUITES, SuiteConfig, run_suite
     from .functionals import parse_rad_model
 
     log = _log(args)
     seed = _resolve_seed(args)
+    suite = SUITES[args.suite]
+    if args.dims is None:
+        args.dims = list(suite.dims)
     cfg = SuiteConfig(
         seed=seed,
         n_samples=args.samples,
@@ -204,7 +212,8 @@ def _cmd_verify(args) -> int:
     result = run_suite(args.suite, args.dims, cfg)
     for a in result.assertions:
         print(f"{'PASS' if a.passed else 'FAIL'} {a.name}: {a.detail}", file=log)
-    _emit(args, seed, result)
+    _emit(args, seed, result,
+          unread=[flag for field, flag in _VERIFY_FLAGS.items() if field not in suite.reads])
     return 0 if result.passed else 1
 
 
@@ -243,7 +252,9 @@ def _dims_list(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .experiments import SUITE_NAMES
+    from .experiments import SUITE_NAMES, SuiteConfig
+
+    defaults = SuiteConfig()
 
     top = argparse.ArgumentParser(
         prog="isoconv",
@@ -306,11 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--dims", type=_dims_list, required=True, help="comma list, e.g. 4,8,16")
-    p.add_argument("--samples", type=int, default=50_000)
-    p.add_argument("--sphere-samples", type=int, default=10_000)
-    p.add_argument("--trials", type=int, default=16)
-    p.add_argument("--rad", default="unit")
+    p.add_argument("--dims", type=_dims_list, default=None, help="comma list, e.g. 4,8,16 "
+                   "(default: the suite's own), checked against the suite's dims rule")
+    p.add_argument("--samples", type=int, default=defaults.n_samples)
+    p.add_argument("--sphere-samples", type=int, default=defaults.sphere_samples)
+    p.add_argument("--trials", type=int, default=defaults.trials)
+    p.add_argument("--rad", default=defaults.rad.kind)
     p.add_argument("--p-values", default=None, help="override the suite's p grid")
     add_common(p)
     p.set_defaults(fn=_cmd_verify)
@@ -328,10 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.command == "verify" and args.dims == []:
-            parser.error("--dims must name at least one dimension")
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except Exception as exc:
         # exit 1 is reserved for suite failures; any error is one line and exit 2.

@@ -21,7 +21,7 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .bodies import ConvexBody, ball, cross_polytope, cube, product_body, scale_
 from . import pool
 from .centroid import centroid_body, exact_zp
 from .functionals import RadModel, bound_rhs, entropy_numbers, mean_width
-from .grassmann import (check_hull_dim, project_body, random_subspace, support_hull_task,
-                        support_hull_volrad)
+from .grassmann import (DEFAULT_HULL_DIRECTIONS, VOLUME_DIM_CAP, project_body, random_subspace,
+                        support_hull_task, support_hull_volrad)
 from .isotropy import estimate_moments, exact_isotropic_constant
 from .measures import draw_samples, gaussian_measure, pushforward_measure, uniform_body_measure
 from .seeds import child_seed, sphere_directions
@@ -57,13 +57,13 @@ class Assertion:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by every suite; suites ignore fields they don't use."""
+    """Knobs shared by every suite; each reads seed and the fields in its SUITES `reads`."""
 
     seed: int = 0
     n_samples: int = 50_000
     sphere_samples: int = 10_000
     trials: int = 16
-    hull_directions: int = 2000
+    hull_directions: int = DEFAULT_HULL_DIRECTIONS
     rad: RadModel = field(default_factory=lambda: RadModel("unit"))
     p_values: Optional[Sequence[float]] = None
 
@@ -120,13 +120,6 @@ def fit_scaling_slope(pairs) -> tuple:
 
 def _unit_bodies(n: int):
     return (("cube", cube(n, side=1.0)), ("cross", unit_volume_copy(cross_polytope(n))))
-
-
-def _one_dim(suite: str, dims) -> int:
-    """The single dimension of a suite that runs at one n."""
-    if len(dims) != 1:
-        raise ValueError(f"{suite} runs at one dimension, got dims {list(dims)}")
-    return int(dims[0])
 
 
 def _p_grid(cfg: SuiteConfig, default) -> list:
@@ -212,7 +205,8 @@ def _suite_paouris(dims, cfg: SuiteConfig):
     The Gaussian's Z_p is exact (centroid.exact_zp), so only the cube source
     draws samples.  An M* row counts the samples behind its Z_p, or the
     sphere directions when that Z_p is exact; a ratio row carries its M*
-    row's SE over sqrt(p) and its label.
+    row's SE over sqrt(p) and its label.  The flatness row is exact when
+    every M* behind it is.
     """
     rows, assertions = [], []
     for j, n in enumerate(dims):
@@ -224,7 +218,7 @@ def _suite_paouris(dims, cfg: SuiteConfig):
         for s_idx, (tag, mu) in enumerate(sources):
             seed = child_seed(cfg.seed, 100 * j + s_idx)
             samples = None  # drawn at the first p without an exact Z_p
-            vals = []
+            vals, labels = [], set()
             for i, p in enumerate(ps):
                 zp, count = exact_zp(mu, p), cfg.sphere_samples
                 if zp is None:
@@ -234,6 +228,7 @@ def _suite_paouris(dims, cfg: SuiteConfig):
                 mstar = mean_width(zp, cfg.sphere_samples, child_seed(seed, 1 + i))
                 ratio = mstar.value / math.sqrt(p)
                 vals.append(ratio)
+                labels.add(mstar.direction)
                 rows += [
                     Row("paouris", n, p, f"mstar-zp-{tag}", mstar.value,
                         mstar.std_error, mstar.direction, seed, count),
@@ -241,7 +236,8 @@ def _suite_paouris(dims, cfg: SuiteConfig):
                         mstar.std_error / math.sqrt(p), mstar.direction, seed, 0),
                 ]
             flat = max(vals) / min(vals)
-            rows.append(Row("paouris", n, None, f"flatness-{tag}", flat, 0.0, "mc", seed, 0))
+            label = "exact" if labels == {"exact"} else "mc"
+            rows.append(Row("paouris", n, None, f"flatness-{tag}", flat, 0.0, label, seed, 0))
             assertions.append(Assertion(
                 f"paouris-flatness-{tag}-n{n}",
                 flat <= 2.0,
@@ -274,7 +270,7 @@ def _suite_thm_main_aniso(dims, cfg: SuiteConfig):
     randomness, and the flat spectrum's M* of a ball is exact.  A ratio row
     carries its M* row's SE over the exact bound, and its label.
     """
-    n = _one_dim("thm-main-aniso", dims)
+    (n,) = dims
     ps = _p_grid(cfg, (2.0, 8.0, float(n)))
     rows = []
     measured = {}
@@ -312,7 +308,6 @@ def _suite_thm_main_aniso(dims, cfg: SuiteConfig):
 
 def _suite_b1_scaling(dims, cfg: SuiteConfig):
     """Growth exponent of M* for the unit-volume l1 ball across n."""
-    check_slope_dims(dims)
     rows, pairs = [], []
     for j, n in enumerate(dims):
         K = unit_volume_copy(cross_polytope(n))
@@ -393,10 +388,7 @@ def _suite_kubota(dims, cfg: SuiteConfig):
     from .bodies import volume_radius
     from .centroid import zp_touching_points
 
-    n = _one_dim("kubota", dims)
-    if n < 3:
-        raise ValueError(f"kubota projects to k = 2 and 3, so it needs n >= 3, got n={n}")
-    check_hull_dim(n)
+    (n,) = dims
     if cfg.trials < 2:
         raise ValueError(f"kubota needs trials >= 2 for a standard error, got {cfg.trials}")
     t_gate = float(stdtrit(cfg.trials - 1, 1.0 - ndtr(-3.0)))
@@ -443,12 +435,9 @@ def _suite_kubota(dims, cfg: SuiteConfig):
 def _suite_zn_volrad(dims, cfg: SuiteConfig):
     """volrad(Z_n) * L_K / (sqrt(n) det_root): recorded, regression-checked in tests.
 
-    Every n is checked against the hull cap before the first sample.  The
-    support values of each (family, n) are taken in turn; then all the
+    The support values of each (family, n) are taken in turn; then all the
     hulls, which are independent, run together on the pool.
     """
-    for n in dims:
-        check_hull_dim(n)
     cases, hulls = [], []
     for f_idx, fam in enumerate(("cube", "cross")):
         for j, n in enumerate(dims):
@@ -490,9 +479,6 @@ def _suite_covering_regularity(dims, cfg: SuiteConfig):
     without a held-out assertion.
     """
     j_max = 8
-    for n in dims:
-        if n > 3:
-            raise ValueError(f"covering-regularity runs in dims <= 3, got {n}")
     rows, assertions = [], []
     for d_idx, n in enumerate(dims):
         K = cube(n, side=1.0)
@@ -553,25 +539,56 @@ def _suite_covering_regularity(dims, cfg: SuiteConfig):
     return rows, assertions, {}
 
 
-_SUITES = {
-    "theorem1": _suite_theorem1,
-    "paouris": _suite_paouris,
-    "thm-main-aniso": _suite_thm_main_aniso,
-    "b1-scaling": _suite_b1_scaling,
-    "qm-isotropy": _suite_qm_isotropy,
-    "kubota": _suite_kubota,
-    "zn-volrad": _suite_zn_volrad,
-    "covering-regularity": _suite_covering_regularity,
+@dataclass(frozen=True)
+class Suite:
+    """A verify suite as data: its function, the SuiteConfig fields it reads besides
+    seed, its default dims and its dims rule, which run_suite checks: every n in
+    [lo, hi] (hi None: no cap), and `shape` "any", "one" (a single n) or "slope"
+    (n that check_slope_dims accepts).
+    """
+
+    run: Callable
+    reads: tuple
+    dims: tuple
+    lo: int = 1
+    hi: Optional[int] = None
+    shape: str = "any"
+
+
+SUITES = {
+    "theorem1": Suite(_suite_theorem1, ("n_samples", "sphere_samples"), (4, 8)),
+    "paouris": Suite(_suite_paouris, ("n_samples", "sphere_samples", "p_values"), (16,)),
+    "thm-main-aniso": Suite(_suite_thm_main_aniso, ("sphere_samples", "rad", "p_values"),
+                            (16,), shape="one"),
+    "b1-scaling": Suite(_suite_b1_scaling, ("sphere_samples",), (8, 16, 32, 64),
+                        shape="slope"),
+    "qm-isotropy": Suite(_suite_qm_isotropy, ("n_samples",), (3,)),
+    "kubota": Suite(_suite_kubota, ("n_samples", "trials", "hull_directions"), (4,),
+                    lo=3, hi=VOLUME_DIM_CAP, shape="one"),  # projects to k = 2 and 3
+    "zn-volrad": Suite(_suite_zn_volrad, ("n_samples", "hull_directions"), (3, 4),
+                       hi=VOLUME_DIM_CAP),
+    "covering-regularity": Suite(_suite_covering_regularity, ("sphere_samples",), (2, 3),
+                                 hi=3),
 }
-SUITE_NAMES = tuple(_SUITES)
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, dims: Sequence[int], config: SuiteConfig) -> SuiteResult:
-    if name not in _SUITES:
+    """Run suite `name` at dims, after checking them against its dims rule."""
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    suite = SUITES[name]
     if not dims:
-        raise ValueError("need at least one dimension")
-    rows, assertions, fitted = _SUITES[name](list(dims), config)
+        raise ValueError(f"{name} needs at least one dimension")
+    if suite.shape == "one" and len(dims) != 1:
+        raise ValueError(f"{name} runs at one dimension, got dims {list(dims)}")
+    if suite.shape == "slope":
+        check_slope_dims(dims)
+    for n in dims:
+        if n < suite.lo or (suite.hi is not None and n > suite.hi):
+            span = f"n >= {suite.lo}" if suite.hi is None else f"{suite.lo} <= n <= {suite.hi}"
+            raise ValueError(f"{name} needs {span}, got n={n}")
+    rows, assertions, fitted = suite.run(list(dims), config)
     return SuiteResult(
         suite=name, rows=tuple(rows), assertions=tuple(assertions), fitted=fitted
     )

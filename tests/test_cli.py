@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -207,10 +208,9 @@ def test_verify_writes_report(tmp_path, capsys):
     assert "PASS" in out
     payload = json.loads(open(path).read())
     assert payload["meta"]["suite"] == "zn-volrad"
-    # the echo of the parsed arguments, as for every other command
+    # the echo of the parsed arguments, less the flags zn-volrad does not read
     assert payload["meta"]["config"] == {
-        "suite": "zn-volrad", "dims": [3], "samples": 3000, "sphere_samples": 10_000,
-        "trials": 16, "rad": "unit", "p_values": None, "seed": 11,
+        "suite": "zn-volrad", "dims": [3], "samples": 3000, "seed": 11,
     }
     assert payload["rows"]
 
@@ -503,7 +503,7 @@ def test_kubota_below_dimension_3_exits_2_before_any_sampling(dims, capsys, monk
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert f"needs n >= 3, got n={dims}" in captured.err
+    assert f"kubota needs 3 <= n <= 6, got n={dims}" in captured.err
 
 
 def _hull_cap_exits_2_before_any_sampling(argv, capsys, monkeypatch):
@@ -516,7 +516,7 @@ def _hull_cap_exits_2_before_any_sampling(argv, capsys, monkeypatch):
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert rc == 2 and elapsed < 5.0
-    assert captured.err.startswith("error: ") and "capped at dim 6" in captured.err
+    assert captured.err.startswith("error: ") and "<= n <= 6, got n=7" in captured.err
     assert captured.err.count("\n") == 1
 
 
@@ -533,10 +533,15 @@ def test_zn_volrad_above_the_hull_cap_exits_2_before_any_zp_pass(capsys, monkeyp
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["verify", "--suite", "covering-regularity", "--dims", "2,3,4"], "dims <= 3, got 4"),
+    (["verify", "--suite", "covering-regularity", "--dims", "2,3,4"],
+     "covering-regularity needs 1 <= n <= 3, got n=4"),
     (["verify", "--suite", "b1-scaling", "--dims", "64,128,256"], "need >= 4 points"),
     (["verify", "--suite", "b1-scaling", "--dims", "8,8,8,8"], "all n equal"),
     (["scaling", "--body", "b1tilde:{n}", "--dims", "64,128,256"], "need >= 4 points"),
+    (["verify", "--suite", "thm-main-aniso", "--dims", "8,16"], "runs at one dimension"),
+    (["verify", "--suite", "kubota", "--dims", "3,4"], "runs at one dimension"),
+    (["verify", "--suite", "paouris", "--dims", "0"], "paouris needs n >= 1, got n=0"),
+    (["verify", "--suite", "paouris", "--dims", ""], "paouris needs at least one dimension"),
 ])
 def test_bad_dims_exit_2_before_any_work(argv, message, capsys, monkeypatch):
     def no_work(*args, **kwargs):
@@ -545,11 +550,31 @@ def test_bad_dims_exit_2_before_any_work(argv, message, capsys, monkeypatch):
     for module in (experiments, functionals):
         monkeypatch.setattr(module, "mean_width", no_work)
     monkeypatch.setattr(experiments, "entropy_numbers", no_work)
+    monkeypatch.setattr(experiments, "draw_samples", no_work)
     rc = cli.main([*argv, "--sphere-samples", "200", "--seed", "1"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", experiments.SUITE_NAMES)
+def test_verify_without_dims_runs_the_suites_default_dims(suite, monkeypatch, capsys):
+    # run_suite calls the stub only after the default dims pass the suite's rule
+    calls = []
+
+    def stub(dims, cfg):
+        calls.append(dims)
+        return [], [], {}
+
+    record = experiments.SUITES[suite]
+    monkeypatch.setitem(experiments.SUITES, suite, dataclasses.replace(record, run=stub))
+    rc = cli.main(["verify", "--suite", suite, "--seed", "3", "--out", "json"])
+    config = json.loads(capsys.readouterr().out)["meta"]["config"]
+    assert rc == 0 and calls == [list(record.dims)]
+    flags = {cli._VERIFY_FLAGS[f] for f in record.reads if f in cli._VERIFY_FLAGS}
+    assert config["dims"] == list(record.dims) and config["seed"] == 3
+    assert set(config) == {"suite", "dims", "seed", *flags}
 
 
 def _reject_non_finite(token):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 from isoconv.bodies import cube, cross_polytope, unit_volume_copy
+from isoconv.functionals import RadModel
 from isoconv.experiments import (
     SUITE_NAMES,
+    SUITES,
     Row,
     SuiteConfig,
     emit_report,
@@ -130,6 +133,30 @@ def test_every_suite_runs_small():
         for row in result.rows:
             assert row.suite == name
             assert math.isfinite(row.value)
+
+
+# a second value for every SuiteConfig field but seed, which every suite reads
+_OTHER = {"n_samples": 3000, "sphere_samples": 1500, "trials": 3, "hull_directions": 600,
+          "rad": RadModel("log-min"), "p_values": (1.0, 3.0)}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_a_suite_reads_exactly_its_reads(name):
+    fields = {f.name for f in dataclasses.fields(SuiteConfig)} - {"seed"}
+    assert set(_OTHER) == fields
+    suite = SUITES[name]
+    base = run_suite(name, suite.dims, FAST).rows
+    unread = {f: v for f, v in _OTHER.items() if f not in suite.reads}
+    assert run_suite(name, suite.dims, dataclasses.replace(FAST, **unread)).rows == base
+    for field in suite.reads:
+        cfg = dataclasses.replace(FAST, **{field: _OTHER[field]})
+        assert run_suite(name, suite.dims, cfg).rows != base, field
+
+
+def test_paouris_flatness_is_exact_when_every_mstar_is():
+    rows = {r.quantity: r for r in run_suite("paouris", [4], FAST).rows}
+    assert rows["flatness-gaussian"].direction == "exact"
+    assert rows["flatness-cube"].direction == "mc"
 
 
 def test_theorem1_bound_is_twice_the_ratio_at_the_smallest_n():
