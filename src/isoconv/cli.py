@@ -1,17 +1,24 @@
 """Command-line front end.
 
-The other isoconv modules are imported in build_parser and the command
-handlers, which run inside main's try, and not at the top of this module:
+The other isoconv modules are imported in build_parser, main and the command
+handlers, after main's try is entered, and not at the top of this module:
 isoconv.pool reads ISOCONV_THREADS when it is first imported (build_parser
 imports it, through experiments), so a bad value is one error line with exit
 2, like any other bad input, and not a traceback.
 
+main owns a command's lifecycle; a handler only computes.  main parses the
+arguments, resolves --out and the stream for human-readable lines, draws a
+seed when --seed is missing, calls the handler, writes the SuiteResult it
+returns through experiments.emit_report (every command's one report shape and
+one config echo), announces a generated seed as its last stderr line, and
+returns the exit code.  A report sent to stdout gets stdout to itself, and the
+human-readable lines go to stderr.
+
 Exit codes: 0 success, 1 verify-suite assertion failure, 2 usage or any other
-error (one line on stderr, no traceback).
-Every run is replayable: a missing --seed is generated, announced on stderr,
-and embedded in all emitted artifacts.  Every command reports through
-experiments.emit_report, so all reports share one csv and one json shape; a
-report sent to stdout gets stdout to itself, human-readable lines go to stderr.
+error: one `error:` line on stderr, with no traceback, which names the seed
+when it was generated.  Every finished run is replayable from the seed in its
+`seed:` line and in the report's config.  A run killed before it ends shows
+no generated seed.
 """
 
 from __future__ import annotations
@@ -32,51 +39,6 @@ def _resolve_out(out: Optional[str], fmt: Optional[str]):
     return out, fmt
 
 
-def _log(args):
-    """Stream for a command's human-readable lines.
-
-    stderr when the report goes to stdout, so that stdout stays parseable;
-    stdout otherwise.  Resolving --out here rejects a bad one before any work.
-    """
-    path, fmt = _resolve_out(args.out, args.format)
-    return sys.stderr if fmt is not None and path is None else sys.stdout
-
-
-def _emit(args, seed: int, result, unread=()) -> None:
-    """Write a command's SuiteResult where --out says, if anywhere.
-
-    The one config echo of every command: its parsed arguments, less the
-    `unread` ones, with the resolved seed.
-    """
-    path, fmt = _resolve_out(args.out, args.format)
-    if fmt is None:
-        return
-    from .experiments import emit_report
-
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("command", "fn", "out", "format", *unread)}
-    config["seed"] = seed
-    emit_report(result, config, fmt, path)
-
-
-def _report(args, seed: int, rows, fitted=None) -> None:
-    """Emit a command's rows as a SuiteResult named after the command."""
-    from .experiments import SuiteResult
-
-    _emit(args, seed, SuiteResult(suite=args.command, rows=tuple(rows), assertions=(),
-                                  fitted=fitted or {}))
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    from .seeds import generate_seed
-
-    seed = generate_seed()
-    print(f"seed: {seed} (generated)", file=sys.stderr)
-    return seed
-
-
 def _parse_values(text: str):
     """Comma-separated numbers, or @file with one value per line."""
     if text.startswith("@"):
@@ -86,52 +48,48 @@ def _parse_values(text: str):
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: (args, log) -> the command's SuiteResult, where log is the
+# stream for human-readable lines and args.seed is set
 # ---------------------------------------------------------------------------
 
 
-def _cmd_meanwidth(args) -> int:
+def _cmd_meanwidth(args, log):
     from .bodies import parse_body
-    from .experiments import Row
+    from .experiments import Row, SuiteResult
     from .functionals import mean_width
 
-    log = _log(args)
-    seed = _resolve_seed(args)
     body = parse_body(args.body)
-    est = mean_width(body, args.sphere_samples, seed)
+    est = mean_width(body, args.sphere_samples, args.seed)
     print(f"{est.value:.10g}", file=log)
-    _report(args, seed, [Row("meanwidth", body.dim, None, "mstar", est.value,
-                             est.std_error, est.direction, seed, est.n_samples)])
-    return 0
+    row = Row("meanwidth", body.dim, None, "mstar", est.value, est.std_error, est.direction,
+              args.seed, est.n_samples)
+    return SuiteResult("meanwidth", (row,), (), {})
 
 
-def _cmd_zp(args) -> int:
+def _cmd_zp(args, log):
     from .centroid import zp_support
-    from .experiments import Row
+    from .experiments import Row, SuiteResult
     from .measures import draw_samples, parse_measure
     from .seeds import child_seed, sphere_directions
 
-    log = _log(args)
-    seed = _resolve_seed(args)
+    seed = args.seed
     mu = parse_measure(args.measure)
     samples = draw_samples(mu, args.samples, child_seed(seed, 0))
     dirs = sphere_directions(mu.dim, args.directions, child_seed(seed, 1))
     h = zp_support(samples, args.p, dirs)
     print(f"{h.mean():.10g}", file=log)
-    _report(args, seed, [Row("zp", mu.dim, args.p, f"h-zp-dir{i}", float(v), 0.0, "mc",
-                             seed, args.samples) for i, v in enumerate(h)])
-    return 0
+    rows = tuple(Row("zp", mu.dim, args.p, f"h-zp-dir{i}", float(v), 0.0, "mc", seed,
+                     args.samples) for i, v in enumerate(h))
+    return SuiteResult("zp", rows, (), {})
 
 
-def _cmd_isotropy(args) -> int:
-    from .experiments import Row
+def _cmd_isotropy(args, log):
+    from .experiments import Row, SuiteResult
     from .isotropy import estimate_moments, isotropic_constant
     from .measures import draw_samples, parse_measure
 
-    log = _log(args)
-    seed = _resolve_seed(args)
     mu = parse_measure(args.measure)
-    samples = draw_samples(mu, args.samples, seed)
+    samples = draw_samples(mu, args.samples, args.seed)
     summary = estimate_moments(samples)
     facts = [(f"barycenter-{i}", v) for i, v in enumerate(summary.barycenter)]
     facts += [(f"eigenvalue-{i}", v) for i, v in enumerate(summary.eigenvalues)]
@@ -143,48 +101,35 @@ def _cmd_isotropy(args) -> int:
         l_value = isotropic_constant(summary, mu.log_density_sup)
         print(f"L: {l_value:.10g}", file=log)
         facts.append(("l-mu", l_value))
-    _report(args, seed, [Row("isotropy", mu.dim, None, q, float(v), 0.0, "mc", seed,
-                             args.samples) for q, v in facts])
-    return 0
+    rows = tuple(Row("isotropy", mu.dim, None, q, float(v), 0.0, "mc", args.seed,
+                     args.samples) for q, v in facts)
+    return SuiteResult("isotropy", rows, (), {})
 
 
-def _cmd_vk(args) -> int:
+def _cmd_vk(args, log):
     from .bodies import parse_body
-    from .experiments import Row
+    from .experiments import Row, SuiteResult
     from .grassmann import vk_estimate
 
-    log = _log(args)
-    seed = _resolve_seed(args)
     body = parse_body(args.body)
-    est = vk_estimate(body, args.k, args.trials, seed)
+    est = vk_estimate(body, args.k, args.trials, args.seed)
     print(f"{est.value:.10g}", file=log)
-    _report(args, seed, [Row("vk", body.dim, None, f"vk-k{args.k}", est.value,
-                             est.std_error, est.direction, seed, args.trials)])
-    return 0
+    row = Row("vk", body.dim, None, f"vk-k{args.k}", est.value, est.std_error, est.direction,
+              args.seed, args.trials)
+    return SuiteResult("vk", (row,), (), {})
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args, log) -> None:
+    """Print one bound value; bound writes no report and takes no seed."""
     from .functionals import bound_rhs, parse_rad_model
 
-    params = {}
-    if args.spectrum is not None:
-        params["spectrum"] = _parse_values(args.spectrum)
-    if args.vk_values is not None:
-        params["vk_values"] = _parse_values(args.vk_values)
-    if args.ek_values is not None:
-        params["ek_values"] = _parse_values(args.ek_values)
-    for name in ("p", "n", "t", "k", "mstar", "l_k", "rad_value"):
-        val = getattr(args, name)
-        if val is not None:
-            params[name] = val
-    if args.rad is not None:
-        params["rad"] = parse_rad_model(args.rad)
-    try:
-        value = bound_rhs(args.kind, **params)
-    except KeyError as exc:
-        raise ValueError(f"bound kind {args.kind!r} is missing parameter {exc}") from exc
-    print(f"{value:.10g}")
-    return 0
+    # every flag given goes to bound_rhs, which rejects those its kind does not read
+    parsers = {"spectrum": _parse_values, "vk_values": _parse_values,
+               "ek_values": _parse_values, "rad": parse_rad_model}
+    params = {name: parsers.get(name, lambda v: v)(value)
+              for name, value in vars(args).items()
+              if value is not None and name not in ("command", "fn", "kind")}
+    print(f"{bound_rhs(args.kind, **params):.10g}", file=log)
 
 
 # verify's flags that set a SuiteConfig field, by field
@@ -192,41 +137,40 @@ _VERIFY_FLAGS = {"n_samples": "samples", "sphere_samples": "sphere_samples",
                  "trials": "trials", "rad": "rad", "p_values": "p_values"}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, log):
     from .experiments import SUITES, SuiteConfig, run_suite
     from .functionals import parse_rad_model
 
-    log = _log(args)
-    seed = _resolve_seed(args)
     suite = SUITES[args.suite]
     if args.dims is None:
         args.dims = list(suite.dims)
     cfg = SuiteConfig(
-        seed=seed,
+        seed=args.seed,
         n_samples=args.samples,
         sphere_samples=args.sphere_samples,
         trials=args.trials,
         rad=parse_rad_model(args.rad),
         p_values=None if args.p_values is None else tuple(_parse_values(args.p_values)),
     )
+    # the config echo holds only the flags the suite reads
+    for field, flag in _VERIFY_FLAGS.items():
+        if field not in suite.reads:
+            delattr(args, flag)
     result = run_suite(args.suite, args.dims, cfg)
     for a in result.assertions:
         print(f"{'PASS' if a.passed else 'FAIL'} {a.name}: {a.detail}", file=log)
-    _emit(args, seed, result,
-          unread=[flag for field, flag in _VERIFY_FLAGS.items() if field not in suite.reads])
-    return 0 if result.passed else 1
+    return result
 
 
-def _cmd_scaling(args) -> int:
+def _cmd_scaling(args, log):
     """Mean-width scaling fit across dims for a body-descriptor template."""
     from .bodies import parse_body
-    from .experiments import Row, check_slope_dims, fit_scaling_slope
+    from .experiments import Row, SuiteResult, check_slope_dims, fit_scaling_slope
     from .functionals import mean_width
     from .seeds import child_seed
 
-    log = _log(args)
+    seed = args.seed
     check_slope_dims(args.dims)
-    seed = _resolve_seed(args)
     rows, pairs = [], []
     for j, n in enumerate(args.dims):
         body = parse_body(args.body.replace("{n}", str(n)))
@@ -238,8 +182,7 @@ def _cmd_scaling(args) -> int:
     print(f"slope: {slope:.6f} +- {half:.6f}", file=log)
     rows.append(Row("scaling", 0, None, "slope", slope, half / 2.0, "mc", seed,
                     len(pairs)))
-    _report(args, seed, rows, fitted={"intercept": intercept})
-    return 0
+    return SuiteResult("scaling", tuple(rows), (), {"intercept": intercept})
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +194,32 @@ def _dims_list(text: str):
     return [int(tok) for tok in text.split(",") if tok]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ValueError, so main reports it as one line; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .experiments import SUITE_NAMES, SuiteConfig
 
     defaults = SuiteConfig()
 
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="isoconv",
         description="Numerical toolkit for mean-width, centroid bodies and "
         "isotropic position, with a seeded verification harness.",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True, out=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="master seed (generated and announced if omitted)")
-        if out:
-            p.add_argument("--out", default=None, help="write results to this path")
-            p.add_argument("--format", choices=("csv", "json"), default=None,
-                           help="output format (default: guessed from --out suffix)")
+    def add_common(p):
+        p.add_argument("--seed", type=int, default=None,
+                       help="master seed (generated and announced if omitted)")
+        p.add_argument("--out", default=None, help="write results to this path")
+        p.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="output format (default: guessed from --out suffix)")
 
     p = sub.add_parser("meanwidth", help="Monte Carlo mean width of a body")
     p.add_argument("--body", required=True, help="body descriptor, e.g. ball:8 or cube:4:2")
@@ -339,15 +288,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    generated = None
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        path, fmt = _resolve_out(getattr(args, "out", None), getattr(args, "format", None))
+        # human-readable lines go to stderr when the report has stdout to itself
+        log = sys.stderr if fmt is not None and path is None else sys.stdout
+        if "seed" in vars(args) and args.seed is None:
+            from .seeds import generate_seed
+
+            args.seed = generated = generate_seed()
+        result = args.fn(args, log)
+        if result is None:  # bound: a value line, no report
+            return 0
+        if fmt is not None:
+            from .experiments import emit_report
+
+            config = {k: v for k, v in vars(args).items()
+                      if k not in ("command", "fn", "out", "format")}
+            emit_report(result, config, fmt, path)
+        if generated is not None:
+            print(f"seed: {generated} (generated)", file=sys.stderr)
+        return 0 if result.passed else 1
     except Exception as exc:
         # exit 1 is reserved for suite failures; any error is one line and exit 2.
         # Bad input (ValueError, OSError) speaks for itself, the rest names its type.
         lines = str(exc).strip().splitlines() or [""]
         kind = "" if isinstance(exc, (ValueError, OSError)) else f"{type(exc).__name__}: "
-        print(f"error: {kind}{lines[0]}", file=sys.stderr)
+        replay = "" if generated is None else f" (seed: {generated}, generated)"
+        print(f"error: {kind}{lines[0]}{replay}", file=sys.stderr)
         return 2
 
 

@@ -75,17 +75,18 @@ def mean_width(
 ) -> Estimate:
     """(Half) mean width M*(K): average of h_K over the uniform sphere.
 
-    Balls short-circuit to the exact value M* = radius.  Everything else is
+    Balls short-circuit to the exact value M* = radius, after the
+    sphere_samples >= 100 check every body gets.  Everything else is
     Monte Carlo over seeded directions, value +- SE.  Linearity M*(tK) =
     t M*(K) is exact on matched seeds since the direction set is identical.
     The directions are drawn and evaluated in blocks of at most
     DIRECTION_BLOCK, so memory does not grow with sphere_samples beyond the
     (sphere_samples,) support values.
     """
-    if "ball_radius" in body.analytic:
-        return Estimate(float(body.analytic["ball_radius"]), 0.0, 0, "exact")
     if sphere_samples < 100:
         raise ValueError(f"need sphere_samples >= 100, got {sphere_samples}")
+    if "ball_radius" in body.analytic:
+        return Estimate(float(body.analytic["ball_radius"]), 0.0, 0, "exact")
     h = np.empty(sphere_samples)
     start = 0
     for dirs in sphere_direction_blocks(body.dim, sphere_samples, seed):
@@ -257,6 +258,20 @@ def _warn_range(kind: str, t: float, lo: float, hi: float):
         )
 
 
+def _take(kind: str, params: dict, *names, **optional) -> list:
+    """Take a bound kind's parameters out of params: `names` are required,
+    `optional` maps a name to its default.  A missing required parameter, or
+    one left over that the kind does not read, is a ValueError."""
+    for name in names:
+        if name not in params:
+            raise ValueError(f"bound kind {kind!r} is missing parameter {name!r}")
+    values = [params.pop(name) for name in names]
+    values += [params.pop(name, default) for name, default in optional.items()]
+    if params:
+        raise ValueError(f"bound kind {kind!r} does not read {', '.join(map(repr, params))}")
+    return values
+
+
 def bound_rhs(kind: str, **params) -> float:
     """Evaluate a named bound expression with every constant set to 1.
 
@@ -277,12 +292,14 @@ def bound_rhs(kind: str, **params) -> float:
     gpv-piecewise     three-regime refinement of gpv in t
     thm14             n * (rad_value*l_k/t)^2 * log^2(1 + t^2/(rad_value*l_k)^2)
 
-    Out-of-range t warns and still evaluates; structural errors raise.
+    Out-of-range t warns and still evaluates; structural errors raise, and so
+    does a missing parameter or one the kind does not read.
     """
     if kind in ("thm-main-product", "thm-main-arith"):
-        lam = _check_spectrum(params["spectrum"])
-        p = _check_p(params["p"])
-        rad = params.get("rad") or RadModel("unit")
+        spectrum, p, rad = _take(kind, params, "spectrum", "p", rad=None)
+        lam = _check_spectrum(spectrum)
+        p = _check_p(p)
+        rad = rad or RadModel("unit")
         n = lam.size
         k = np.arange(1, n + 1, dtype=float)
         weights = np.maximum(np.sqrt(p / k), p / k)
@@ -292,27 +309,29 @@ def bound_rhs(kind: str, **params) -> float:
             means = np.cumsum(lam) / k
         return rad.value(n, p) / math.sqrt(n) * float((weights * means).sum())
     if kind == "prop31":
-        lam = _check_spectrum(params["spectrum"])
-        p = _check_p(params["p"])
-        k = int(params["k"])
+        spectrum, p, k = _take(kind, params, "spectrum", "p", "k")
+        lam = _check_spectrum(spectrum)
+        p = _check_p(p)
+        k = int(k)
         if not 1 <= k <= lam.size:
             raise ValueError(f"k must be in [1, {lam.size}], got {k}")
         gmean = float(np.exp(np.log(lam[:k]).mean()))
         return math.sqrt(p / k) * max(math.sqrt(p), math.sqrt(k)) * gmean
     if kind == "mp-sum":
-        vk = np.asarray(params["vk_values"], dtype=float)
-        rad = params.get("rad") or RadModel("unit")
-        p = params.get("p")
+        vk, rad, p = _take(kind, params, "vk_values", rad=None, p=None)
+        vk = np.asarray(vk, dtype=float)
+        rad = rad or RadModel("unit")
         ks = np.arange(1, vk.size + 1)
         rv = np.array([rad.value(int(k), p) for k in ks])
         return float((rv * vk / np.sqrt(ks)).sum())
     if kind == "dudley-sum":
-        ek = np.asarray(params["ek_values"], dtype=float)
+        (ek,) = _take(kind, params, "ek_values")
+        ek = np.asarray(ek, dtype=float)
         ks = np.arange(1, ek.size + 1, dtype=float)
         return float((ek / np.sqrt(ks)).sum())
     if kind == "summary-piecewise":
-        n = int(params["n"])
-        p = _check_p(params["p"])
+        n, p = _take(kind, params, "n", "p")
+        n, p = int(n), _check_p(p)
         if p > n:
             warnings.warn(
                 f"summary-piecewise: p = {p:g} beyond the stated range [1, n={n}]",
@@ -327,17 +346,21 @@ def bound_rhs(kind: str, **params) -> float:
             return math.sqrt(p) * math.log(1.0 + n)
         return p / math.sqrt(n) * log2n
     if kind == "sudakov":
-        n, mstar, t = int(params["n"]), float(params["mstar"]), _check_t(params["t"])
+        n, mstar, t = _take(kind, params, "n", "mstar", "t")
+        n, mstar, t = int(n), float(mstar), _check_t(t)
         return n * (mstar / t) ** 2
     if kind == "hartzoulaki":
-        n, l_k, t = int(params["n"]), float(params["l_k"]), _check_t(params["t"])
+        n, l_k, t = _take(kind, params, "n", "l_k", "t")
+        n, l_k, t = int(n), float(l_k), _check_t(t)
         return n * l_k / t
     if kind == "gpv":
-        n, p, t = int(params["n"]), _check_p(params["p"]), _check_t(params["t"])
+        n, p, t = _take(kind, params, "n", "p", "t")
+        n, p, t = int(n), _check_p(p), _check_t(t)
         _warn_range("gpv", t, 1.0, math.sqrt(p))
         return n / t**2 + math.sqrt(n) * math.sqrt(p) / t
     if kind == "gpv-piecewise":
-        n, p, t = int(params["n"]), _check_p(params["p"]), _check_t(params["t"])
+        n, p, t = _take(kind, params, "n", "p", "t")
+        n, p, t = int(n), _check_p(p), _check_t(t)
         log2n = math.log(1.0 + n) ** 2
         if p > n / log2n:
             warnings.warn(
@@ -353,12 +376,8 @@ def bound_rhs(kind: str, **params) -> float:
             return math.sqrt(n) * math.sqrt(p) / t
         return n * log2n / t**2
     if kind == "thm14":
-        n = int(params["n"])
-        rad_value, l_k, t = (
-            float(params["rad_value"]),
-            float(params["l_k"]),
-            float(params["t"]),
-        )
+        n, rad_value, l_k, t = _take(kind, params, "n", "rad_value", "l_k", "t")
+        n, rad_value, l_k, t = int(n), float(rad_value), float(l_k), float(t)
         if not (t > 0 and rad_value > 0 and l_k > 0):
             raise ValueError("thm14 needs positive t, rad_value and l_k")
         _warn_range("thm14", t, rad_value * l_k, math.sqrt(n) * l_k)

@@ -36,16 +36,22 @@ def test_bound_summary_piecewise_prints_two(capsys):
 
 
 def test_verify_unknown_suite_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "nosuch", "--dims", "4"])
-    assert exc.value.code == 2
+    rc = cli.main(["verify", "--suite", "nosuch", "--dims", "4"])
+    assert rc == 2
 
 
 def test_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["meanwidth", "--body", "ball:2", "--nosuchflag"])
-    assert exc.value.code == 2
+    rc = cli.main(["meanwidth", "--body", "ball:2", "--nosuchflag"])
+    assert rc == 2
     assert "--nosuchflag" in capsys.readouterr().err
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    # only usage errors become an error line; --help still exits through argparse
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: isoconv verify")
 
 
 def test_missing_seed_generates_and_announces(capsys):
@@ -79,6 +85,8 @@ def test_bound_missing_parameter_exits_2(capsys):
     (["--kind", "gpv", "--n", "16", "--p", "4", "--t", "0"], "t must be positive"),
     (["--kind", "gpv-piecewise", "--n", "16", "--p", "4", "--t", "0"], "t must be positive"),
     (["--kind", "mp-sum", "--vk-values", "1", "--rad", "constant:nan"], "needs c > 0"),
+    (["--kind", "sudakov", "--n", "4", "--mstar", "1", "--t", "1", "--p", "3",
+      "--spectrum", "5,4"], "bound kind 'sudakov' does not read 'spectrum', 'p'"),
 ])
 def test_bound_rejects_nan_and_out_of_range_inputs(argv, reason, capsys):
     rc = cli.main(["bound", *argv])
@@ -644,3 +652,94 @@ def test_empty_p_grid_is_one_line_exit_2_before_any_sampling(suite, capsys, monk
     assert rc == 2
     assert captured.err.startswith("error: ") and "--p-values" in captured.err
     assert captured.err.count("\n") == 1
+
+
+_REJECTED = [
+    ["meanwidth", "--body", "nosuch:3"],
+    ["meanwidth", "--body", "ball:3", "--sphere-samples", "5"],
+    ["zp", "--measure", "bad", "--p", "2"],
+    ["isotropy", "--measure", "gaussian:0"],
+    ["vk", "--body", "cube:3", "--k", "9"],
+    ["bound", "--kind", "sudakov", "--n", "4"],
+    ["verify", "--suite", "kubota", "--trials", "1"],
+    ["verify", "--suite", "kubota", "--dims", "2"],
+    ["verify", "--suite", "paouris", "--p-values", ","],
+    ["scaling", "--body", "nosuch:{n}", "--dims", "4,6,8,12"],
+    ["scaling", "--body", "b1tilde:{n}", "--dims", "4,8"],
+    ["meanwidth", "--body", "ball:3", "--out", "csv", "--format", "json"],
+    # usage errors, raised by the parser
+    [],
+    ["meanwidth"],
+    ["zp", "--measure", "gaussian:3"],
+    ["verify", "--suite", "kubota", "--dims", "a"],
+    ["vk", "--body", "ball:3", "--k", "2", "--nosuchflag"],
+]
+
+
+@pytest.mark.parametrize("argv", _REJECTED, ids=lambda argv: " ".join(argv) or "no-command")
+def test_rejected_run_without_seed_prints_one_error_line(argv, capsys):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _generated_seed(stderr):
+    """The seed of a `seed: N (generated)` line, which must be stderr's last and only one."""
+    lines = stderr.splitlines()
+    assert [line for line in lines if line.startswith("seed:")] == lines[-1:]
+    word, seed, note = lines[-1].split()
+    assert (word, note) == ("seed:", "(generated)")
+    return int(seed)
+
+
+def test_completed_run_announces_its_generated_seed_last():
+    # through the module entry point; the value line goes to stderr ahead of the seed
+    argv = [sys.executable, "-m", "isoconv", "zp", "--measure", "gaussian:3", "--p", "3",
+            "--samples", "500", "--directions", "4", "--out", "csv"]
+    first = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert first.returncode == 0, first.stderr
+    seed = _generated_seed(first.stderr)
+    assert len(first.stderr.splitlines()) == 2
+    rerun = subprocess.run([*argv, "--seed", str(seed)], capture_output=True, text=True,
+                           timeout=60)
+    assert rerun.returncode == 0 and rerun.stderr == first.stderr.splitlines()[0] + "\n"
+    assert rerun.stdout == first.stdout
+    assert {r["seed"] for r in csv.DictReader(first.stdout.splitlines())} == {str(seed)}
+
+
+def test_failing_run_announces_its_generated_seed_last(monkeypatch, capsys):
+    def stub(dims, cfg):
+        value = float(np.random.default_rng(cfg.seed).random())
+        row = experiments.Row("paouris", dims[0], None, "x", value, 0.0, "mc", cfg.seed, 0)
+        return [row], [Assertion("forced", False, f"value {value}")], {}
+
+    record = experiments.SUITES["paouris"]
+    monkeypatch.setitem(experiments.SUITES, "paouris", dataclasses.replace(record, run=stub))
+    # the report has stdout to itself, so the FAIL line goes to stderr ahead of the seed
+    argv = ["verify", "--suite", "paouris", "--dims", "4", "--out", "json"]
+    rc = cli.main(argv)
+    first = capsys.readouterr()
+    assert rc == 1
+    seed = _generated_seed(first.err)
+    assert first.err.startswith("FAIL forced") and len(first.err.splitlines()) == 2
+    assert json.loads(first.out)["meta"]["config"]["seed"] == seed
+    rc = cli.main([*argv, "--seed", str(seed)])
+    rerun = capsys.readouterr()
+    assert rc == 1 and rerun.out == first.out
+    assert rerun.err == first.err.splitlines()[0] + "\n"
+
+
+def test_error_after_work_started_names_the_generated_seed(monkeypatch, capsys):
+    seen = []
+
+    def stub(dims, cfg):
+        seen.append(cfg.seed)
+        raise ZeroDivisionError("injected")
+
+    record = experiments.SUITES["theorem1"]
+    monkeypatch.setitem(experiments.SUITES, "theorem1", dataclasses.replace(record, run=stub))
+    rc = cli.main(["verify", "--suite", "theorem1", "--dims", "4"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: ZeroDivisionError: injected (seed: {seen[0]}, generated)\n"

@@ -57,6 +57,8 @@ def test_mean_width_cross_polytope_3d_oracle():
 def test_mean_width_validates_samples():
     with pytest.raises(ValueError):
         mean_width(cube(2), sphere_samples=10, seed=1)
+    with pytest.raises(ValueError, match="sphere_samples >= 100"):
+        mean_width(ball(3), sphere_samples=5, seed=1)  # before the exact ball value
 
 
 # ---------------------------------------------------------------------------
@@ -324,5 +326,9 @@ def test_bound_rhs_validation():
         bound_rhs("thm-main-product", spectrum=[1.0, -1.0], p=2.0)
     with pytest.raises(ValueError):
         bound_rhs("thm-main-product", spectrum=[1.0], p=0.5)
-    with pytest.raises(KeyError):
-        bound_rhs("sudakov", n=4, t=1.0)  # mstar missing
+    with pytest.raises(ValueError, match="bound kind 'sudakov' is missing parameter 'mstar'"):
+        bound_rhs("sudakov", n=4, t=1.0)
+    with pytest.raises(ValueError, match="bound kind 'sudakov' does not read 'p'"):
+        bound_rhs("sudakov", n=4, mstar=1.0, t=1.0, p=3.0)
+    with pytest.raises(ValueError, match="'k', 'rad'"):
+        bound_rhs("summary-piecewise", n=16, p=4.0, k=2, rad=RadModel("unit"))
