@@ -164,24 +164,15 @@ def _cmd_verify(args, log):
 
 def _cmd_scaling(args, log):
     """Mean-width scaling fit across dims for a body-descriptor template."""
-    from .bodies import parse_body
-    from .experiments import Row, SuiteResult, check_slope_dims, fit_scaling_slope
-    from .functionals import mean_width
-    from .seeds import child_seed
+    from .experiments import Row, SuiteResult, mean_width_scaling
 
-    seed = args.seed
-    check_slope_dims(args.dims)
-    rows, pairs = [], []
-    for j, n in enumerate(args.dims):
-        body = parse_body(args.body.replace("{n}", str(n)))
-        est = mean_width(body, args.sphere_samples, child_seed(seed, j))
-        pairs.append((n, est.value))
-        rows.append(Row("scaling", n, None, "mstar", est.value, est.std_error,
-                        est.direction, seed, est.n_samples))
-    slope, intercept, half = fit_scaling_slope(pairs)
+    estimates, (slope, intercept, half) = mean_width_scaling(
+        args.body, args.dims, args.sphere_samples, args.seed)
+    rows = [Row("scaling", n, None, "mstar", est.value, est.std_error, est.direction, args.seed,
+                est.n_samples) for n, est in zip(args.dims, estimates)]
     print(f"slope: {slope:.6f} +- {half:.6f}", file=log)
-    rows.append(Row("scaling", 0, None, "slope", slope, half / 2.0, "mc", seed,
-                    len(pairs)))
+    rows.append(Row("scaling", 0, None, "slope", slope, half / 2.0, "mc", args.seed,
+                    len(estimates)))
     return SuiteResult("scaling", tuple(rows), (), {"intercept": intercept})
 
 

@@ -25,7 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bodies import ConvexBody, ball, cross_polytope, cube, product_body, scale_body, unit_volume_copy
+from .bodies import (ConvexBody, ball, cross_polytope, cube, parse_body, product_body, scale_body,
+                     unit_volume_copy)
 from . import pool
 from .centroid import centroid_body, exact_zp
 from .functionals import RadModel, bound_rhs, entropy_numbers, mean_width
@@ -113,6 +114,23 @@ def fit_scaling_slope(pairs) -> tuple:
     return slope, intercept, 2.0 * se
 
 
+def mean_width_scaling(template: str, dims, sphere_samples: int, seed: int) -> tuple:
+    """M* at each n in dims of the body parse_body makes of `template`, n put for {n}.
+
+    Returns (estimates, (slope, intercept, half_width)), the fit by
+    fit_scaling_slope.  Every body is built, and must be n-dimensional, before
+    any mean width is taken; the j-th M* takes seed child_seed(seed, j).
+    """
+    check_slope_dims(dims)
+    descriptors = [template.replace("{n}", str(n)) for n in dims]
+    bodies = [parse_body(d) for d in descriptors]
+    for d, K, n in zip(descriptors, bodies, dims):
+        if K.dim != n:
+            raise ValueError(f"body {d!r} has dim {K.dim}, not n = {n}")
+    estimates = [mean_width(K, sphere_samples, child_seed(seed, j)) for j, K in enumerate(bodies)]
+    return estimates, fit_scaling_slope(zip(dims, (est.value for est in estimates)))
+
+
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
@@ -169,8 +187,10 @@ def qm_body(K: ConvexBody, m: int) -> ConvexBody:
 def _suite_theorem1(dims, cfg: SuiteConfig):
     """M*(K) against sqrt(n) log^2(1+n) L_K for the two exact unit-volume families.
 
-    The normalized ratio must stay bounded as n grows: each family's ratio may
-    not exceed twice its value at the smallest tested n.
+    L_K is exact (exact_isotropic_constant), so the sphere directions of M* are
+    all the suite's randomness, and a ratio row carries its M* row's SE over the
+    exact denominator, and its label.  Each family's ratio may not exceed twice
+    its value at the smallest tested n.
     """
     rows, assertions = [], []
     for fam_idx, fam in enumerate(("cube", "cross")):
@@ -179,15 +199,16 @@ def _suite_theorem1(dims, cfg: SuiteConfig):
             K = dict(_unit_bodies(n))[fam]
             seed = child_seed(cfg.seed, 100 * fam_idx + j)
             mstar = mean_width(K, cfg.sphere_samples, child_seed(seed, 0))
-            samples = draw_samples(uniform_body_measure(K), cfg.n_samples, child_seed(seed, 1))
-            det_root = estimate_moments(samples).det_root  # L_K: density sup is 1
-            ratio = mstar.value / (math.sqrt(n) * math.log(1 + n) ** 2 * det_root)
+            l_k = exact_isotropic_constant(K)
+            denom = math.sqrt(n) * math.log(1 + n) ** 2 * l_k
+            ratio = mstar.value / denom
             ratios.append((n, ratio))
             rows += [
                 Row("theorem1", n, None, f"mstar-{fam}", mstar.value, mstar.std_error,
-                    "mc", seed, cfg.sphere_samples),
-                Row("theorem1", n, None, f"l-{fam}", det_root, 0.0, "mc", seed, cfg.n_samples),
-                Row("theorem1", n, None, f"thm1-ratio-{fam}", ratio, 0.0, "mc", seed, 0),
+                    mstar.direction, seed, cfg.sphere_samples),
+                Row("theorem1", n, None, f"l-{fam}", l_k, 0.0, "exact", seed, 0),
+                Row("theorem1", n, None, f"thm1-ratio-{fam}", ratio, mstar.std_error / denom,
+                    mstar.direction, seed, 0),
             ]
         bound = 2.0 * min(ratios)[1]  # the ratio at the smallest n
         worst = max(r for _, r in ratios)
@@ -308,17 +329,13 @@ def _suite_thm_main_aniso(dims, cfg: SuiteConfig):
 
 def _suite_b1_scaling(dims, cfg: SuiteConfig):
     """Growth exponent of M* for the unit-volume l1 ball across n."""
-    rows, pairs = [], []
-    for j, n in enumerate(dims):
-        K = unit_volume_copy(cross_polytope(n))
-        seed = child_seed(cfg.seed, j)
-        mstar = mean_width(K, cfg.sphere_samples, seed)
-        pairs.append((n, mstar.value))
-        rows.append(Row("b1-scaling", n, None, "mstar-b1tilde", mstar.value,
-                        mstar.std_error, "mc", seed, cfg.sphere_samples))
-    slope, intercept, half = fit_scaling_slope(pairs)
+    estimates, (slope, intercept, half) = mean_width_scaling(
+        "b1tilde:{n}", dims, cfg.sphere_samples, cfg.seed)
+    rows = [Row("b1-scaling", n, None, "mstar-b1tilde", est.value, est.std_error,
+                est.direction, child_seed(cfg.seed, j), est.n_samples)
+            for j, (n, est) in enumerate(zip(dims, estimates))]
     rows.append(Row("b1-scaling", 0, None, "slope", slope, half / 2.0, "mc",
-                    cfg.seed, len(pairs)))
+                    cfg.seed, len(estimates)))
     ok = 0.50 <= slope <= 0.65
     assertion = Assertion(
         "b1-scaling-slope",
@@ -556,7 +573,7 @@ class Suite:
 
 
 SUITES = {
-    "theorem1": Suite(_suite_theorem1, ("n_samples", "sphere_samples"), (4, 8)),
+    "theorem1": Suite(_suite_theorem1, ("sphere_samples",), (4, 8)),
     "paouris": Suite(_suite_paouris, ("n_samples", "sphere_samples", "p_values"), (16,)),
     "thm-main-aniso": Suite(_suite_thm_main_aniso, ("sphere_samples", "rad", "p_values"),
                             (16,), shape="one"),

@@ -42,7 +42,6 @@ class MomentSummary:
     covariance: np.ndarray
     eigenvalues: np.ndarray  # descending
     det_root: float
-    degenerate: bool = False
 
 
 def estimate_moments(samples: SampleSet) -> MomentSummary:
@@ -50,7 +49,7 @@ def estimate_moments(samples: SampleSet) -> MomentSummary:
 
     Eigenvalues more negative than -1e-10 * lambda_max are an error (the
     covariance of finitely many finite points is PSD up to round-off); small
-    negative round-off is clipped to zero and flagged degenerate.
+    negative round-off is clipped to zero, and a zero eigenvalue makes det_root 0.
     """
     n, dim = samples.count, samples.dim
     if n < dim + 1:
@@ -68,21 +67,11 @@ def estimate_moments(samples: SampleSet) -> MomentSummary:
         raise DegenerateCovarianceError(
             f"covariance eigenvalue {evals[-1]:g} is negative beyond round-off"
         )
-    degenerate = bool(evals[-1] <= 1e-10 * top)
     clipped = np.clip(evals, 0.0, None)
-    with np.errstate(divide="ignore"):
-        log_evs = np.log(clipped)
-    det_root = (
-        0.0 if degenerate and clipped[-1] == 0.0 else math.exp(log_evs.sum() / (2 * dim))
-    )
-    return MomentSummary(
-        dim=dim,
-        barycenter=b,
-        covariance=cov,
-        eigenvalues=clipped,
-        det_root=det_root,
-        degenerate=degenerate,
-    )
+    with np.errstate(divide="ignore"):  # a zero eigenvalue: log -inf, det_root 0
+        det_root = math.exp(np.log(clipped).sum() / (2 * dim))
+    return MomentSummary(dim=dim, barycenter=b, covariance=cov, eigenvalues=clipped,
+                         det_root=det_root)
 
 
 def isotropic_constant(summary: MomentSummary, log_density_sup: Optional[float]) -> float:

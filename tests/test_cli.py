@@ -207,6 +207,13 @@ def test_scaling_command(capsys):
     assert out.startswith("slope:")
 
 
+def test_scaling_template_may_repeat_n(capsys):
+    # every body must be n-dimensional, and cube:{n}:{n} is
+    rc = cli.main(["scaling", "--body", "cube:{n}:{n}", "--dims", "4,8,16,32",
+                   "--sphere-samples", "200", "--seed", "1"])
+    assert rc == 0 and capsys.readouterr().out.startswith("slope:")
+
+
 def test_verify_writes_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     rc = cli.main(["verify", "--suite", "zn-volrad", "--dims", "3", "--samples",
@@ -550,6 +557,9 @@ def test_zn_volrad_above_the_hull_cap_exits_2_before_any_zp_pass(capsys, monkeyp
     (["verify", "--suite", "kubota", "--dims", "3,4"], "runs at one dimension"),
     (["verify", "--suite", "paouris", "--dims", "0"], "paouris needs n >= 1, got n=0"),
     (["verify", "--suite", "paouris", "--dims", ""], "paouris needs at least one dimension"),
+    # cube:4 is one 4-dimensional cube at every n, which would mislabel its rows
+    (["scaling", "--body", "cube:4", "--dims", "4,8,16,32"],
+     "body 'cube:4' has dim 4, not n = 8"),
 ])
 def test_bad_dims_exit_2_before_any_work(argv, message, capsys, monkeypatch):
     def no_work(*args, **kwargs):

@@ -171,6 +171,42 @@ def test_theorem1_bound_is_twice_the_ratio_at_the_smallest_n():
         assert a.detail.endswith(f"2x smallest-n ratio {2.0 * ratio:.4f}")
 
 
+def test_theorem1_draws_no_samples(monkeypatch):
+    # L_K is the body's exact isotropic constant; only M* is random
+    from isoconv import experiments
+
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("draw_samples", "estimate_moments"):
+        monkeypatch.setattr(experiments, name, counting(getattr(experiments, name)))
+    run_suite("theorem1", [4, 8], SuiteConfig(seed=2, sphere_samples=200))
+    assert calls == []
+
+
+def test_theorem1_l_rows_are_exact_and_ratios_carry_the_mstar_se():
+    from isoconv.isotropy import exact_isotropic_constant
+
+    rows = {(r.quantity, r.n): r for r in
+            run_suite("theorem1", [4, 8], SuiteConfig(seed=3, sphere_samples=300)).rows}
+    for n in (4, 8):
+        for fam, K in (("cube", cube(n, side=1.0)),
+                       ("cross", unit_volume_copy(cross_polytope(n)))):
+            l_k = rows[(f"l-{fam}", n)]
+            assert (l_k.value, l_k.std_error, l_k.direction, l_k.samples) == (
+                exact_isotropic_constant(K), 0.0, "exact", 0)
+            mstar, ratio = rows[(f"mstar-{fam}", n)], rows[(f"thm1-ratio-{fam}", n)]
+            den = math.sqrt(n) * math.log1p(n) ** 2 * l_k.value
+            assert mstar.direction == ratio.direction == "mc"
+            assert ratio.value == pytest.approx(mstar.value / den, rel=1e-12)
+            assert ratio.std_error == pytest.approx(mstar.std_error / den, rel=1e-12)
+
+
 def test_suite_seed_recorded_in_rows():
     r = run_suite("zn-volrad", [3], FAST)
     assert all(isinstance(row.seed, int) for row in r.rows)

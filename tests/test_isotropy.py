@@ -33,12 +33,13 @@ def test_estimate_moments_requires_enough_points():
         estimate_moments(SampleSet(np.eye(3)))  # 3 points in dim 3
 
 
-def test_estimate_moments_degenerate_flag():
-    # all mass on a line in R^2
+def test_estimate_moments_degenerate_covariance():
+    # all mass on a line in R^2: the zero eigenvalue is clipped to 0, and det_root is 0
     t = np.linspace(-1, 1, 50)[:, None]
     s = SampleSet(np.hstack([t, 2.0 * t]))
     m = estimate_moments(s)
-    assert m.degenerate
+    assert m.eigenvalues[-1] == 0.0
+    assert m.det_root == 0.0
 
 
 def test_isotropic_constant_formula():

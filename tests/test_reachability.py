@@ -1,10 +1,16 @@
-"""Every public library function is reached from the library itself.
+"""Every public library function is reached, and every record field read, from the library.
 
 A public module-level function of src/isoconv that only tests call is code no
 suite or command runs: it gets wired into a suite or CLI path, or deleted.
 This scan finds such functions by name: a function counts as reached when
 some Name or Attribute node of src/isoconv, outside its own def, carries its
 name.  Imports alone do not count.
+
+Records carry only what the library reads, so the same holds for the fields
+of every dataclass of src/isoconv: a field counts as read when some attribute
+load in src/isoconv (its own class's methods included) carries its name, or
+some string constant is its name, as the CSV columns and the SUITES `reads`
+strings are.  Passing a field to the constructor does not count.
 """
 
 import ast
@@ -18,9 +24,16 @@ ALLOWED = {
                        "P_F Z_p(mu) = Z_p(P_F mu) that criterion 1 checks",
 }
 
+# "Class.field" -> why it may stay without a reader in the library
+ALLOWED_FIELDS = {}
+
+
+def _trees():
+    return {path: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*.py"))}
+
 
 def _unreached():
-    trees = {path: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*.py"))}
+    trees = _trees()
     defs = {node.name: (path, node) for path, tree in trees.items() for node in tree.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     reached = set()
@@ -47,3 +60,32 @@ def test_every_public_function_is_reached_from_the_library():
 def test_allowlist_names_only_unreached_functions():
     # an entry whose function gained a caller, or is gone, is stale
     assert sorted(ALLOWED) == _unreached()
+
+
+def _is_dataclass(cls):
+    targets = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def _unread_fields():
+    trees = _trees()
+    fields = {(cls.name, stmt.target.id) for tree in trees.values() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls) for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(f"{cls}.{field}" for cls, field in fields if field not in read)
+
+
+def test_every_record_field_is_read_by_the_library():
+    assert [key for key in _unread_fields() if key not in ALLOWED_FIELDS] == []
+
+
+def test_field_allowlist_names_only_unread_fields():
+    # an entry whose field gained a reader, or is gone, is stale
+    assert sorted(ALLOWED_FIELDS) == _unread_fields()
