@@ -376,12 +376,22 @@ def _load_matrix_param(token: str) -> np.ndarray:
     return data
 
 
+# how many fields each body family takes after the dim
+_BODY_FIELDS = {
+    "ball": (0,), "cross": (0,), "crosspoly": (0,), "cross-polytope": (0,), "unitball": (0,),
+    "unitcube": (0,), "unitcross": (0,), "b1tilde": (0,), "cube": (0, 1),
+    "lpball": (1,), "unitlpball": (1,), "ellipsoid": (1,),
+}
+
+
 def parse_body(descriptor: str) -> ConvexBody:
     """Build a body from a `family:dim[:params]` string.
 
-    Families: ball, cube (side 2), cross, lpball:<dim>:<p>, ellipsoid:<dim>:@file.
-    Prefix `unit` variants (unitball, unitcube, unitcross, b1tilde) are the
-    unit-volume homothets.
+    Families: ball, cube (side 2), cube:<dim>:<side>, cross, lpball:<dim>:<p>,
+    ellipsoid:<dim>:@file.  Prefix `unit` variants (unitball, unitcube,
+    unitcross, b1tilde, unitlpball:<dim>:<p>) are the unit-volume homothets.
+    A family given any other number of fields is an error, raised before
+    anything is built.
     """
     parts = descriptor.strip().split(":")
     if len(parts) < 2:
@@ -394,20 +404,24 @@ def parse_body(descriptor: str) -> ConvexBody:
     except ValueError as exc:
         raise BodyConstructionError(f"bad dim in body descriptor {descriptor!r}") from exc
     params = parts[2:]
+    if family not in _BODY_FIELDS:
+        raise BodyConstructionError(f"unknown body family {family!r} in {descriptor!r}")
+    if len(params) not in _BODY_FIELDS[family]:
+        counts = " or ".join(map(str, _BODY_FIELDS[family]))
+        noun = "field" if counts == "1" else "fields"
+        raise BodyConstructionError(f"body family {family!r} takes {counts} {noun} after "
+                                    f"the dim, got {len(params)} in {descriptor!r}")
 
     if family == "ball":
         return ball(dim)
     if family == "cube":
-        side = float(params[0]) if params else 2.0
-        return cube(dim, side)
+        return cube(dim, float(params[0]) if params else 2.0)
     if family in ("cross", "crosspoly", "cross-polytope"):
         return cross_polytope(dim)
     if family == "lpball":
-        if not params:
-            raise BodyConstructionError("lpball needs a p parameter, e.g. lpball:32:1")
         return lp_ball(dim, float(params[0]))
     if family == "ellipsoid":
-        if not params or not params[0].startswith("@"):
+        if not params[0].startswith("@"):
             raise BodyConstructionError("ellipsoid needs @file with diagonal or matrix")
         A = _load_matrix_param(params[0])
         if A.shape[0] != dim:
@@ -421,8 +435,4 @@ def parse_body(descriptor: str) -> ConvexBody:
         return cube(dim, side=1.0)
     if family in ("unitcross", "b1tilde"):
         return unit_volume_copy(cross_polytope(dim))
-    if family == "unitlpball":
-        if not params:
-            raise BodyConstructionError("unitlpball needs a p parameter")
-        return unit_volume_copy(lp_ball(dim, float(params[0])))
-    raise BodyConstructionError(f"unknown body family {family!r} in {descriptor!r}")
+    return unit_volume_copy(lp_ball(dim, float(params[0])))  # unitlpball

@@ -25,18 +25,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Optional
 
 
-def _resolve_out(out: Optional[str], fmt: Optional[str]):
-    """--out takes a path, or the literal words csv/json meaning stdout."""
-    if out in ("csv", "json"):
-        if fmt not in (None, out):
-            raise ValueError(f"--out {out} contradicts --format {fmt}")
+def _resolve_out(out: Optional[str]):
+    """(path, format) of a report: --out csv|json means that format on stdout;
+    any other value is a path, JSON when it ends in .json and CSV otherwise."""
+    if out is None or out in ("csv", "json"):
         return None, out
-    if out is not None and fmt is None:
-        fmt = "json" if out.endswith(".json") else "csv"
-    return out, fmt
+    return out, "json" if out.endswith(".json") else "csv"
 
 
 def _parse_values(text: str):
@@ -132,11 +130,6 @@ def _cmd_bound(args, log) -> None:
     print(f"{bound_rhs(args.kind, **params):.10g}", file=log)
 
 
-# verify's flags that set a SuiteConfig field, by field
-_VERIFY_FLAGS = {"n_samples": "samples", "sphere_samples": "sphere_samples",
-                 "trials": "trials", "rad": "rad", "p_values": "p_values"}
-
-
 def _cmd_verify(args, log):
     from .experiments import SUITES, SuiteConfig, run_suite
     from .functionals import parse_rad_model
@@ -144,18 +137,15 @@ def _cmd_verify(args, log):
     suite = SUITES[args.suite]
     if args.dims is None:
         args.dims = list(suite.dims)
-    cfg = SuiteConfig(
-        seed=args.seed,
-        n_samples=args.samples,
-        sphere_samples=args.sphere_samples,
-        trials=args.trials,
-        rad=parse_rad_model(args.rad),
-        p_values=None if args.p_values is None else tuple(_parse_values(args.p_values)),
-    )
+    # every SuiteConfig field but hull_directions is set by the flag of its name
+    names = [f.name for f in fields(SuiteConfig) if f.name in vars(args)]
+    parse = {"rad": parse_rad_model,
+             "p_values": lambda v: None if v is None else tuple(_parse_values(v))}
+    cfg = SuiteConfig(**{name: parse.get(name, lambda v: v)(getattr(args, name))
+                         for name in names})
     # the config echo holds only the flags the suite reads
-    for field, flag in _VERIFY_FLAGS.items():
-        if field not in suite.reads:
-            delattr(args, flag)
+    for name in set(names) - {"seed", *suite.reads}:
+        delattr(args, name)
     result = run_suite(args.suite, args.dims, cfg)
     for a in result.assertions:
         print(f"{'PASS' if a.passed else 'FAIL'} {a.name}: {a.detail}", file=log)
@@ -208,9 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (generated and announced if omitted)")
-        p.add_argument("--out", default=None, help="write results to this path")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default: guessed from --out suffix)")
+        p.add_argument("--out", default=None, help="csv or json: that report on stdout; "
+                       "else a path, JSON when it ends in .json, CSV otherwise")
 
     p = sub.add_parser("meanwidth", help="Monte Carlo mean width of a body")
     p.add_argument("--body", required=True, help="body descriptor, e.g. ball:8 or cube:4:2")
@@ -259,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--dims", type=_dims_list, default=None, help="comma list, e.g. 4,8,16 "
                    "(default: the suite's own), checked against the suite's dims rule")
-    p.add_argument("--samples", type=int, default=defaults.n_samples)
+    p.add_argument("--samples", type=int, default=defaults.samples)
     p.add_argument("--sphere-samples", type=int, default=defaults.sphere_samples)
     p.add_argument("--trials", type=int, default=defaults.trials)
     p.add_argument("--rad", default=defaults.rad.kind)
@@ -282,7 +271,7 @@ def main(argv=None) -> int:
     generated = None
     try:
         args = build_parser().parse_args(argv)
-        path, fmt = _resolve_out(getattr(args, "out", None), getattr(args, "format", None))
+        path, fmt = _resolve_out(getattr(args, "out", None))
         # human-readable lines go to stderr when the report has stdout to itself
         log = sys.stderr if fmt is not None and path is None else sys.stdout
         if "seed" in vars(args) and args.seed is None:
@@ -296,7 +285,7 @@ def main(argv=None) -> int:
             from .experiments import emit_report
 
             config = {k: v for k, v in vars(args).items()
-                      if k not in ("command", "fn", "out", "format")}
+                      if k not in ("command", "fn", "out")}
             emit_report(result, config, fmt, path)
         if generated is not None:
             print(f"seed: {generated} (generated)", file=sys.stderr)

@@ -61,7 +61,7 @@ class SuiteConfig:
     """Knobs shared by every suite; each reads seed and the fields in its SUITES `reads`."""
 
     seed: int = 0
-    n_samples: int = 50_000
+    samples: int = 50_000
     sphere_samples: int = 10_000
     trials: int = 16
     hull_directions: int = DEFAULT_HULL_DIRECTIONS
@@ -244,8 +244,8 @@ def _suite_paouris(dims, cfg: SuiteConfig):
                 zp, count = exact_zp(mu, p), cfg.sphere_samples
                 if zp is None:
                     if samples is None:
-                        samples = draw_samples(mu, cfg.n_samples, child_seed(seed, 0))
-                    zp, count = centroid_body(samples, p), cfg.n_samples
+                        samples = draw_samples(mu, cfg.samples, child_seed(seed, 0))
+                    zp, count = centroid_body(samples, p), cfg.samples
                 mstar = mean_width(zp, cfg.sphere_samples, child_seed(seed, 1 + i))
                 ratio = mstar.value / math.sqrt(p)
                 vals.append(ratio)
@@ -357,21 +357,21 @@ def _suite_qm_isotropy(dims, cfg: SuiteConfig):
             m = n + delta
             Q = qm_body(K, m)
             seed = child_seed(cfg.seed, 10 * c_idx + d_idx)
-            samples = draw_samples(uniform_body_measure(Q), cfg.n_samples, seed)
+            samples = draw_samples(uniform_body_measure(Q), cfg.samples, seed)
             C = estimate_moments(samples).covariance
             diag = np.diag(C)
             mean_diag = float(diag.mean())
             off = C - np.diag(diag)
             off_max = float(np.abs(off).max()) / mean_diag
             spread = float(diag.max() - diag.min()) / mean_diag
-            tol = 5.0 / math.sqrt(cfg.n_samples)
+            tol = 5.0 / math.sqrt(cfg.samples)
             rows += [
                 Row("qm-isotropy", m, None, f"qm-offdiag-{tag}-d{delta}", off_max,
-                    0.0, "mc", seed, cfg.n_samples),
+                    0.0, "mc", seed, cfg.samples),
                 Row("qm-isotropy", m, None, f"qm-diag-spread-{tag}-d{delta}", spread,
-                    0.0, "mc", seed, cfg.n_samples),
+                    0.0, "mc", seed, cfg.samples),
                 Row("qm-isotropy", m, None, f"qm-variance-{tag}-d{delta}", mean_diag,
-                    0.0, "mc", seed, cfg.n_samples),
+                    0.0, "mc", seed, cfg.samples),
             ]
             assertions.append(Assertion(
                 f"qm-isotropic-{tag}-n{n}-m{m}",
@@ -408,11 +408,13 @@ def _suite_kubota(dims, cfg: SuiteConfig):
     (n,) = dims
     if cfg.trials < 2:
         raise ValueError(f"kubota needs trials >= 2 for a standard error, got {cfg.trials}")
+    if cfg.samples < n:  # fewer points than dimensions span no full-dimensional hull
+        raise ValueError(f"kubota needs samples >= n = {n}, got {cfg.samples}")
     t_gate = float(stdtrit(cfg.trials - 1, 1.0 - ndtr(-3.0)))
     rows, assertions = [], []
     for i, p in enumerate((2, 3)):
         seed = child_seed(cfg.seed, i)
-        samples = draw_samples(gaussian_measure(n), cfg.n_samples, child_seed(seed, 0))
+        samples = draw_samples(gaussian_measure(n), cfg.samples, child_seed(seed, 0))
         zp = centroid_body(samples, float(p))
         dirs = sphere_directions(n, cfg.hull_directions, child_seed(seed, 1))
         touching = zp_touching_points(samples, float(p), dirs)
@@ -434,9 +436,9 @@ def _suite_kubota(dims, cfg: SuiteConfig):
         ok = lhs_inner <= rhs + t_gate * rhs_se
         rows += [
             Row("kubota", n, float(p), "volrad-zp-inner", lhs_inner, 0.0,
-                "lower", seed, cfg.n_samples),
+                "lower", seed, cfg.samples),
             Row("kubota", n, float(p), "volrad-zp-outer", lhs_outer.value, 0.0,
-                "upper", seed, cfg.n_samples),
+                "upper", seed, cfg.samples),
             Row("kubota", n, float(p), "kubota-pmean", rhs, rhs_se, "mc",
                 seed, cfg.trials),
         ]
@@ -460,7 +462,7 @@ def _suite_zn_volrad(dims, cfg: SuiteConfig):
         for j, n in enumerate(dims):
             K = dict(_unit_bodies(n))[fam]
             seed = child_seed(cfg.seed, 100 * f_idx + j)
-            samples = draw_samples(uniform_body_measure(K), cfg.n_samples,
+            samples = draw_samples(uniform_body_measure(K), cfg.samples,
                                    child_seed(seed, 0))
             zn = centroid_body(samples, float(n))
             hulls.append(support_hull_task(zn, cfg.hull_directions, child_seed(seed, 1)))
@@ -471,9 +473,9 @@ def _suite_zn_volrad(dims, cfg: SuiteConfig):
         ratio = vr.value * l_k / (math.sqrt(n) * det_root)
         rows += [
             Row("zn-volrad", n, float(n), f"volrad-zn-{fam}", vr.value, 0.0,
-                "upper", seed, cfg.n_samples),
+                "upper", seed, cfg.samples),
             Row("zn-volrad", n, float(n), f"zn-ratio-{fam}", ratio, 0.0,
-                "upper", seed, cfg.n_samples),
+                "upper", seed, cfg.samples),
         ]
         assertions.append(Assertion(
             f"zn-ratio-finite-{fam}-n{n}",
@@ -574,15 +576,15 @@ class Suite:
 
 SUITES = {
     "theorem1": Suite(_suite_theorem1, ("sphere_samples",), (4, 8)),
-    "paouris": Suite(_suite_paouris, ("n_samples", "sphere_samples", "p_values"), (16,)),
+    "paouris": Suite(_suite_paouris, ("samples", "sphere_samples", "p_values"), (16,)),
     "thm-main-aniso": Suite(_suite_thm_main_aniso, ("sphere_samples", "rad", "p_values"),
                             (16,), shape="one"),
     "b1-scaling": Suite(_suite_b1_scaling, ("sphere_samples",), (8, 16, 32, 64),
                         shape="slope"),
-    "qm-isotropy": Suite(_suite_qm_isotropy, ("n_samples",), (3,)),
-    "kubota": Suite(_suite_kubota, ("n_samples", "trials", "hull_directions"), (4,),
+    "qm-isotropy": Suite(_suite_qm_isotropy, ("samples",), (3,)),
+    "kubota": Suite(_suite_kubota, ("samples", "trials", "hull_directions"), (4,),
                     lo=3, hi=VOLUME_DIM_CAP, shape="one"),  # projects to k = 2 and 3
-    "zn-volrad": Suite(_suite_zn_volrad, ("n_samples", "hull_directions"), (3, 4),
+    "zn-volrad": Suite(_suite_zn_volrad, ("samples", "hull_directions"), (3, 4),
                        hi=VOLUME_DIM_CAP),
     "covering-regularity": Suite(_suite_covering_regularity, ("sphere_samples",), (2, 3),
                                  hi=3),

@@ -223,30 +223,50 @@ def entropy_numbers(
 # ---------------------------------------------------------------------------
 
 
-def _check_spectrum(spectrum) -> np.ndarray:
-    lam = np.asarray(spectrum, dtype=float)
-    if lam.ndim != 1 or lam.size < 1:
-        raise ValueError("spectrum must be a non-empty 1-D array")
-    if not np.all(lam > 0):
-        raise ValueError("spectrum entries must be positive")
+def _count(name: str, v) -> int:
+    if not (float(v).is_integer() and v >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {v}")
+    return int(v)
+
+
+def _at_least_one(name: str, v) -> float:
+    v = float(v)
+    if not 1 <= v < math.inf:
+        raise ValueError(f"{name} must be >= 1 and finite, got {v}")
+    return v
+
+
+def _positive(name: str, v) -> float:
+    v = float(v)
+    if not 0 < v < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {v}")
+    return v
+
+
+def _entries(name: str, v, positive: bool = False) -> np.ndarray:
+    a = np.asarray(v, dtype=float)
+    if a.ndim != 1 or a.size < 1:
+        raise ValueError(f"{name} must be a non-empty list of numbers")
+    ok = ((a > 0) if positive else (a >= 0)) & (a < math.inf)
+    if not ok.all():
+        rule = "positive" if positive else ">= 0"
+        raise ValueError(f"{name} entries must be {rule} and finite, got {a[~ok][0]}")
+    return a
+
+
+def _spectrum(name: str, v) -> np.ndarray:
+    lam = _entries(name, v, positive=True)
     if np.any(np.diff(lam) > 1e-12 * lam[0]):
-        raise ValueError("spectrum must be sorted in descending order")
+        raise ValueError(f"{name} must be sorted in descending order")
     return lam
 
 
-def _check_p(p) -> float:
-    """Reject p < 1; written, like every range check here, so that NaN fails too."""
-    p = float(p)
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return p
-
-
-def _check_t(t) -> float:
-    t = float(t)
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return t
+# how _take converts and checks each bound_rhs parameter, by name; every range
+# check is written so that NaN fails it too
+_PARAMS = {"n": _count, "k": _count, "p": _at_least_one, "t": _positive, "mstar": _positive,
+           "l_k": _positive, "rad_value": _positive, "spectrum": _spectrum,
+           "vk_values": _entries, "ek_values": _entries,
+           "rad": lambda name, v: v}  # a RadModel checks itself when it is built
 
 
 def _warn_range(kind: str, t: float, lo: float, hi: float):
@@ -259,17 +279,18 @@ def _warn_range(kind: str, t: float, lo: float, hi: float):
 
 
 def _take(kind: str, params: dict, *names, **optional) -> list:
-    """Take a bound kind's parameters out of params: `names` are required,
-    `optional` maps a name to its default.  A missing required parameter, or
-    one left over that the kind does not read, is a ValueError."""
+    """Take a bound kind's parameters out of params, each converted and checked
+    by its _PARAMS entry: `names` are required, `optional` maps a name to its
+    default, taken as it is.  A missing required parameter, one left over that
+    the kind does not read, or one out of its range is a ValueError."""
     for name in names:
         if name not in params:
             raise ValueError(f"bound kind {kind!r} is missing parameter {name!r}")
-    values = [params.pop(name) for name in names]
-    values += [params.pop(name, default) for name, default in optional.items()]
+    given = {name: params.pop(name) for name in (*names, *optional) if name in params}
     if params:
         raise ValueError(f"bound kind {kind!r} does not read {', '.join(map(repr, params))}")
-    return values
+    return [_PARAMS[name](name, given[name]) if name in given else optional[name]
+            for name in (*names, *optional)]
 
 
 def bound_rhs(kind: str, **params) -> float:
@@ -292,14 +313,15 @@ def bound_rhs(kind: str, **params) -> float:
     gpv-piecewise     three-regime refinement of gpv in t
     thm14             n * (rad_value*l_k/t)^2 * log^2(1 + t^2/(rad_value*l_k)^2)
 
-    Out-of-range t warns and still evaluates; structural errors raise, and so
-    does a missing parameter or one the kind does not read.
+    Each parameter must lie in its range (_PARAMS): n and k integers >= 1, p
+    finite and >= 1, t, mstar, l_k and rad_value finite and positive, spectrum
+    entries finite, positive and descending, vk_values and ek_values entries
+    finite and >= 0.  A t outside a kind's stated band warns and still
+    evaluates; an out-of-range parameter raises, and so does a missing
+    parameter or one the kind does not read.
     """
     if kind in ("thm-main-product", "thm-main-arith"):
-        spectrum, p, rad = _take(kind, params, "spectrum", "p", rad=None)
-        lam = _check_spectrum(spectrum)
-        p = _check_p(p)
-        rad = rad or RadModel("unit")
+        lam, p, rad = _take(kind, params, "spectrum", "p", rad=RadModel("unit"))
         n = lam.size
         k = np.arange(1, n + 1, dtype=float)
         weights = np.maximum(np.sqrt(p / k), p / k)
@@ -309,29 +331,22 @@ def bound_rhs(kind: str, **params) -> float:
             means = np.cumsum(lam) / k
         return rad.value(n, p) / math.sqrt(n) * float((weights * means).sum())
     if kind == "prop31":
-        spectrum, p, k = _take(kind, params, "spectrum", "p", "k")
-        lam = _check_spectrum(spectrum)
-        p = _check_p(p)
-        k = int(k)
-        if not 1 <= k <= lam.size:
+        lam, p, k = _take(kind, params, "spectrum", "p", "k")
+        if k > lam.size:
             raise ValueError(f"k must be in [1, {lam.size}], got {k}")
         gmean = float(np.exp(np.log(lam[:k]).mean()))
         return math.sqrt(p / k) * max(math.sqrt(p), math.sqrt(k)) * gmean
     if kind == "mp-sum":
-        vk, rad, p = _take(kind, params, "vk_values", rad=None, p=None)
-        vk = np.asarray(vk, dtype=float)
-        rad = rad or RadModel("unit")
+        vk, rad, p = _take(kind, params, "vk_values", rad=RadModel("unit"), p=None)
         ks = np.arange(1, vk.size + 1)
         rv = np.array([rad.value(int(k), p) for k in ks])
         return float((rv * vk / np.sqrt(ks)).sum())
     if kind == "dudley-sum":
         (ek,) = _take(kind, params, "ek_values")
-        ek = np.asarray(ek, dtype=float)
         ks = np.arange(1, ek.size + 1, dtype=float)
         return float((ek / np.sqrt(ks)).sum())
     if kind == "summary-piecewise":
         n, p = _take(kind, params, "n", "p")
-        n, p = int(n), _check_p(p)
         if p > n:
             warnings.warn(
                 f"summary-piecewise: p = {p:g} beyond the stated range [1, n={n}]",
@@ -347,20 +362,16 @@ def bound_rhs(kind: str, **params) -> float:
         return p / math.sqrt(n) * log2n
     if kind == "sudakov":
         n, mstar, t = _take(kind, params, "n", "mstar", "t")
-        n, mstar, t = int(n), float(mstar), _check_t(t)
         return n * (mstar / t) ** 2
     if kind == "hartzoulaki":
         n, l_k, t = _take(kind, params, "n", "l_k", "t")
-        n, l_k, t = int(n), float(l_k), _check_t(t)
         return n * l_k / t
     if kind == "gpv":
         n, p, t = _take(kind, params, "n", "p", "t")
-        n, p, t = int(n), _check_p(p), _check_t(t)
         _warn_range("gpv", t, 1.0, math.sqrt(p))
         return n / t**2 + math.sqrt(n) * math.sqrt(p) / t
     if kind == "gpv-piecewise":
         n, p, t = _take(kind, params, "n", "p", "t")
-        n, p, t = int(n), _check_p(p), _check_t(t)
         log2n = math.log(1.0 + n) ** 2
         if p > n / log2n:
             warnings.warn(
@@ -377,9 +388,6 @@ def bound_rhs(kind: str, **params) -> float:
         return n * log2n / t**2
     if kind == "thm14":
         n, rad_value, l_k, t = _take(kind, params, "n", "rad_value", "l_k", "t")
-        n, rad_value, l_k, t = int(n), float(rad_value), float(l_k), float(t)
-        if not (t > 0 and rad_value > 0 and l_k > 0):
-            raise ValueError("thm14 needs positive t, rad_value and l_k")
         _warn_range("thm14", t, rad_value * l_k, math.sqrt(n) * l_k)
         base = rad_value * l_k / t
         return n * base**2 * math.log(1.0 + 1.0 / base**2) ** 2

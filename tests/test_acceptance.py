@@ -166,7 +166,7 @@ def test_criterion_3_urysohn(capsys):
 
 def test_criterion_4_zp_flatness(capsys):
     """The paouris suite at n = 16, 64: max/min of M*(Z_p)/sqrt(p) <= 2."""
-    cfg = SuiteConfig(seed=400, n_samples=50_000, sphere_samples=2000)
+    cfg = SuiteConfig(seed=400, samples=50_000, sphere_samples=2000)
     result = run_suite("paouris", [16, 64], cfg)
     detail = [f"{r.quantity.removeprefix('flatness-')} n={r.n}: {r.value:.3f}"
               for r in result.rows if r.quantity.startswith("flatness-")]
@@ -182,7 +182,7 @@ def test_criterion_4_zp_flatness(capsys):
 
 def test_criterion_5_spectral_transfer(capsys):
     """The thm-main-aniso suite at n = 32, p in {2, 8, 32}: limit 1.5."""
-    cfg = SuiteConfig(seed=500, n_samples=50_000, sphere_samples=2000)
+    cfg = SuiteConfig(seed=500, samples=50_000, sphere_samples=2000)
     result = run_suite("thm-main-aniso", [32], cfg)
     _report(capsys, "criterion-5 spectral-transfer", result.passed,
             "; ".join(f"{a.name}: {a.detail}" for a in result.assertions))
@@ -252,7 +252,7 @@ def test_criterion_8_covering_chain(capsys):
                 chain_ok = False
 
     # Kubota/Alexandrov within the suite's t-quantile gate for k = p in {2, 3}
-    cfg = SuiteConfig(seed=803, n_samples=20_000, trials=8, hull_directions=2000)
+    cfg = SuiteConfig(seed=803, samples=20_000, trials=8, hull_directions=2000)
     kubota = run_suite("kubota", [4], cfg)
     ok = exact_ok and chain_ok and kubota.passed
     _report(capsys, "criterion-8 covering-chain", ok,
@@ -267,7 +267,7 @@ def test_criterion_8_covering_chain(capsys):
 
 
 def test_criterion_9_reproducibility(capsys):
-    cfg = SuiteConfig(seed=901, n_samples=4000, sphere_samples=2000, trials=4,
+    cfg = SuiteConfig(seed=901, samples=4000, sphere_samples=2000, trials=4,
                       hull_directions=800)
     ok = True
     for name, dims in (("paouris", [4]), ("zn-volrad", [3]), ("b1-scaling", [4, 6, 8, 12])):

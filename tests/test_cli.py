@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,9 +81,9 @@ def test_bound_missing_parameter_exits_2(capsys):
     (["--kind", "thm-main-arith", "--p", "2", "--spectrum", "1,nan"],
      "spectrum entries must be positive"),
     (["--kind", "thm14", "--n", "16", "--rad-value", "nan", "--l-k", "0.3", "--t", "0.5"],
-     "thm14 needs positive"),
+     "rad_value must be positive"),
     (["--kind", "thm14", "--n", "16", "--rad-value", "1", "--l-k", "nan", "--t", "0.5"],
-     "thm14 needs positive"),
+     "l_k must be positive"),
     (["--kind", "gpv", "--n", "16", "--p", "4", "--t", "0"], "t must be positive"),
     (["--kind", "gpv-piecewise", "--n", "16", "--p", "4", "--t", "0"], "t must be positive"),
     (["--kind", "mp-sum", "--vk-values", "1", "--rad", "constant:nan"], "needs c > 0"),
@@ -95,6 +97,41 @@ def test_bound_rejects_nan_and_out_of_range_inputs(argv, reason, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert reason in captured.err
+
+
+# every bound kind with a valid value for each parameter it reads
+_BOUND_KINDS = {
+    "thm-main-product": {"--spectrum": "2,1", "--p": "2"},
+    "thm-main-arith": {"--spectrum": "2,1", "--p": "2"},
+    "prop31": {"--spectrum": "2,1", "--p": "2", "--k": "1"},
+    "mp-sum": {"--vk-values": "1,2", "--p": "2"},
+    "dudley-sum": {"--ek-values": "1,2"},
+    "summary-piecewise": {"--n": "16", "--p": "4"},
+    "sudakov": {"--n": "4", "--mstar": "1", "--t": "1"},
+    "hartzoulaki": {"--n": "8", "--l-k": "0.5", "--t": "2"},
+    "gpv": {"--n": "16", "--p": "4", "--t": "2"},
+    "gpv-piecewise": {"--n": "256", "--p": "4", "--t": "2"},
+    "thm14": {"--n": "16", "--rad-value": "1", "--l-k": "0.3", "--t": "0.5"},
+}
+# each parameter set to each value out of its range; v_k and e_k entries may be 0
+_OUT_OF_RANGE = [(kind, flag, bad) for kind, params in _BOUND_KINDS.items() for flag in params
+                 for bad in ("nan", "inf", "0", "-1")
+                 if not (bad == "0" and flag in ("--vk-values", "--ek-values"))]
+
+
+@pytest.mark.parametrize("kind,flag,bad", _OUT_OF_RANGE,
+                         ids=[f"{k} {f}={b}" for k, f, b in _OUT_OF_RANGE])
+def test_bound_rejects_every_out_of_range_parameter(kind, flag, bad, capsys):
+    def argv(params):
+        return ["bound", "--kind", kind, *(f"{f}={v}" for f, v in params.items())]
+
+    assert cli.main(argv(_BOUND_KINDS[kind])) == 0
+    capsys.readouterr()
+    rc = cli.main(argv({**_BOUND_KINDS[kind], flag: bad}))
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err or flag[2:].replace("-", "_") in captured.err
 
 
 def test_bound_spectrum_from_file(tmp_path, capsys):
@@ -424,6 +461,18 @@ def test_every_command_writes_the_one_report_shape(command, fmt, tmp_path, capsy
             assert payload["meta"]["config"]["seed"] == 1 and payload["rows"]
 
 
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_out_alone_picks_the_report_format(command, tmp_path, capsys):
+    argv = [command, *REPORT_COMMANDS[command], "--seed", "1"]
+    rc = cli.main([*argv, "--out", "json", "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --format json\n"
+    path = tmp_path / "report.dat"  # any suffix but .json is CSV
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    assert path.read_text().startswith("suite,n,p,quantity,value,std_error,direction,")
+
+
 @pytest.mark.parametrize("suite", ["kubota", "thm-main-aniso"])
 def test_single_dimension_suites_reject_several_dims(suite, capsys):
     rc = cli.main(["verify", "--suite", suite, "--dims", "3,4", "--samples", "1000",
@@ -431,16 +480,6 @@ def test_single_dimension_suites_reject_several_dims(suite, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "one dimension" in err and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("out,fmt", [("csv", "json"), ("json", "csv")])
-def test_out_word_contradicting_format_exits_2(out, fmt, capsys):
-    rc = cli.main(["meanwidth", "--body", "ball:3", "--seed", "1", "--out", out,
-                   "--format", fmt])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_vk_sup_of_outer_estimates_is_not_labelled_lower(capsys):
@@ -504,6 +543,21 @@ def test_kubota_rejects_a_single_trial(capsys):
     assert rc == 2
     assert captured.err.startswith("error: ") and "trials >= 2" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_kubota_with_fewer_samples_than_dims_exits_2_before_any_sampling(n, capsys,
+                                                                         monkeypatch):
+    # fewer touching points than dimensions span no full-dimensional hull
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("kubota sampled before rejecting its sample count")
+
+    monkeypatch.setattr(experiments, "draw_samples", no_sampling)
+    rc = cli.main(["verify", "--suite", "kubota", "--dims", str(n), "--samples", str(n - 1),
+                   "--trials", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: kubota needs samples >= n = {n}, got {n - 1}\n"
 
 
 @pytest.mark.parametrize("dims", ["1", "2"])
@@ -590,9 +644,44 @@ def test_verify_without_dims_runs_the_suites_default_dims(suite, monkeypatch, ca
     rc = cli.main(["verify", "--suite", suite, "--seed", "3", "--out", "json"])
     config = json.loads(capsys.readouterr().out)["meta"]["config"]
     assert rc == 0 and calls == [list(record.dims)]
-    flags = {cli._VERIFY_FLAGS[f] for f in record.reads if f in cli._VERIFY_FLAGS}
+    flags = set(record.reads) - {"hull_directions"}  # the one field without a flag
     assert config["dims"] == list(record.dims) and config["seed"] == 3
     assert set(config) == {"suite", "dims", "seed", *flags}
+
+
+def test_readme_verify_table_matches_the_suites():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| suite | default dims | dims rule | flags read |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        suite, dims, _rule, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        table[suite.strip("`")] = (dims, [flag.strip("`") for flag in flags.split(", ")])
+    assert list(table) == list(experiments.SUITE_NAMES)
+    for name, (dims, flags) in table.items():
+        record = experiments.SUITES[name]
+        assert tuple(int(n) for n in dims.split(",")) == record.dims, name
+        assert flags == ["--" + field.replace("_", "-") for field in record.reads
+                         if field != "hull_directions"], name
+
+
+def test_verify_flags_are_the_suite_config_fields_with_their_defaults(monkeypatch):
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest for a in sub.choices["verify"]._actions}
+    fields = {f.name for f in dataclasses.fields(experiments.SuiteConfig)}
+    assert flags - {"help", "suite", "dims", "seed", "out"} == fields - {"seed",
+                                                                       "hull_directions"}
+    configs = []
+
+    def fake_run_suite(name, dims, config):
+        configs.append(config)
+        return SuiteResult(name, (), (), {})
+
+    monkeypatch.setattr(experiments, "run_suite", fake_run_suite)
+    assert cli.main(["verify", "--suite", "theorem1", "--seed", "0"]) == 0
+    assert configs == [experiments.SuiteConfig()]
 
 
 def _reject_non_finite(token):
@@ -649,6 +738,31 @@ def test_non_finite_body_parameter_is_one_line_exit_2(body, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["meanwidth", "--body", "ball:8:5"], "'ball' takes 0 fields after the dim, got 1"),
+    (["meanwidth", "--body", "cube:3:1:9"], "'cube' takes 0 or 1 fields after the dim, got 2"),
+    (["meanwidth", "--body", "lpball:3"], "'lpball' takes 1 field after the dim, got 0"),
+    (["meanwidth", "--body", "ellipsoid:3:@a:@b"], "'ellipsoid' takes 1 field"),
+    (["vk", "--body", "cross:4:7", "--k", "2", "--trials", "2"], "'cross' takes 0 fields"),
+    (["isotropy", "--measure", "uniform:ball:3:5"], "'ball' takes 0 fields"),
+    (["scaling", "--body", "b1tilde:{n}:{n}", "--dims", "4,6,8,12"], "'b1tilde' takes 0"),
+])
+def test_body_descriptor_with_a_wrong_field_count_exits_2_before_any_body(argv, message, capsys,
+                                                                          monkeypatch):
+    from isoconv import bodies
+
+    def no_body(*args, **kwargs):
+        raise AssertionError("built a body before checking the descriptor's fields")
+
+    for name in ("ball", "cube", "cross_polytope", "lp_ball", "ellipsoid"):
+        monkeypatch.setattr(bodies, name, no_body)
+    rc = cli.main([*argv, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("suite", ["paouris", "thm-main-aniso"])

@@ -91,7 +91,7 @@ def test_qm_body_requires_m_above_n():
 # suite runner
 # ---------------------------------------------------------------------------
 
-FAST = SuiteConfig(seed=5, n_samples=4000, sphere_samples=2000, trials=4,
+FAST = SuiteConfig(seed=5, samples=4000, sphere_samples=2000, trials=4,
                    hull_directions=800)
 
 
@@ -107,7 +107,7 @@ def test_run_suite_rows_reproducible():
     b = run_suite("paouris", [4], FAST)
     assert a.rows == b.rows
     assert a.assertions == b.assertions
-    c = run_suite("paouris", [4], SuiteConfig(seed=6, n_samples=4000,
+    c = run_suite("paouris", [4], SuiteConfig(seed=6, samples=4000,
                                               sphere_samples=2000, trials=4,
                                               hull_directions=800))
     assert a.rows != c.rows
@@ -136,7 +136,7 @@ def test_every_suite_runs_small():
 
 
 # a second value for every SuiteConfig field but seed, which every suite reads
-_OTHER = {"n_samples": 3000, "sphere_samples": 1500, "trials": 3, "hull_directions": 600,
+_OTHER = {"samples": 3000, "sphere_samples": 1500, "trials": 3, "hull_directions": 600,
           "rad": RadModel("log-min"), "p_values": (1.0, 3.0)}
 
 
@@ -161,7 +161,7 @@ def test_paouris_flatness_is_exact_when_every_mstar_is():
 
 def test_theorem1_bound_is_twice_the_ratio_at_the_smallest_n():
     # the dims are not sorted: n = 4 is the reference, not the first listed
-    result = run_suite("theorem1", [8, 4], SuiteConfig(seed=1, n_samples=2000,
+    result = run_suite("theorem1", [8, 4], SuiteConfig(seed=1, samples=2000,
                                                        sphere_samples=500))
     assert len(result.assertions) == 2
     for fam in ("cube", "cross"):
@@ -256,7 +256,7 @@ def test_emit_csv_header_order(tmp_path):
 def test_emit_json_roundtrip(tmp_path):
     result = _tiny_result()
     path = tmp_path / "out.json"
-    config = {"dims": [3], "samples": FAST.n_samples, "seed": FAST.seed}
+    config = {"dims": [3], "samples": FAST.samples, "seed": FAST.seed}
     emit_report(result, config, "json", str(path))
     payload = json.loads(open(path).read())
     assert payload["meta"]["suite"] == "zn-volrad"
@@ -273,7 +273,7 @@ def test_emit_unknown_format(tmp_path):
         emit_report(_tiny_result(), {}, "yaml", str(tmp_path / "x"))
 
 
-# Frozen at SuiteConfig(seed=7, n_samples=20000, sphere_samples=4000,
+# Frozen at SuiteConfig(seed=7, samples=20000, sphere_samples=4000,
 # trials=8, hull_directions=1500).  The two-sided constants in the volume
 # bound for Z_n are not pinned down, so the suite only records the ratios;
 # these pins are what makes that meaningful as a regression check.
@@ -290,7 +290,7 @@ _ZN_PINNED = {
 
 
 def test_zn_volrad_regression_pins():
-    cfg = SuiteConfig(seed=7, n_samples=20000, sphere_samples=4000, trials=8,
+    cfg = SuiteConfig(seed=7, samples=20000, sphere_samples=4000, trials=8,
                       hull_directions=1500)
     result = run_suite("zn-volrad", [3, 4], cfg)
     got = {(r.n, r.quantity): r.value for r in result.rows}
@@ -311,12 +311,12 @@ def test_gaussian_sources_draw_no_samples(suite, draws, monkeypatch):
         return draw_samples(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "draw_samples", counting)
-    run_suite(suite, [8], SuiteConfig(seed=2, n_samples=2000, sphere_samples=200))
+    run_suite(suite, [8], SuiteConfig(seed=2, samples=2000, sphere_samples=200))
     assert len(calls) == draws
 
 
 def test_gaussian_mstar_rows_are_exact_and_ratios_carry_their_se():
-    cfg = SuiteConfig(seed=4, n_samples=2000, sphere_samples=200, p_values=(1.0, 2.0, 8.0))
+    cfg = SuiteConfig(seed=4, samples=2000, sphere_samples=200, p_values=(1.0, 2.0, 8.0))
     for suite, mstar, ratio, exact_kinds in (
         ("thm-main-aniso", "sqrtn-mstar-zp", "ratio", ("flat",)),
         ("paouris", "mstar-zp", "paouris-ratio", ("gaussian",)),
@@ -355,7 +355,7 @@ def test_kubota_makes_one_full_dimensional_zp_pass_per_p(monkeypatch):
 
     for name in ("zp_support", "zp_touching_points"):
         monkeypatch.setattr(centroid, name, counting(getattr(centroid, name)))
-    cfg = SuiteConfig(seed=3, n_samples=1000, trials=2, hull_directions=300)
+    cfg = SuiteConfig(seed=3, samples=1000, trials=2, hull_directions=300)
     result = run_suite("kubota", [4], cfg)
     assert [r.quantity for r in result.rows].count("volrad-zp-outer") == 2
     assert passes == [("zp_touching_points", 2.0), ("zp_touching_points", 3.0)]

@@ -2,11 +2,15 @@
 
 Support values are floats and membership answers are bools, for every body
 construction the library builds; a single direction is a (1, dim) batch.
-The callers in isoconv rely on this and coerce nothing.
+The callers in isoconv rely on this and coerce nothing.  Every support
+function is positively homogeneous, subadditive and, for these symmetric
+constructions, even; h_{Z_p} is nondecreasing in p.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoconv.bodies import (ball, cross_polytope, cube, ellipsoid, lp_ball, product_body,
                             scale_body, unit_volume_copy)
@@ -53,3 +57,44 @@ def test_zp_kernels_reject_anything_but_an_m_by_dim_batch(kernel, p):
     for bad in (np.ones(3), np.ones((2, 4))):
         with pytest.raises(ValueError, match=r"^directions must be \(m, 3\), got shape "):
             kernel(samples, p, bad)
+
+
+# Property tests: derandomized and with no example database, so every rerun draws the
+# same examples and none is saved.
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+_BODIES = {name: make() for name, make in CONSTRUCTIONS.items()}
+
+
+def _direction(dim):
+    coords = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    return st.lists(coords, min_size=dim, max_size=dim).map(np.array).filter(
+        lambda v: np.linalg.norm(v) > 1e-3)
+
+
+def _h(body, theta):
+    return float(body.support(theta[None, :])[0])
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+@_PROPERTY
+@given(data=st.data())
+def test_support_is_positively_homogeneous_subadditive_and_even(name, data):
+    body = _BODIES[name]
+    theta = data.draw(_direction(body.dim), label="theta")
+    phi = data.draw(_direction(body.dim), label="phi")
+    t = data.draw(st.floats(1e-3, 1e3), label="t")
+    h = _h(body, theta)
+    assert _h(body, t * theta) == pytest.approx(t * h, rel=1e-12)
+    assert _h(body, theta + phi) <= (h + _h(body, phi)) * (1 + 1e-12)
+    assert _h(body, -theta) == pytest.approx(h, rel=1e-12)  # every construction is symmetric
+
+
+_ZP_SAMPLES = draw_samples(gaussian_measure(3), 500, seed=7)
+
+
+@_PROPERTY
+@given(p=st.floats(1.0, 512.0), q=st.floats(1.0, 512.0), theta=_direction(3))
+def test_zp_support_is_nondecreasing_in_p(p, q, theta):
+    p, q = min(p, q), max(p, q)
+    h_p, h_q = (zp_support(_ZP_SAMPLES, r, theta[None, :])[0] for r in (p, q))
+    assert h_p <= h_q * (1 + 1e-12)
