@@ -1,10 +1,19 @@
-"""L_p-centroid bodies: empirical ones, and exact ones for Gaussian laws.
+"""L_p-centroid bodies: empirical ones, and exact ones for Gaussian and product laws.
 
 A Gaussian law T gamma_n has Z_p = c_p T B_2^n in closed form, where
 c_p = (E|g|^p)^{1/p} = sqrt(2) (Gamma((p+1)/2) / sqrt(pi))^{1/p}, since
-h(theta) = (E|<g, T^T theta>|^p)^{1/p} = c_p |T^T theta|.  exact_zp returns
-that body for a measure that carries its Gaussian map, and None for any
-other measure, whose Z_p is then taken from samples.
+h(theta) = (E|<g, T^T theta>|^p)^{1/p} = c_p |T^T theta|.  A law whose
+coordinates are i.i.d. and symmetric, with even moments m_2j (for the uniform
+cube [-a, a]^n, m_2j = a^{2j} / (2j + 1)), has at even p
+
+    E <X, theta>^p = p! [t^{p/2}] prod_i sum_j m_2j theta_i^{2j} t^j / (2j)!,
+
+a truncated product of series with positive coefficients, so no term
+cancels.  It costs n (p/2)^2 multiply-adds per direction, and exact_zp sums
+it while that stays within ZP_SERIES_BUDGET; at p = 2 the body is the ball
+of radius sqrt(m_2).  exact_zp returns None for any other measure, for odd
+or fractional p on a product law, and above the budget; that Z_p is then
+taken from samples.
 
 For a SampleSet X = {x_1..x_N} and p >= 1, the body Z_p(X) has support
 
@@ -53,6 +62,13 @@ from .measures import LogConcaveMeasure, SampleSet
 
 P_CAP = float(2**20)
 _DOT_BLOCK = 1 << 21  # doubles (16 MB) held by all (b, N) temporaries of all workers
+#: exact_zp sums the even-p series of a product law in R^n only while its cost
+#: n (p/2)^2 <= ZP_SERIES_BUDGET.  Within it the scaled series of
+#: _series_support stays within e^{+-300}: its k-th coefficient lies in
+#: [n^-k, n^k], and no other term exceeds about n^k e^{2k/e}.  At n = 1 it
+#: allows p/2 <= 256 = measures.MOMENT_ORDERS.
+ZP_SERIES_BUDGET = 1 << 16
+_SERIES_BLOCK = 1 << 17  # doubles (1 MB) held by one direction block of the series
 
 
 def _check_p(p: float) -> None:
@@ -255,20 +271,78 @@ def centroid_body(samples: SampleSet, p: float) -> ConvexBody:
     return ConvexBody(dim=samples.dim, support=sup)
 
 
-def exact_zp(measure: LogConcaveMeasure, p: float) -> Optional[ConvexBody]:
-    """Z_p of a Gaussian law T gamma_n, the ellipsoid c_p T B_2^n; None for
-    any other measure.
+def _series_support(log_moments: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """h_{Z_p}(theta), p = 2k with k = len(log_moments) - 1, of the product law
+    whose coordinate moments are exp(log_moments), for each row of (m, n) theta.
 
+    Each direction is scaled by its largest |theta_i|, so that u = theta / M
+    has v_i = u_i^2 in [0, 1], one of them 1, and h(theta) = M h(u).  Then
+    m_p <= E<X, u>^p <= n^p m_p (the first from the coordinate with v_i = 1,
+    the second by Minkowski), and t is rescaled by tau with
+    tau^k = (2k)! / (m_p n^k): the series' k-th coefficient is then
+    F = E<X, u>^p / (n^k m_p) in [n^-k, n^k], and h(u) = sqrt(n) (m_p F)^{1/p}.
+    Each factor's coefficients are g_j v_i^j with g_j = m_2j tau^j / (2j)!.
+    The coefficients are laid out coefficient-major, (k + 1, b) for a block
+    of b directions, so each degree is one contiguous row, and the product
+    absorbs one coordinate at a time, highest degree first, in place.  The
+    blocks hold _SERIES_BLOCK doubles, so memory does not grow with m.
+    """
+    k = len(log_moments) - 1
+    theta = np.asarray(theta, dtype=float)
+    m, n = theta.shape
+    log_tau = (math.lgamma(2 * k + 1) - log_moments[k]) / k - math.log(n)
+    j = np.arange(1, k + 1)
+    log_g = log_moments[1:] - np.array([math.lgamma(2 * i + 1) for i in j]) + j * log_tau
+    ratios = np.exp(np.diff(log_g, prepend=0.0))  # g_j / g_{j-1}, with g_0 = 1
+    factor = math.sqrt(n) * math.exp(log_moments[k] / (2 * k))
+    out = np.empty(m)
+    height = max(1, _SERIES_BLOCK // (2 * k + 1 + n))
+    for start in range(0, m, height):
+        block = theta[start:start + height]
+        scale = np.abs(block).max(axis=1)
+        scale[scale == 0.0] = 1.0  # the zero direction gives h = 0
+        v = np.square(block / scale[:, None]).T.copy()  # (n, b), a contiguous row per coordinate
+        prod = np.zeros((k + 1, len(block)))
+        prod[0] = 1.0
+        w = np.empty((k, len(block)))
+        for v_i in v:
+            # w[j - 1] = g_j v_i^j
+            np.cumprod(np.multiply.outer(ratios, v_i, out=w), axis=0, out=w)
+            for d in range(k, 0, -1):  # prod[:d] still holds the old product
+                prod[d] += np.einsum("jb,jb->b", w[:d], prod[d - 1::-1])
+        out[start:start + height] = scale * factor * prod[k] ** (1.0 / (2 * k))
+    return out
+
+
+def exact_zp(measure: LogConcaveMeasure, p: float) -> Optional[ConvexBody]:
+    """Exact Z_p of a Gaussian law, or of a product law at even p; else None.
+
+    A Gaussian law T gamma_n has the ellipsoid c_p T B_2^n, with
     c_p = (E|g|^p)^{1/p} for a standard normal g.  When T is a multiple t I
     of the identity the body is the ball of radius c_p |t|, whose mean width
-    is exact.
+    is exact.  A measure that carries coordinate moments (the uniform cube)
+    has at p = 2 the ball of radius sqrt(m_2), at any n, and at any other
+    even p a body whose support is the series of _series_support, while
+    n (p/2)^2 stays within ZP_SERIES_BUDGET.  At odd or fractional p (p = 1 among them),
+    above the budget, and for any other measure the result is None, and the
+    caller takes Z_p from samples.
     """
     _check_p(p)
     T = measure.gaussian_map
-    if T is None:
+    if T is not None:
+        log_abs_moment = math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)
+        c_p = math.sqrt(2.0) * math.exp(log_abs_moment / p)
+        t = T[0, 0]
+        if np.array_equal(T, t * np.eye(measure.dim)):
+            return ball(measure.dim, c_p * abs(float(t)))
+        return ellipsoid(c_p * T)
+    log_moments = measure.coordinate_log_moments
+    if log_moments is None or p % 2 != 0:
         return None
-    c_p = math.sqrt(2.0) * math.exp((math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / p)
-    t = T[0, 0]
-    if np.array_equal(T, t * np.eye(measure.dim)):
-        return ball(measure.dim, c_p * abs(float(t)))
-    return ellipsoid(c_p * T)
+    k = int(p) // 2
+    if k == 1:
+        return ball(measure.dim, math.exp(0.5 * log_moments[1]))
+    if k >= len(log_moments) or measure.dim * k * k > ZP_SERIES_BUDGET:
+        return None
+    return ConvexBody(dim=measure.dim,
+                      support=functools.partial(_series_support, log_moments[:k + 1]))

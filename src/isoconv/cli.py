@@ -12,7 +12,9 @@ seed when --seed is missing, calls the handler, writes the SuiteResult it
 returns through experiments.emit_report (every command's one report shape and
 one config echo), announces a generated seed as its last stderr line, and
 returns the exit code.  A report sent to stdout gets stdout to itself, and the
-human-readable lines go to stderr.
+human-readable lines go to stderr.  A warning raised while the handler runs,
+such as a bound evaluated outside its stated range, is one `warning:` line on
+stderr.
 
 Exit codes: 0 success, 1 verify-suite assertion failure, 2 usage or any other
 error: one `error:` line on stderr, with no traceback, which names the seed
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields
 from typing import Optional
 
@@ -267,6 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _warning_line(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     generated = None
     try:
@@ -278,7 +285,9 @@ def main(argv=None) -> int:
             from .seeds import generate_seed
 
             args.seed = generated = generate_seed()
-        result = args.fn(args, log)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            result = args.fn(args, log)
         if result is None:  # bound: a value line, no report
             return 0
         if fmt is not None:

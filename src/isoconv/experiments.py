@@ -223,11 +223,14 @@ def _suite_theorem1(dims, cfg: SuiteConfig):
 def _suite_paouris(dims, cfg: SuiteConfig):
     """Flatness of M*(Z_p)/sqrt(p) over p in [1, sqrt(n)] for isotropic sources.
 
-    The Gaussian's Z_p is exact (centroid.exact_zp), so only the cube source
-    draws samples.  An M* row counts the samples behind its Z_p, or the
-    sphere directions when that Z_p is exact; a ratio row carries its M*
-    row's SE over sqrt(p) and its label.  The flatness row is exact when
-    every M* behind it is.
+    The Gaussian's Z_p is exact at every p, and the cube's at even p
+    (centroid.exact_zp): at p = 2 a ball, whose M* is exact, and above it,
+    within centroid.ZP_SERIES_BUDGET, a series whose M* carries only the
+    sphere directions' SE.  Only the cube's odd or fractional p (p = 1 among them)
+    and its even p above the budget draw samples, once per n.  An M* row
+    counts the samples behind its Z_p, or the sphere directions when that
+    Z_p is exact; a ratio row carries its M* row's SE over sqrt(p) and its
+    label.  The flatness row is exact when every M* behind it is.
     """
     rows, assertions = [], []
     for j, n in enumerate(dims):

@@ -4,9 +4,12 @@ A measure is a deterministic oracle (count, seed) -> points, tagged with the
 log of the sup of its density when that is exactly known.  The log stays
 finite where the sup itself over- or underflows (the gaussian's (2 pi)^{-n/2}
 rounds to 0 from n = 811 on).  A Gaussian law T gamma_n also carries its map
-T, from which centroid.exact_zp reads its Z_p in closed form.  Exact
-samplers exist for the gaussian, coordinate products and the bodies that
-carry one; a body without an exact sampler is rejected.  A draw is a
+T, from which centroid.exact_zp reads its Z_p in closed form.  A law with
+i.i.d. coordinates, such as the uniform measure on a cube, carries the logs
+of its coordinate law's even moments, from which centroid.exact_zp sums its
+Z_p at even p; a linear image of such a law is no longer a product law and
+carries none.  Exact samplers exist for the gaussian, coordinate products
+and the bodies that carry one; a body without an exact sampler is rejected.  A draw is a
 SampleSet, which holds its points and nothing else.
 
 Determinism contract: same (measure, N, seed) gives bit-identical output
@@ -29,6 +32,8 @@ from .seeds import child_seed, rng_from
 
 #: draws are made in chunks of this many points, each with its own sub-seed
 DEFAULT_CHUNK = 1 << 16
+#: a product law carries its coordinate moments E X_1^{2j} for j = 0..MOMENT_ORDERS
+MOMENT_ORDERS = 256
 
 
 @dataclass(frozen=True)
@@ -65,23 +70,35 @@ class SampleSet:
 class LogConcaveMeasure:
     """Sampler oracle (count, seed) -> (count, dim) points on R^dim, plus
     log_density_sup, the log of sup f_mu when exactly known and None otherwise,
-    and gaussian_map, the read-only (dim, dim) map T when the measure is the
-    Gaussian law T gamma_dim and None otherwise.
+    gaussian_map, the read-only (dim, dim) map T when the measure is the
+    Gaussian law T gamma_dim and None otherwise, and coordinate_log_moments,
+    the read-only array of log E X_1^{2j} for j = 0, 1, ... when the
+    coordinates are i.i.d. and symmetric, and None otherwise.  The moments
+    are carried as logs, which stay finite where the moments over- or
+    underflow.
     """
 
     dim: int
     sampler: Callable[[int, int], np.ndarray]
     log_density_sup: Optional[float] = None
     gaussian_map: Optional[np.ndarray] = None
+    coordinate_log_moments: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.gaussian_map is None:
-            return
-        T = np.asarray(self.gaussian_map, dtype=float).view()  # freeze a view only
-        if T.shape != (self.dim, self.dim):
-            raise ValueError(f"gaussian_map must be {self.dim}x{self.dim}, got {T.shape}")
-        T.setflags(write=False)
-        object.__setattr__(self, "gaussian_map", T)
+        T = self.gaussian_map
+        if T is not None:
+            T = np.asarray(T, dtype=float).view()  # freeze a view only
+            if T.shape != (self.dim, self.dim):
+                raise ValueError(f"gaussian_map must be {self.dim}x{self.dim}, got {T.shape}")
+            T.setflags(write=False)
+            object.__setattr__(self, "gaussian_map", T)
+        moments = self.coordinate_log_moments
+        if moments is not None:
+            moments = np.asarray(moments, dtype=float).view()
+            if moments.ndim != 1 or len(moments) < 2 or moments[0] != 0.0:
+                raise ValueError("coordinate_log_moments must be 1-d, from log E X^0 = 0 on")
+            moments.setflags(write=False)
+            object.__setattr__(self, "coordinate_log_moments", moments)
 
 
 def draw_samples(measure: LogConcaveMeasure, count: int, seed: int) -> SampleSet:
@@ -148,14 +165,24 @@ def exponential_product_measure(dim: int) -> LogConcaveMeasure:
 
 
 def uniform_body_measure(body: ConvexBody) -> LogConcaveMeasure:
-    """Uniform probability measure on a body with an exact sampler."""
+    """Uniform probability measure on a body with an exact sampler.
+
+    On a cube [-a, a]^n the coordinates are i.i.d. uniform on [-a, a], with
+    even moments m_2j = a^{2j} / (2j + 1), carried as their logs.
+    """
     if body.sample_exact is None:
         raise UnsupportedOracleError("uniform measure needs a body with an exact sampler")
     log_vol = body.analytic.get("log_volume")
+    half = body.analytic.get("cube_half_side")
+    moments = None
+    if half is not None:
+        j = np.arange(MOMENT_ORDERS + 1)
+        moments = 2.0 * j * math.log(half) - np.log(2.0 * j + 1.0)
     return LogConcaveMeasure(
         dim=body.dim,
         sampler=body.sample_exact,
         log_density_sup=None if log_vol is None else -log_vol,
+        coordinate_log_moments=moments,
     )
 
 
@@ -163,7 +190,8 @@ def pushforward_measure(base: LogConcaveMeasure, T: np.ndarray) -> LogConcaveMea
     """Linear pushforward x -> T x; the density sup divides by |det T|.
 
     The pushforward of a Gaussian law S gamma_n is the Gaussian law
-    (T S) gamma_n; of any other measure, no Gaussian law.
+    (T S) gamma_n; of any other measure, no Gaussian law.  A linear image of
+    a product law is not a product law, so no coordinate moments are kept.
     """
     T = np.asarray(T, dtype=float)
     if T.shape != (base.dim, base.dim):

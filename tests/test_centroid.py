@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 import multiprocessing
 import os
 import sys
@@ -12,7 +13,8 @@ import pytest
 
 from isoconv import pool as isoconv_pool
 from isoconv.bodies import cube
-from isoconv.centroid import P_CAP, centroid_body, exact_zp, zp_support, zp_touching_points
+from isoconv.centroid import (P_CAP, ZP_SERIES_BUDGET, centroid_body, exact_zp, zp_support,
+                              zp_touching_points)
 from isoconv.grassmann import random_subspace
 from isoconv.isotropy import estimate_moments
 from isoconv.measures import (
@@ -304,10 +306,124 @@ def test_exact_zp_support_agrees_with_the_sampled_pushforward():
         assert np.all(np.abs(h - exact) <= 3.0 * se), (p, (h - exact) / se)
 
 
-def test_exact_zp_is_none_without_a_gaussian_law():
-    for mu in (uniform_body_measure(cube(3)), exponential_product_measure(3)):
-        assert exact_zp(mu, 2.0) is None
-        assert exact_zp(pushforward_measure(mu, np.diag([1.0, 2.0, 3.0])), 2.0) is None
+def test_exact_zp_is_none_without_an_exact_law():
+    laplace = exponential_product_measure(3)
+    cube_law = uniform_body_measure(cube(3))
+    stretch = np.diag([1.0, 2.0, 3.0])
+    for p in (2.0, 4.0):
+        assert exact_zp(laplace, p) is None
+        assert exact_zp(pushforward_measure(laplace, stretch), p) is None
+        assert exact_zp(pushforward_measure(cube_law, stretch), p) is None
+    for p in (1.0, 3.0, 4.5, 7.0, 2.000001):
+        assert exact_zp(cube_law, p) is None
+    # the budget on n (p/2)^2: at n = 32 the largest even p is 90
+    wide = uniform_body_measure(cube(32, side=1.0))
+    assert 32 * 45**2 <= ZP_SERIES_BUDGET < 32 * 46**2
+    assert exact_zp(wide, 90.0) is not None and exact_zp(wide, 92.0) is None
+    assert exact_zp(wide, 128.0) is None
+
+
+def _cube_moment(theta, a, p):
+    """E <X, theta>^p for X uniform on [-a, a]^n, even p, in exact rationals."""
+    k = p // 2
+    m = [Fraction(a) ** (2 * j) / (2 * j + 1) for j in range(k + 1)]
+    poly = [Fraction(1)] + [Fraction(0)] * k
+    for th in map(Fraction, theta):
+        f = [m[j] * th ** (2 * j) / math.factorial(2 * j) for j in range(k + 1)]
+        poly = [sum(poly[d - j] * f[j] for j in range(d + 1)) for d in range(k + 1)]
+    return poly[k] * math.factorial(2 * k)
+
+
+def test_exact_cube_zp_matches_rational_arithmetic():
+    rng = np.random.default_rng(50)
+    for n, side in ((1, 1.0), (2, 3.0), (3, 1.0), (5, 0.25), (8, 1.0)):
+        mu = uniform_body_measure(cube(n, side=side))
+        dirs = np.vstack([rng.standard_normal((3, n)), np.eye(n)[:1], np.ones((1, n))])
+        for p in (2, 4, 6, 8, 12, 32, 64):
+            h = exact_zp(mu, float(p)).support(dirs)
+            ref = [float(_cube_moment(t, side / 2, p)) ** (1.0 / p) for t in dirs]
+            assert h == pytest.approx(ref, rel=1e-12, abs=0.0), (n, p)
+
+
+def test_exact_cube_z4_is_the_closed_form():
+    # h^4 = m_4 sum theta_i^4 + 3 m_2^2 (|theta|^4 - sum theta_i^4)
+    a = 0.5
+    m2, m4 = a**2 / 3.0, a**4 / 5.0
+    dirs = np.random.default_rng(51).standard_normal((20, 6))
+    s4 = (dirs**4).sum(axis=1)
+    ref = (m4 * s4 + 3.0 * m2**2 * ((dirs**2).sum(axis=1) ** 2 - s4)) ** 0.25
+    h = exact_zp(uniform_body_measure(cube(6, side=2 * a)), 4.0).support(dirs)
+    assert h == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_exact_cube_z2_is_the_ball_of_radius_a_over_sqrt3():
+    # a ball costs no series, so the budget does not bound n at p = 2
+    for n, side in ((4, 1.0), (4, 2.0), (4, 7.5), (ZP_SERIES_BUDGET + 1, 1.0)):
+        body = exact_zp(uniform_body_measure(cube(n, side=side)), 2.0)
+        assert body.analytic["ball_radius"] == pytest.approx(side / 2 / math.sqrt(3.0),
+                                                             rel=1e-15, abs=0.0)
+
+
+def test_exact_cube_zp_grows_with_p():
+    mu = uniform_body_measure(cube(8, side=1.0))
+    dirs = np.vstack([sphere_directions(8, 50, seed=52), np.eye(8)[:1]])
+    h = [exact_zp(mu, float(p)).support(dirs) for p in range(2, 66, 2)]
+    for lo, hi in zip(h, h[1:]):
+        assert np.all(lo < hi)
+
+
+def test_exact_cube_zp_agrees_with_the_sampled_kernel():
+    # the empirical h is a power mean of N values y = <x, theta>^p; its SD,
+    # h sd(y) / (p E y sqrt N), comes from the exact moments at p and 2p
+    mu = uniform_body_measure(cube(5, side=1.0))
+    s = draw_samples(mu, 200_000, seed=53)
+    dirs = sphere_directions(5, 12, seed=54)
+    for p in (4.0, 8.0):
+        h = exact_zp(mu, p).support(dirs)
+        h2p = exact_zp(mu, 2 * p).support(dirs)
+        sd = h * np.sqrt((h2p / h) ** (2 * p) - 1.0) / (p * math.sqrt(s.count))
+        assert np.all(np.abs(zp_support(s, p, dirs) - h) <= 4.0 * sd), p
+
+
+def test_exact_cube_zp_at_the_budget_corners_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        _check_budget_corners(mpmath)
+
+
+def _check_budget_corners(mpmath):
+    a = mpmath.mpf(1) / 2
+
+    def moment(j):
+        return a ** (2 * j) / (2 * j + 1)
+
+    # the largest p at n = 2: E <X, t>^p = sum_j C(p, 2j) m_2j m_{p-2j} t_1^{2j} t_2^{p-2j}
+    k = math.isqrt(ZP_SERIES_BUDGET // 2)
+    p = 2 * k
+    mu = uniform_body_measure(cube(2, side=1.0))
+    assert exact_zp(mu, p + 2.0) is None
+    dirs = np.array([[1.0, 0.0], [1.0, 1.0], [0.3, -0.9], [1e-200, 3e-201], [2e200, -1e200]])
+    h = exact_zp(mu, float(p)).support(dirs)
+    for t, got in zip(dirs, h):
+        t1, t2 = mpmath.mpf(t[0]), mpmath.mpf(t[1])
+        ref = mpmath.fsum(mpmath.binomial(p, 2 * j) * moment(j) * moment(k - j)
+                          * t1 ** (2 * j) * t2 ** (p - 2 * j) for j in range(k + 1))
+        assert got == pytest.approx(float(ref ** (mpmath.mpf(1) / p)), rel=1e-12, abs=0.0)
+    # the largest n at p = 4, against the closed form
+    n = ZP_SERIES_BUDGET // 4
+    mu = uniform_body_measure(cube(n, side=1.0))
+    assert exact_zp(uniform_body_measure(cube(n + 1, side=1.0)), 4.0) is None
+    rng = np.random.default_rng(55)
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    dirs = np.vstack([e1, np.ones(n), rng.standard_normal(n), 1e-150 * rng.standard_normal(n),
+                      1e150 * rng.standard_normal(n)])
+    h = exact_zp(mu, 4.0).support(dirs)
+    for t, got in zip(dirs, h):
+        t2 = mpmath.fsum(mpmath.mpf(x) ** 2 for x in t)
+        t4 = mpmath.fsum(mpmath.mpf(x) ** 4 for x in t)
+        ref = moment(2) * t4 + 3 * moment(1) ** 2 * (t2**2 - t4)
+        assert got == pytest.approx(float(ref ** (mpmath.mpf(1) / 4)), rel=1e-12, abs=0.0)
 
 
 def test_exact_zp_rejects_p_outside_the_range():

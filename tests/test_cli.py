@@ -37,6 +37,17 @@ def test_bound_summary_piecewise_prints_two(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_bound_range_warning_is_one_stderr_line():
+    argv = ["bound", "--kind", "thm14", "--n", "16", "--rad-value", "1", "--l-k", "0.3",
+            "--t", "0.01"]
+    proc = subprocess.run([sys.executable, "-m", "isoconv", *argv], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        "warning: thm14: t = 0.01 outside the stated range [0.3, 1.2]; evaluating anyway"]
+    assert float(proc.stdout) > 0
+
+
 def test_verify_unknown_suite_exits_2():
     rc = cli.main(["verify", "--suite", "nosuch", "--dims", "4"])
     assert rc == 2
@@ -325,7 +336,7 @@ def test_thread_cap_is_clamped_to_the_cores(monkeypatch):
     ["zp", "--measure", "gaussian:32", "--p", "8", "--samples", "20000",
      "--directions", "50"],
     ["verify", "--suite", "paouris", "--dims", "32", "--samples", "20000",
-     "--sphere-samples", "400", "--p-values", "2,8,64"],
+     "--sphere-samples", "400", "--p-values", "2,3,8,64"],  # the cube's p = 3 is sampled
     # their hull volumes run as pool tasks
     ["verify", "--suite", "kubota", "--dims", "3", "--samples", "1000", "--trials", "3"],
     ["verify", "--suite", "zn-volrad", "--dims", "2,3", "--samples", "1000"],

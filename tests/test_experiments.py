@@ -299,9 +299,14 @@ def test_zn_volrad_regression_pins():
         assert got[key] == pytest.approx(pinned, rel=1e-9), key
 
 
-@pytest.mark.parametrize("suite,draws", [("thm-main-aniso", 0), ("paouris", 1)])
-def test_gaussian_sources_draw_no_samples(suite, draws, monkeypatch):
-    # every Gaussian Z_p is exact; only paouris's cube source is sampled
+@pytest.mark.parametrize("suite,draws,p_values", [
+    pytest.param("thm-main-aniso", 0, None, id="thm-main-aniso-0"),
+    pytest.param("paouris", 1, None, id="paouris-1"),
+    pytest.param("paouris", 0, (2.0, 4.0, 8.0), id="paouris-even-p-0"),
+])
+def test_gaussian_sources_draw_no_samples(suite, draws, p_values, monkeypatch):
+    # every Gaussian Z_p is exact, and so is the cube's at even p; paouris's
+    # default grid starts at p = 1, where the cube source is sampled
     from isoconv import experiments
 
     calls = []
@@ -311,15 +316,18 @@ def test_gaussian_sources_draw_no_samples(suite, draws, monkeypatch):
         return draw_samples(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "draw_samples", counting)
-    run_suite(suite, [8], SuiteConfig(seed=2, samples=2000, sphere_samples=200))
+    run_suite(suite, [8], SuiteConfig(seed=2, samples=2000, sphere_samples=200,
+                                      p_values=p_values))
     assert len(calls) == draws
 
 
 def test_gaussian_mstar_rows_are_exact_and_ratios_carry_their_se():
+    # an exact ball's M* is exact; the cube's exact Z_8 has an mc M* over the
+    # 200 sphere directions, and only its sampled Z_1 counts the 2000 samples
     cfg = SuiteConfig(seed=4, samples=2000, sphere_samples=200, p_values=(1.0, 2.0, 8.0))
-    for suite, mstar, ratio, exact_kinds in (
-        ("thm-main-aniso", "sqrtn-mstar-zp", "ratio", ("flat",)),
-        ("paouris", "mstar-zp", "paouris-ratio", ("gaussian",)),
+    for suite, mstar, ratio, exact_rows in (
+        ("thm-main-aniso", "sqrtn-mstar-zp", "ratio", {"flat": (1.0, 2.0, 8.0)}),
+        ("paouris", "mstar-zp", "paouris-ratio", {"gaussian": (1.0, 2.0, 8.0), "cube": (2.0,)}),
     ):
         rows = run_suite(suite, [8], cfg).rows
         bounds = {(r.quantity, r.p): r.value for r in rows if r.quantity.startswith("bound-")}
@@ -328,10 +336,11 @@ def test_gaussian_mstar_rows_are_exact_and_ratios_carry_their_se():
             if not r.quantity.startswith(mstar + "-"):
                 continue
             kind = r.quantity.removeprefix(mstar + "-")
-            if kind in exact_kinds:
+            if r.p in exact_rows.get(kind, ()):
                 assert (r.direction, r.std_error, r.samples) == ("exact", 0.0, 200), r
             else:
                 assert r.direction == "mc" and r.std_error > 0, r
+                assert r.samples == (2000 if (kind, r.p) == ("cube", 1.0) else 200), r
             den = bounds.get((f"bound-arith-{kind}", r.p), math.sqrt(r.p))
             q = by_key[(f"{ratio}-{kind}", r.p)]
             assert q.direction == r.direction

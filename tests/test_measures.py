@@ -122,6 +122,20 @@ def test_pushforward_composes_the_gaussian_map():
     assert not mu.gaussian_map.flags.writeable
 
 
+def test_uniform_cube_carries_its_coordinate_moments():
+    # [-a, a]: m_2j = a^{2j} / (2j + 1); a linear image is no product law
+    mu = uniform_body_measure(cube(3, side=3.0))
+    assert len(mu.coordinate_log_moments) == measures.MOMENT_ORDERS + 1
+    j = np.arange(20)
+    moments = np.exp(mu.coordinate_log_moments[:20])
+    assert np.allclose(moments, 1.5 ** (2 * j) / (2 * j + 1), rtol=1e-13, atol=0.0)
+    assert not mu.coordinate_log_moments.flags.writeable
+    assert pushforward_measure(mu, np.diag([1.0, 2.0, 3.0])).coordinate_log_moments is None
+    for other in (uniform_body_measure(ball(3)), gaussian_measure(3),
+                  exponential_product_measure(3)):
+        assert other.coordinate_log_moments is None
+
+
 def test_pushforward_density_sup_scales_by_det():
     K = cube(2, side=1.0)
     T = np.diag([2.0, 0.5])
