@@ -111,8 +111,6 @@ def _body_grid_cloud(body: ConvexBody, step: float):
     Any x in K has a cloud point within slack = (step*sqrt(k)/2)(1 + R/r):
     shrink x toward the origin by step*sqrt(k)/(2r) so a full grid cell fits
     inside K around it (r = inradius, R = circumradius, origin interior).
-    The points come sorted by their first coordinate, the grid's slowest
-    axis, as `_greedy_covering_radii` needs them.
     """
     if body.membership is None:
         raise UnsupportedOracleError("greedy covering needs a membership oracle")
@@ -130,63 +128,121 @@ def _body_grid_cloud(body: ConvexBody, step: float):
     cloud = pts[inside]
     if cloud.shape[0] == 0:
         raise ValueError("grid too coarse: no points landed inside the body")
-    r_circ = float(np.linalg.norm(cloud, axis=1).max())
+    norm2 = cloud[:, 0] * cloud[:, 0]
+    for i in range(1, k):
+        norm2 += cloud[:, i] * cloud[:, i]
+    r_circ = math.sqrt(float(norm2.max()))
     slack = 0.5 * step * math.sqrt(k) * (1.0 + r_circ / r_in)
     return cloud, slack
 
 
-_SLAB_MARGIN = 1e-9
+_BRICK_POINTS = 2**11
+_CHUNK_POINTS = 2**15
 
 
 def _greedy_covering_radii(cloud: np.ndarray, n_centers: int, seed: int) -> np.ndarray:
     """Farthest-point greedy: radii[j] = cloud covering radius with j+1 centers.
 
-    The cloud must be sorted by its first coordinate, as `_body_grid_cloud`
-    returns it.  It is copied once to coordinate-major (k, m) rows, and every
-    buffer is allocated once per call.  Each centre c costs a few in-place
-    passes over contiguous rows: (x_0 - c_0)^2, then + (x_j - c_j)^2 for
-    j = 1..k-1, folded into the squared distances with a minimum.  That is
-    the order in which ((cloud - c)**2).sum(axis=1) adds its k terms, so every
-    distance, and with it every tie and radius, is bit-identical to the
-    direct formula; `argmax` breaks ties by the first point.
+    The cloud may come in any order.  Set-up bins it into bricks of about
+    2^11 points on a grid over its bounding box, stable-sorts the points by
+    brick, so that inside a brick they keep the caller's order, and copies
+    them to coordinate-major (k, m) rows.  Each brick keeps the bounding box
+    of its points and the running maximum of d^2 over them.
 
-    Slab pruning: with R the current covering radius, c can lower d^2(x)
-    only where |x - c|^2 < d^2(x) <= R^2, so only for |x_0 - c_0| < R.  The
-    passes run on the contiguous slab |x_0 - c_0| <= R', found with two
-    `searchsorted` calls; elsewhere the minimum would keep d^2(x) as it is.
-    R' = R (1 + 1e-9) + 1e-9 |c_0| covers every rounding on the way: the
-    slab ends, the subtraction, the squaring and the square root that gave
-    R each err by at most 2^-53 relative to R + |c_0|, far below the
-    margin, and adding the other nonnegative terms never lowers a sum.
+    Each centre c costs a few in-place passes over the points of the bricks
+    it can reach: (x_0 - c_0)^2, then + (x_i - c_i)^2 for i = 1..k-1, folded
+    into the squared distances with a minimum.  That is the order in which
+    ((cloud - c)**2).sum(axis=1) adds its k terms, so every distance, and
+    with it every tie and radius, is bit-identical to the direct formula.
+
+    Brick pruning: a brick's box distance^2 is |q - c|^2 for q, the point of
+    the box nearest to c, computed in that same order.  For x in the box,
+    |x_i - c_i| >= |q_i - c_i| exactly, and IEEE rounding is symmetric about
+    0 and monotone in each operand, so the computed |x - c|^2 is at least the
+    computed |q - c|^2.  When that is >= the brick's max d^2, the minimum
+    would keep every d^2(x) in the brick as it is, so the brick is skipped:
+    the skip is exact and needs no margin.  The other bricks are updated in
+    runs of consecutive bricks, 2^15 points at a time, and their maxima
+    refreshed.
+
+    The next centre is the point with the largest d^2 and, among ties, the
+    smallest index in the caller's order, as `argmax` over the cloud picks
+    it: each brick holding the global maximum offers its first maximum, and
+    the smallest caller index among those wins.
 
     Radii past the m-th centre are 0.
     """
     m, k = cloud.shape
-    cols = np.ascontiguousarray(cloud.T)
-    x0 = cols[0]
-    if not np.all(x0[:-1] <= x0[1:]):
-        raise ValueError("greedy covering needs a cloud sorted by its first coordinate")
+    per_axis = max(1, round((m / _BRICK_POINTS) ** (1.0 / k)))
+    key = np.zeros(m, dtype=np.intp)
+    scaled = np.empty(m)
+    for i in range(k):
+        lo, hi = cloud[:, i].min(), cloud[:, i].max()
+        key *= per_axis
+        if hi > lo:
+            np.subtract(cloud[:, i], lo, out=scaled)
+            np.divide(scaled, hi - lo, out=scaled)
+            np.multiply(scaled, per_axis, out=scaled)
+            np.minimum(scaled, per_axis - 1, out=scaled)
+            # scaled >= 0, so the cast to intp floors it to the bin index
+            np.add(key, scaled, out=key, casting="unsafe")
+    del scaled
+    sizes = np.bincount(key)
+    order = np.argsort(key, kind="stable")
+    del key
+    sizes = sizes[sizes > 0]
+    starts = np.cumsum(sizes) - sizes
+    cols = np.empty((k, m))
+    for i in range(k):
+        np.take(cloud[:, i], order, out=cols[i])
+    box_lo = np.minimum.reduceat(cols, starts, axis=1)
+    box_hi = np.maximum.reduceat(cols, starts, axis=1)
+    spans = list(zip(starts.tolist(), (starts + sizes).tolist()))
+    brick_max = np.full(len(spans), np.inf)
+    gap = np.empty_like(box_lo)
+    # padded with False at both ends, so each run of hit bricks has a rising
+    # and a falling edge
+    hit = np.zeros(len(spans) + 2, dtype=bool)
+    hit_in, hit_next, hit_prev = hit[1:-1], hit[1:], hit[:-1]
     d2 = np.full(m, np.inf)
-    new = np.empty(m)
-    term = np.empty(m)
+    dist = np.empty(min(m, _CHUNK_POINTS))
+    part = np.empty_like(dist)
     radii = np.zeros(n_centers)
-    nxt = int(rng_from(seed).integers(0, m))
-    radius = math.inf
+    c = cloud[int(rng_from(seed).integers(0, m))]
     for j in range(min(n_centers, m)):
-        c0 = x0[nxt]
-        reach = radius * (1.0 + _SLAB_MARGIN) + _SLAB_MARGIN * abs(c0)
-        lo = int(np.searchsorted(x0, c0 - reach, side="left"))
-        hi = int(np.searchsorted(x0, c0 + reach, side="right"))
-        slab, dist, part = slice(lo, hi), new[: hi - lo], term[: hi - lo]
-        np.subtract(x0[slab], c0, out=dist)
-        np.multiply(dist, dist, out=dist)
+        at_c = c[:, None]
+        np.maximum(box_lo, at_c, out=gap)
+        np.minimum(gap, box_hi, out=gap)
+        np.subtract(gap, at_c, out=gap)
+        np.multiply(gap, gap, out=gap)
+        box_d2 = gap[0]
         for i in range(1, k):
-            np.subtract(cols[i, slab], cols[i, nxt], out=part)
-            np.multiply(part, part, out=part)
-            np.add(dist, part, out=dist)
-        np.minimum(d2[slab], dist, out=d2[slab])
-        nxt = int(np.argmax(d2))
-        radius = radii[j] = math.sqrt(float(d2[nxt]))
+            np.add(box_d2, gap[i], out=box_d2)
+        np.less(box_d2, brick_max, out=hit_in)
+        edges = np.not_equal(hit_next, hit_prev).nonzero()[0].tolist()
+        c = c.tolist()
+        for b0, b1 in zip(edges[::2], edges[1::2]):
+            run_lo, run_hi = spans[b0][0], spans[b1 - 1][1]
+            for lo in range(run_lo, run_hi, _CHUNK_POINTS):
+                hi = min(lo + _CHUNK_POINTS, run_hi)
+                out, tmp = dist[: hi - lo], part[: hi - lo]
+                np.subtract(cols[0, lo:hi], c[0], out=out)
+                np.multiply(out, out, out=out)
+                for i in range(1, k):
+                    np.subtract(cols[i, lo:hi], c[i], out=tmp)
+                    np.multiply(tmp, tmp, out=tmp)
+                    np.add(out, tmp, out=out)
+                np.minimum(d2[lo:hi], out, out=d2[lo:hi])
+            np.maximum.reduceat(d2[:run_hi], starts[b0:b1], out=brick_max[b0:b1])
+        top = brick_max.max()
+        best = m
+        for b in (brick_max == top).nonzero()[0].tolist():
+            lo, hi = spans[b]
+            at = lo + int(d2[lo:hi].argmax())
+            if order[at] < best:
+                best, pos = int(order[at]), at
+        c = cols[:, pos]
+        radii[j] = math.sqrt(float(top))
     return radii
 
 
@@ -199,8 +255,12 @@ def entropy_numbers(
     """Upper estimates of e_j(K) for j = 1..j_max, dim <= 4.
 
     Greedy farthest-point covering of a grid cloud with 2^j centers, plus
-    the grid fill slack; `seed` picks the greedy start.  Dimension 1 is
-    exact: an interval of length L has e_j = L / 2^{j+1}.
+    the grid fill slack; `seed` picks the greedy start.  The covering prunes
+    by bricks of the cloud: a centre updates only the bricks its ball can
+    reach, a brick being skipped only when the minimum would leave it as it
+    is, and ties go to the first point in grid order, so the radii are
+    bit-identical to the whole-cloud greedy.  Dimension 1 is exact: an
+    interval of length L has e_j = L / 2^{j+1}.
     Returns a list of Estimates, entry j - 1 for e_j.
     """
     k = body.dim

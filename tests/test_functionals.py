@@ -111,8 +111,8 @@ def test_greedy_covering_is_bit_identical_to_the_direct_formula(k):
     # integer and body grids put many points at equal distances, so every
     # argmax tie-break is exercised; the cross-polytope grid has slices of
     # different sizes, the permuted grid is shuffled within each slice of
-    # equal first coordinate, and a constant first coordinate puts the whole
-    # cloud in every slab
+    # equal first coordinate, and a constant first coordinate leaves one
+    # axis of the bricks undivided
     side = {2: 40, 3: 12, 4: 6}[k]
     step = {2: 0.05, 3: 0.1, 4: 0.2}[k]
     integer_grid = np.indices((side,) * k).reshape(k, -1).T.astype(float)
@@ -138,15 +138,39 @@ def test_greedy_covering_pads_past_the_cloud_with_zeros():
     assert np.all(radii[cloud.shape[0] - 1:] == 0.0)
 
 
-def test_greedy_covering_rejects_an_unsorted_cloud():
-    cloud = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
-    with pytest.raises(ValueError, match="sorted by its first coordinate") as info:
-        _greedy_covering_radii(cloud, 4, 0)
-    assert "\n" not in str(info.value)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_greedy_covering_takes_a_shuffled_cloud(k):
+    # the bricks are built from any point order, and ties still go to the
+    # smallest index in the caller's order
+    step = {2: 0.05, 3: 0.1, 4: 0.2}[k]
+    body_grid, _ = _body_grid_cloud(cube(k, side=1.0), step)
+    cross_grid, _ = _body_grid_cloud(cross_polytope(k), step)
+    for grid in (body_grid, cross_grid):
+        for seed in (0, 1):
+            cloud = grid[rng_from(seed).permutation(grid.shape[0])]
+            assert np.array_equal(
+                _greedy_covering_radii(cloud, 64, seed),
+                _direct_covering_radii(cloud, 64, seed),
+            )
+
+
+@pytest.mark.parametrize("cloud", [
+    np.array([[0.5, -1.0, 2.0]]),
+    np.repeat(np.indices((4, 4)).reshape(2, -1).T.astype(float), 3, axis=0),
+    rng_from(9).standard_normal((300, 3)),
+], ids=["one-point", "duplicates", "one-brick"])
+def test_greedy_covering_edge_clouds(cloud):
+    # duplicated points tie at distance 0 once a copy is a centre
+    for seed in (0, 1, 2):
+        assert np.array_equal(
+            _greedy_covering_radii(cloud, 64, seed),
+            _direct_covering_radii(cloud, 64, seed),
+        )
 
 
 def test_greedy_covering_memory_does_not_grow_with_centers():
-    # the coordinate-major copy plus three length-m buffers, and nothing per centre
+    # the coordinate-major copy, the squared distances and the brick order,
+    # buffers of one chunk, and nothing per centre
     cloud, _ = _body_grid_cloud(cube(3, side=1.0), 0.031)
     m, k = cloud.shape
     assert 30_000 <= m <= 40_000
