@@ -159,13 +159,13 @@ def _cmd_scaling(args, log):
     """Mean-width scaling fit across dims for a body-descriptor template."""
     from .experiments import Row, SuiteResult, mean_width_scaling
 
-    estimates, (slope, intercept, half) = mean_width_scaling(
+    estimates, slope, intercept, half = mean_width_scaling(
         args.body, args.dims, args.sphere_samples, args.seed)
     rows = [Row("scaling", n, None, "mstar", est.value, est.std_error, est.direction, args.seed,
                 est.n_samples) for n, est in zip(args.dims, estimates)]
-    print(f"slope: {slope:.6f} +- {half:.6f}", file=log)
-    rows.append(Row("scaling", 0, None, "slope", slope, half / 2.0, "mc", args.seed,
-                    len(estimates)))
+    print(f"slope: {slope.value:.6f} +- {half:.6f}", file=log)
+    rows.append(Row("scaling", 0, None, "slope", slope.value, slope.std_error, slope.direction,
+                    args.seed, slope.n_samples))
     return SuiteResult("scaling", tuple(rows), (), {"intercept": intercept})
 
 
@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="csv or json: that report on stdout; "
                        "else a path, JSON when it ends in .json, CSV otherwise")
 
-    p = sub.add_parser("meanwidth", help="Monte Carlo mean width of a body")
+    p = sub.add_parser("meanwidth", help="mean width of a body: exact for balls and "
+                       "l1 balls, Monte Carlo otherwise")
     p.add_argument("--body", required=True, help="body descriptor, e.g. ball:8 or cube:4:2")
     p.add_argument("--sphere-samples", type=int, default=10_000)
     add_common(p)

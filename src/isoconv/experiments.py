@@ -29,7 +29,9 @@ from .bodies import (ConvexBody, ball, cross_polytope, cube, parse_body, product
                      unit_volume_copy)
 from . import pool
 from .centroid import centroid_body, exact_zp
-from .functionals import RadModel, bound_rhs, entropy_numbers, mean_width
+from .estimates import Estimate
+from .functionals import (DEFAULT_SPHERE_SAMPLES, RadModel, bound_rhs, entropy_numbers,
+                          mean_width)
 from .grassmann import (DEFAULT_HULL_DIRECTIONS, VOLUME_DIM_CAP, project_body, random_subspace,
                         support_hull_task, support_hull_volrad)
 from .isotropy import estimate_moments, exact_isotropic_constant
@@ -117,9 +119,11 @@ def fit_scaling_slope(pairs) -> tuple:
 def mean_width_scaling(template: str, dims, sphere_samples: int, seed: int) -> tuple:
     """M* at each n in dims of the body parse_body makes of `template`, n put for {n}.
 
-    Returns (estimates, (slope, intercept, half_width)), the fit by
-    fit_scaling_slope.  Every body is built, and must be n-dimensional, before
-    any mean width is taken; the j-th M* takes seed child_seed(seed, j).
+    Returns (estimates, slope, intercept, half_width), the fit of
+    fit_scaling_slope, with the slope as an Estimate over len(dims) points:
+    `exact` with SE 0 when every M* is exact, else `mc` with SE half_width/2.
+    Every body is built, and must be n-dimensional, before any mean width is
+    taken; the j-th M* takes seed child_seed(seed, j).
     """
     check_slope_dims(dims)
     descriptors = [template.replace("{n}", str(n)) for n in dims]
@@ -128,7 +132,12 @@ def mean_width_scaling(template: str, dims, sphere_samples: int, seed: int) -> t
         if K.dim != n:
             raise ValueError(f"body {d!r} has dim {K.dim}, not n = {n}")
     estimates = [mean_width(K, sphere_samples, child_seed(seed, j)) for j, K in enumerate(bodies)]
-    return estimates, fit_scaling_slope(zip(dims, (est.value for est in estimates)))
+    slope, intercept, half = fit_scaling_slope(zip(dims, (est.value for est in estimates)))
+    if all(est.direction == "exact" for est in estimates):
+        slope_est = Estimate(slope, 0.0, len(estimates), "exact")
+    else:
+        slope_est = Estimate(slope, half / 2.0, len(estimates), "mc")
+    return estimates, slope_est, intercept, half
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +196,12 @@ def qm_body(K: ConvexBody, m: int) -> ConvexBody:
 def _suite_theorem1(dims, cfg: SuiteConfig):
     """M*(K) against sqrt(n) log^2(1+n) L_K for the two exact unit-volume families.
 
-    L_K is exact (exact_isotropic_constant), so the sphere directions of M* are
-    all the suite's randomness, and a ratio row carries its M* row's SE over the
-    exact denominator, and its label.  Each family's ratio may not exceed twice
-    its value at the smallest tested n.
+    L_K is exact (exact_isotropic_constant), and so is the cross-polytope's M*
+    (mean_width of an l1 ball): the cube's sphere directions are all the
+    suite's randomness.  An M* row counts the directions behind it, 0 when
+    exact, and a ratio row carries its M* row's SE over the exact denominator,
+    and its label.  Each family's ratio may not exceed twice its value at the
+    smallest tested n.
     """
     rows, assertions = [], []
     for fam_idx, fam in enumerate(("cube", "cross")):
@@ -205,7 +216,7 @@ def _suite_theorem1(dims, cfg: SuiteConfig):
             ratios.append((n, ratio))
             rows += [
                 Row("theorem1", n, None, f"mstar-{fam}", mstar.value, mstar.std_error,
-                    mstar.direction, seed, cfg.sphere_samples),
+                    mstar.direction, seed, mstar.n_samples),
                 Row("theorem1", n, None, f"l-{fam}", l_k, 0.0, "exact", seed, 0),
                 Row("theorem1", n, None, f"thm1-ratio-{fam}", ratio, mstar.std_error / denom,
                     mstar.direction, seed, 0),
@@ -331,22 +342,27 @@ def _suite_thm_main_aniso(dims, cfg: SuiteConfig):
 
 
 def _suite_b1_scaling(dims, cfg: SuiteConfig):
-    """Growth exponent of M* for the unit-volume l1 ball across n."""
-    estimates, (slope, intercept, half) = mean_width_scaling(
-        "b1tilde:{n}", dims, cfg.sphere_samples, cfg.seed)
+    """Growth exponent of M* for the unit-volume l1 ball across n.
+
+    Every M* is exact (mean_width of an l1 ball), so the suite reads no
+    SuiteConfig field but seed, and its rows, the slope row among them, are
+    `exact`.
+    """
+    estimates, slope, intercept, half = mean_width_scaling(
+        "b1tilde:{n}", dims, DEFAULT_SPHERE_SAMPLES, cfg.seed)
     rows = [Row("b1-scaling", n, None, "mstar-b1tilde", est.value, est.std_error,
                 est.direction, child_seed(cfg.seed, j), est.n_samples)
             for j, (n, est) in enumerate(zip(dims, estimates))]
-    rows.append(Row("b1-scaling", 0, None, "slope", slope, half / 2.0, "mc",
-                    cfg.seed, len(estimates)))
-    ok = 0.50 <= slope <= 0.65
+    rows.append(Row("b1-scaling", 0, None, "slope", slope.value, slope.std_error,
+                    slope.direction, cfg.seed, slope.n_samples))
+    ok = 0.50 <= slope.value <= 0.65
     assertion = Assertion(
         "b1-scaling-slope",
         ok,
-        f"slope {slope:.4f} +- {half:.4f} (band [0.50, 0.65]: sqrt(n) growth "
+        f"slope {slope.value:.4f} +- {half:.4f} (band [0.50, 0.65]: sqrt(n) growth "
         "with the log factor absorbed)",
     )
-    return rows, [assertion], {"slope": slope, "intercept": intercept, "half_width": half}
+    return rows, [assertion], {"slope": slope.value, "intercept": intercept, "half_width": half}
 
 
 def _suite_qm_isotropy(dims, cfg: SuiteConfig):
@@ -582,8 +598,7 @@ SUITES = {
     "paouris": Suite(_suite_paouris, ("samples", "sphere_samples", "p_values"), (16,)),
     "thm-main-aniso": Suite(_suite_thm_main_aniso, ("sphere_samples", "rad", "p_values"),
                             (16,), shape="one"),
-    "b1-scaling": Suite(_suite_b1_scaling, ("sphere_samples",), (8, 16, 32, 64),
-                        shape="slope"),
+    "b1-scaling": Suite(_suite_b1_scaling, (), (8, 16, 32, 64), shape="slope"),
     "qm-isotropy": Suite(_suite_qm_isotropy, ("samples",), (3,)),
     "kubota": Suite(_suite_kubota, ("samples", "trials", "hull_directions"), (4,),
                     lo=3, hi=VOLUME_DIM_CAP, shape="one"),  # projects to k = 2 and 3

@@ -255,6 +255,16 @@ def test_scaling_command(capsys):
     assert out.startswith("slope:")
 
 
+@pytest.mark.parametrize("template,label", [("b1tilde:{n}", "exact"), ("cube:{n}:1", "mc")])
+def test_scaling_slope_is_exact_when_every_mstar_is(template, label, capsys):
+    rc = cli.main(["scaling", "--body", template, "--dims", "8,16,32,64",
+                   "--sphere-samples", "200", "--seed", "2", "--out", "json"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rc == 0 and [r["quantity"] for r in rows] == ["mstar"] * 4 + ["slope"]
+    assert [r["direction"] for r in rows] == [label] * 5
+    assert (rows[-1]["std_error"] == 0.0) == (label == "exact")
+
+
 def test_scaling_template_may_repeat_n(capsys):
     # every body must be n-dimensional, and cube:{n}:{n} is
     rc = cli.main(["scaling", "--body", "cube:{n}:{n}", "--dims", "4,8,16,32",
@@ -668,7 +678,9 @@ def test_readme_verify_table_matches_the_suites():
         if not line.startswith("|"):
             break
         suite, dims, _rule, flags = (cell.strip() for cell in line.strip("|").split("|"))
-        table[suite.strip("`")] = (dims, [flag.strip("`") for flag in flags.split(", ")])
+        # a suite that reads no flag has "—"
+        table[suite.strip("`")] = (dims, [] if flags == "—" else
+                                   [flag.strip("`") for flag in flags.split(", ")])
     assert list(table) == list(experiments.SUITE_NAMES)
     for name, (dims, flags) in table.items():
         record = experiments.SUITES[name]

@@ -159,6 +159,15 @@ def test_paouris_flatness_is_exact_when_every_mstar_is():
     assert rows["flatness-cube"].direction == "mc"
 
 
+def test_b1_scaling_rows_are_exact_and_read_no_sphere_samples():
+    rows = run_suite("b1-scaling", [4, 6, 8, 12], FAST).rows
+    assert {(r.direction, r.std_error) for r in rows} == {("exact", 0.0)}
+    assert [r.samples for r in rows] == [0, 0, 0, 0, 4]
+    # an unread field is not checked either: mean_width would reject 1 direction
+    assert run_suite("b1-scaling", [4, 6, 8, 12],
+                     dataclasses.replace(FAST, sphere_samples=1)).rows == rows
+
+
 def test_theorem1_bound_is_twice_the_ratio_at_the_smallest_n():
     # the dims are not sorted: n = 4 is the reference, not the first listed
     result = run_suite("theorem1", [8, 4], SuiteConfig(seed=1, samples=2000,
@@ -202,7 +211,10 @@ def test_theorem1_l_rows_are_exact_and_ratios_carry_the_mstar_se():
                 exact_isotropic_constant(K), 0.0, "exact", 0)
             mstar, ratio = rows[(f"mstar-{fam}", n)], rows[(f"thm1-ratio-{fam}", n)]
             den = math.sqrt(n) * math.log1p(n) ** 2 * l_k.value
-            assert mstar.direction == ratio.direction == "mc"
+            # the cube's M* is sampled, the cross-polytope's exact
+            label, samples = {"cube": ("mc", 300), "cross": ("exact", 0)}[fam]
+            assert mstar.direction == ratio.direction == label
+            assert mstar.samples == samples and (mstar.std_error == 0.0) == (label == "exact")
             assert ratio.value == pytest.approx(mstar.value / den, rel=1e-12)
             assert ratio.std_error == pytest.approx(mstar.std_error / den, rel=1e-12)
 

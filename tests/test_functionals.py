@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from isoconv.bodies import ball, cross_polytope, cube, scale_body
+from isoconv.bodies import ConvexBody, ball, cross_polytope, cube, scale_body, unit_volume_copy
 from isoconv.functionals import (
     ENTROPY_DIM_CAP,
     RadModel,
@@ -48,10 +48,48 @@ def test_mean_width_linearity_matched_seeds():
 
 
 def test_mean_width_cross_polytope_3d_oracle():
-    # E ||theta||_inf over S^2 = 0.8311896374 (inclusion-exclusion of caps,
-    # each coordinate uniform on [-1, 1])
-    est = mean_width(cross_polytope(3), sphere_samples=200_000, seed=3)
-    assert abs(est.value - 0.8311896374) < 3.0 * est.std_error + 1e-4
+    # E ||theta||_inf over S^2 = 0.83118963596935798, by two independent 30-digit
+    # mpmath derivations: E||g||_inf / E|g| at n = 3, and the area of the part
+    # of the octant where |z| is the largest coordinate
+    est = mean_width(cross_polytope(3))
+    assert (est.std_error, est.n_samples, est.direction) == (0.0, 0, "exact")
+    assert est.value == pytest.approx(0.83118963596935798, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 160, 10**3, 10**4, 10**6])
+def test_mean_width_cross_polytope_matches_mpmath(n):
+    # the error bound mean_width's docstring states
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        edge = mpmath.sqrt(2 * mpmath.log(n)) if n > 1 else mpmath.mpf(1)
+        top = mpmath.sqrt(2 * (mpmath.log(n) + 50))
+        max_abs = mpmath.quad(lambda t: 1 - (1 - mpmath.erfc(t / mpmath.sqrt(2))) ** n,
+                              [0, edge / 2, edge, edge + 1, edge + 2, top])
+        norm = mpmath.sqrt(2) * mpmath.gamma(mpmath.mpf(n + 1) / 2) / mpmath.gamma(
+            mpmath.mpf(n) / 2)
+        ref = max_abs / norm
+        err = abs(mean_width(cross_polytope(n)).value / ref - 1)
+    assert err <= 1e-14 + 2.0**-50 * abs(math.lgamma((n + 1) / 2)), err
+
+
+@pytest.mark.parametrize("n", [3, 40, 160])
+def test_exact_cross_polytope_mean_width_agrees_with_its_sampled_support(n):
+    K = unit_volume_copy(cross_polytope(n))
+    exact = mean_width(K)
+    sampled = mean_width(ConvexBody(n, support=K.support), 200_000, seed=n)
+    assert (exact.direction, sampled.direction) == ("exact", "mc")
+    assert abs(sampled.value - exact.value) <= 4.0 * sampled.std_error
+
+
+def test_mean_width_of_a_one_dimensional_cross_polytope_is_its_radius():
+    assert mean_width(cross_polytope(1, radius=2.5)).value == pytest.approx(2.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.7, 3.0, 1e5])
+def test_exact_cross_polytope_mean_width_is_linear(t):
+    K = cross_polytope(17, radius=1.3)
+    assert mean_width(scale_body(K, t)).value == pytest.approx(t * mean_width(K).value,
+                                                               rel=1e-15, abs=0.0)
 
 
 def test_mean_width_validates_samples():
@@ -59,6 +97,8 @@ def test_mean_width_validates_samples():
         mean_width(cube(2), sphere_samples=10, seed=1)
     with pytest.raises(ValueError, match="sphere_samples >= 100"):
         mean_width(ball(3), sphere_samples=5, seed=1)  # before the exact ball value
+    with pytest.raises(ValueError, match="sphere_samples >= 100"):
+        mean_width(cross_polytope(3), sphere_samples=99, seed=1)  # and the exact l1 value
 
 
 # ---------------------------------------------------------------------------
