@@ -40,12 +40,10 @@ the support values, by Euler's identity h(theta) = <theta, grad h(theta)>
 for the 1-homogeneous h, so one pass yields both.
 
 This module owns the kernels and their cut of the directions into blocks;
-isoconv.pool owns the threads that run the blocks, their count WORKERS and
-the core count _CORES.  Every block does the same single-threaded work on
-its own rows, and the blocks do not depend on WORKERS, so neither does any
-value.  A threaded BLAS splits a long dot product across its threads, so
-before the kernels ran on their own pool the last digit of a row could move
-with the thread cap.
+isoconv.pool owns the threads that run the blocks and their count WORKERS.
+Every block does the same single-threaded work on its own rows, and the cut
+depends on N, the kernel's temporaries and the number of directions alone,
+so no value depends on the worker count or the core count.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from .bodies import ConvexBody, ball, ellipsoid
 from .measures import LogConcaveMeasure, SampleSet
 
 P_CAP = float(2**20)
-_DOT_BLOCK = 1 << 21  # doubles (16 MB) held by all (b, N) temporaries of all workers
+_DOT_BLOCK = 1 << 20  # doubles (8 MB) held by one block's (b, N) temporaries
 #: exact_zp sums the even-p series of a product law in R^n only while its cost
 #: n (p/2)^2 <= ZP_SERIES_BUDGET.  Within it the scaled series of
 #: _series_support stays within e^{+-300}: its k-th coefficient lies in
@@ -74,29 +72,29 @@ _SERIES_BLOCK = 1 << 17  # doubles (1 MB) held by one direction block of the ser
 def _check_p(p: float) -> None:
     """Reject p outside [1, P_CAP]; written so that NaN fails too."""
     if not (1.0 <= p <= P_CAP):
-        raise ValueError(f"p must be in [1, {P_CAP:g}], got {p}")
+        raise ValueError(f"p must be in [1, {P_CAP}], got {p}")
 
 
 def _run_blocks(n_points: int, n_dirs: int, temporaries: int, work) -> None:
     """Call work(rows, buffers) on every direction block, on isoconv's pool.
 
-    The directions are cut into blocks of near-equal height, at least one
-    per core, with pool._CORES blocks' `temporaries` (b, N) buffers fitting
-    in _DOT_BLOCK together.  Block j goes to lane j mod WORKERS, and each lane
-    runs its blocks on one worker with its own buffers.  They are allocated
-    here, once per call and in the calling thread.  Each is an array of its
-    own, not a view into one shared array: a freed 16 MB array raises glibc's
-    dynamic mmap threshold to 16 MB, and the next call's smaller buffers would
-    then come from the heap and stay resident.  The blocks depend on the core
-    count and never on WORKERS, because BLAS may round a row differently in a
-    block of another height; so the worker count cannot change a value.  The
-    lanes are pool.run_tasks tasks: every lane finishes before the first
+    The directions are cut into the fewest blocks of near-equal height whose
+    `temporaries` (b, N) buffers fit in _DOT_BLOCK.  BLAS may round a row
+    differently in a block of another height, so the cut is taken from the
+    arguments alone, and neither the worker count nor the core count can
+    change a value.  Block j goes to lane j mod WORKERS, and each lane runs
+    its blocks on one worker with its own buffers, so a call holds at most
+    WORKERS times _DOT_BLOCK.  They are allocated here, once per call and in
+    the calling thread.  Each is an array of its own, not a view into one
+    shared array: a freed array of every lane's buffers (16 MB on two
+    workers) raises glibc's dynamic mmap threshold to its size, and the next
+    call's smaller buffers would then come from the heap and stay resident.
+    The lanes are pool.run_tasks tasks: every lane finishes before the first
     error, if any, reaches the caller, and a call from inside a pool task is
     a RuntimeError instead of a wait that never ends.
     """
-    cores = pool._CORES
-    most = max(1, _DOT_BLOCK // (n_points * temporaries * cores))
-    n_blocks = max(-(-n_dirs // most), min(cores, n_dirs))
+    most = max(1, _DOT_BLOCK // (n_points * temporaries))
+    n_blocks = -(-n_dirs // most)
     lanes = min(pool.WORKERS, n_blocks)
     height = -(-n_dirs // max(1, n_blocks))
     buffers = [[np.empty((height, n_points)) for _ in range(temporaries)] for _ in range(lanes)]

@@ -376,7 +376,7 @@ _PARAMS = {"n": _count, "k": _count, "p": _at_least_one, "t": _positive, "mstar"
 def _warn_range(kind: str, t: float, lo: float, hi: float):
     if not lo <= t <= hi:
         warnings.warn(
-            f"{kind}: t = {t:g} outside the stated range [{lo:g}, {hi:g}]; "
+            f"{kind}: t = {t} outside the stated range [{lo}, {hi}]; "
             "evaluating anyway",
             stacklevel=3,
         )
@@ -453,7 +453,7 @@ def bound_rhs(kind: str, **params) -> float:
         n, p = _take(kind, params, "n", "p")
         if p > n:
             warnings.warn(
-                f"summary-piecewise: p = {p:g} beyond the stated range [1, n={n}]",
+                f"summary-piecewise: p = {p} beyond the stated range [1, n={n}]",
                 stacklevel=2,
             )
         log2n = math.log(1.0 + n) ** 2
@@ -479,8 +479,8 @@ def bound_rhs(kind: str, **params) -> float:
         log2n = math.log(1.0 + n) ** 2
         if p > n / log2n:
             warnings.warn(
-                f"gpv-piecewise: p = {p:g} beyond the stated range "
-                f"[1, n/log^2(1+n) = {n / log2n:g}]",
+                f"gpv-piecewise: p = {p} beyond the stated range "
+                f"[1, n/log^2(1+n) = {n / log2n}]",
                 stacklevel=2,
             )
         _warn_range("gpv-piecewise", t, 1.0, math.sqrt(p))

@@ -369,6 +369,19 @@ def test_report_does_not_depend_on_the_thread_cap(argv):
     assert reports[0] == reports[1]
 
 
+def test_kubota_report_does_not_depend_on_the_core_count(monkeypatch, capsys):
+    # when the Z_p blocks followed the core count, the volrad-zp-inner row at
+    # p = 3 moved in its last digit between 2 and 4 cores
+    argv = ["verify", "--suite", "kubota", "--dims", "4", "--samples", "20000",
+            "--trials", "2", "--seed", "4", "--out", "json"]
+    rows = []
+    for cores in (2, 4):
+        monkeypatch.setattr(pool, "_CORES", cores)
+        assert cli.main(argv) in (0, 1)
+        rows.append(json.loads(capsys.readouterr().out)["rows"])
+    assert rows[0] == rows[1]
+
+
 _RSS_SCRIPT = """
 import contextlib, io, resource, sys
 from isoconv import cli
@@ -443,7 +456,25 @@ def test_nan_p_is_one_line_exit_2(argv, capsys):
     rc = cli.main([*argv, "--seed", "1"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err == "error: p must be in [1, 1.04858e+06], got nan\n"
+    assert captured.err == "error: p must be in [1, 1048576.0], got nan\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["bound", "--kind", "gpv", "--n", "4", "--p", "2", "--t", "0.9999999"],
+     "warning: gpv: t = 0.9999999 outside the stated range [1.0, 1.4142135623730951]; "
+     "evaluating anyway\n"),
+    (["bound", "--kind", "summary-piecewise", "--n", "16", "--p", "16.0000001"],
+     "warning: summary-piecewise: p = 16.0000001 beyond the stated range [1, n=16]\n"),
+    (["bound", "--kind", "gpv-piecewise", "--n", "16", "--p", "1.9932485", "--t", "1"],
+     "warning: gpv-piecewise: p = 1.9932485 beyond the stated range "
+     "[1, n/log^2(1+n) = 1.993248405978186]\n"),
+    (["zp", "--measure", "gaussian:3", "--p", "1048577", "--seed", "1"],
+     "error: p must be in [1, 1048576.0], got 1048577.0\n"),
+], ids=["gpv", "summary-piecewise", "gpv-piecewise", "zp"])
+def test_range_messages_print_the_value_in_full(argv, err, capsys):
+    # rounded to 6 digits, each of these values read as inside its range
+    cli.main(argv)
+    assert capsys.readouterr().err == err
 
 
 REPORT_COMMANDS = {
