@@ -25,25 +25,27 @@ classical inclusion/projection identities hold EXACTLY at the empirical level
 Z_2 = B_2 for whitened samples), so acceptance criterion 1 checks them on
 zp_support itself, to floating-point round-off.
 
-Every p shares one kernel.  Each block of directions is formed
-direction-major as theta_b X^T, shape (b, N), so the abs, max, scaling, power
-and mean of each direction run along one contiguous row.  Each row is scaled
-by its max M before the p-th power, so h = M (mean (|<x,theta>|/M)^p)^{1/p}
-can only underflow, never overflow, up to the p cap.  Integer p is formed by
-in-place squarings plus a multiply per set bit of p; only fractional p goes
-through np.power, with the entries whose power would be subnormal zeroed
-first.  At p = 2 the exact identity
+Every p shares one kernel.  It works on tiles of 32 directions by 4096
+samples, formed direction-major as theta_b x_c^T, so the abs, max, scaling,
+power and sum of each direction run along contiguous rows of a 1 MB
+temporary that stays in L2.  Each tile row is scaled by its max before the
+p-th power, and each direction carries a running max M and scaled sum S
+across its tiles (see _carry), so h = M (S/N)^{1/p} can only underflow,
+never overflow, up to the p cap; at p = 1 the state is a plain sum.
+Integer p is formed by in-place squarings plus a multiply per set bit of p;
+only fractional p goes through np.power, with the entries whose power would
+be subnormal zeroed first.  At p = 2 the exact identity
 h_{Z_2}(theta)^2 = theta^T Sigma theta with Sigma = X^T X / N skips the
 (m, N) product altogether, for the support values and for the touching
 points Sigma theta / h alike.  The touching points grad h(theta) also give
 the support values, by Euler's identity h(theta) = <theta, grad h(theta)>
 for the 1-homogeneous h, so one pass yields both.
 
-This module owns the kernels and their cut of the directions into blocks;
-isoconv.pool owns the threads that run the blocks and their count WORKERS.
-Every block does the same single-threaded work on its own rows, and the cut
-depends on N, the kernel's temporaries and the number of directions alone,
-so no value depends on the worker count or the core count.
+This module owns the kernels and their tiles; isoconv.pool owns the threads
+that run the direction blocks and their count WORKERS.  The tile geometry
+comes from two constants alone, so no value depends on the direction count,
+the worker count or the core count, and a call's tile temporaries hold at
+most WORKERS * t MB (t <= 3 per lane) whatever N and m.
 """
 
 from __future__ import annotations
@@ -59,7 +61,10 @@ from .bodies import ConvexBody, ball, ellipsoid
 from .measures import LogConcaveMeasure, SampleSet
 
 P_CAP = float(2**20)
-_DOT_BLOCK = 1 << 20  # doubles (8 MB) held by one block's (b, N) temporaries
+# a tile's temporary is 32 x 4096 doubles (1 MB), so a pass stays in a 2 MB
+# L2; 32 rows is the fewest that keep n = 32 as fast as whole rows
+_TILE_ROWS = 32
+_TILE_COLS = 4096
 #: exact_zp sums the even-p series of a product law in R^n only while its cost
 #: n (p/2)^2 <= ZP_SERIES_BUDGET.  Within it the scaled series of
 #: _series_support stays within e^{+-300}: its k-th coefficient lies in
@@ -75,36 +80,58 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be in [1, {P_CAP}], got {p}")
 
 
-def _run_blocks(n_points: int, n_dirs: int, temporaries: int, work) -> None:
-    """Call work(rows, buffers) on every direction block, on isoconv's pool.
+def _run_blocks(theta: np.ndarray, pts: np.ndarray, temporaries: int, work,
+                out: np.ndarray) -> None:
+    """out[i] <- work's value for direction theta[i], on isoconv's pool.
 
-    The directions are cut into the fewest blocks of near-equal height whose
-    `temporaries` (b, N) buffers fit in _DOT_BLOCK.  BLAS may round a row
-    differently in a block of another height, so the cut is taken from the
-    arguments alone, and neither the worker count nor the core count can
-    change a value.  Block j goes to lane j mod WORKERS, and each lane runs
-    its blocks on one worker with its own buffers, so a call holds at most
-    WORKERS times _DOT_BLOCK.  They are allocated here, once per call and in
-    the calling thread.  Each is an array of its own, not a view into one
-    shared array: a freed array of every lane's buffers (16 MB on two
-    workers) raises glibc's dynamic mmap threshold to its size, and the next
-    call's smaller buffers would then come from the heap and stay resident.
-    The lanes are pool.run_tasks tasks: every lane finishes before the first
-    error, if any, reaches the caller, and a call from inside a pool task is
-    a RuntimeError instead of a wait that never ends.
+    The directions are cut into blocks of exactly _TILE_ROWS; the last is
+    padded by repeating its last real direction (a zero row would trip the
+    orthogonality error), and the padded values are dropped.
+    work(block, buffers) returns one value per row of its block and runs it
+    over the samples tile by tile (_tiles).  BLAS may round a row differently
+    in a product of another shape, so the geometry comes from the tile
+    constants alone.  Block j goes to lane j mod WORKERS; each lane runs its
+    blocks on one worker with `temporaries` buffers of its own, of
+    _TILE_ROWS * min(N, _TILE_COLS) doubles each, allocated here, once per
+    call and in the calling thread.  The lanes are pool.run_tasks tasks:
+    every lane finishes before the first error, if any, reaches the caller,
+    and a call from inside a pool task is a RuntimeError instead of a wait
+    that never ends.
     """
-    most = max(1, _DOT_BLOCK // (n_points * temporaries))
-    n_blocks = -(-n_dirs // most)
+    m = len(theta)
+    n_blocks = -(-m // _TILE_ROWS)
+    padded = theta[np.minimum(np.arange(n_blocks * _TILE_ROWS), m - 1)]
     lanes = min(pool.WORKERS, n_blocks)
-    height = -(-n_dirs // max(1, n_blocks))
-    buffers = [[np.empty((height, n_points)) for _ in range(temporaries)] for _ in range(lanes)]
+    size = _TILE_ROWS * min(len(pts), _TILE_COLS)
+    buffers = [[np.empty(size) for _ in range(temporaries)] for _ in range(lanes)]
 
     def lane(k):
         for j in range(k, n_blocks, lanes):
-            start, stop = j * n_dirs // n_blocks, (j + 1) * n_dirs // n_blocks
-            work(slice(start, stop), [buf[: stop - start] for buf in buffers[k]])
+            start, stop = j * _TILE_ROWS, min((j + 1) * _TILE_ROWS, m)
+            out[start:stop] = work(padded[start:start + _TILE_ROWS], buffers[k])[:stop - start]
 
     pool.run_tasks([functools.partial(lane, k) for k in range(lanes)])
+
+
+def _tiles(pts: np.ndarray, buffers):
+    """(x, views) for each tile of samples: x the next _TILE_COLS rows of pts
+    (fewer in the last tile), views one contiguous (_TILE_ROWS, len(x)) view
+    into each buffer."""
+    for start in range(0, len(pts), _TILE_COLS):
+        x = pts[start:start + _TILE_COLS]
+        yield x, [buf[:_TILE_ROWS * len(x)].reshape(_TILE_ROWS, len(x)) for buf in buffers]
+
+
+def _carry(top: np.ndarray, tile_top: np.ndarray):
+    """The running row max M' = max(M, m) after a tile of row max m, and the
+    ratios M / M' and m / M' (0 while a row is all zero), which carry a
+    scaled sum over as S <- S (M / M')^p + s (m / M')^p.  The ratios are at
+    most 1, so nothing overflows; one underflows only when its tile adds
+    less than 4096 * 2^-1074 of a sum that is at least 1.
+    """
+    new = np.maximum(top, tile_top)
+    safe = np.where(new > 0.0, new, 1.0)
+    return new, top / safe, tile_top / safe
 
 
 def _power(base: np.ndarray, p: float, out: np.ndarray) -> None:
@@ -164,11 +191,12 @@ def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarr
     """h_{Z_p}(theta), an (m,) array, for each row of a batch (m, dim).
 
     p = 1 is the mean of |X theta|; p = 2 is sqrt(theta^T Sigma theta).  Any
-    other p is a power mean over each direction's contiguous row of the
-    (b, N) block u = |theta_b X^T|, scaled by the row's max (overflow-safe up
-    to the p cap).  Integer p is formed by squarings, in place when p is a
-    power of two and in a second buffer otherwise: an even p as the
-    self-dot of each row of u^{p/2}, an odd p as the dot of u with u^{p-1}.
+    other p is a power mean over each direction's contiguous rows of the
+    tiles u = |theta_b x_c^T|, each scaled by its max and carried over to the
+    running max (overflow-safe up to the p cap).  Integer p is formed by
+    squarings, in place when p is a power of two and in a second buffer
+    otherwise: an even p as the self-dot of each row of u^{p/2}, an odd p as
+    the dot of u with u^{p-1}.
     Only fractional p goes through np.power, in place, after the entries
     whose power would be subnormal are zeroed.  A direction
     orthogonal to every sample gives 0, at p = 2 up to round-off: the
@@ -184,33 +212,38 @@ def zp_support(samples: SampleSet, p: float, directions: np.ndarray) -> np.ndarr
         return _z2_form(pts, theta)[1]
     integer = p == int(p)
     # a power of two is squared in place; any other integer p needs a second
-    # (b, N) buffer for its power
+    # buffer for its power
     in_place = not integer or bin(int(p)).count("1") == 1
     out = np.empty(theta.shape[0])
 
     def block(rows, buffers):
-        u, *w = buffers
-        np.matmul(theta[rows], pts.T, out=u)  # one contiguous row per direction
-        np.abs(u, out=u)
+        top = total = np.zeros(_TILE_ROWS)
+        for x, (u, *w) in _tiles(pts, buffers):
+            np.matmul(rows, x.T, out=u)  # one contiguous row per direction
+            np.abs(u, out=u)
+            if p == 1.0:
+                total = total + u.sum(axis=1)
+                continue
+            tile_top = u.max(axis=1)
+            # an all-zero row stays 0
+            u *= (1.0 / np.where(tile_top > 0.0, tile_top, 1.0))[:, None]
+            if not integer:
+                _power(u, p, u)
+                sums = u.sum(axis=1)
+            elif p % 2 == 0:
+                v = w[0] if w else u
+                _power(u, p // 2, v)
+                sums = np.vecdot(v, v)
+            else:
+                _power(u, p - 1, w[0])
+                sums = np.vecdot(u, w[0])
+            top, kept, fresh = _carry(top, tile_top)
+            total = total * kept**p + sums * fresh**p
         if p == 1.0:
-            out[rows] = u.mean(axis=1)
-            return
-        scale = u.max(axis=1)
-        scale[scale == 0.0] = 1.0  # an all-zero row stays 0
-        u *= (1.0 / scale)[:, None]
-        if not integer:
-            _power(u, p, u)
-            sums = u.sum(axis=1)
-        elif p % 2 == 0:
-            v = w[0] if w else u
-            _power(u, p // 2, v)
-            sums = np.vecdot(v, v)
-        else:
-            _power(u, p - 1, w[0])
-            sums = np.vecdot(u, w[0])
-        out[rows] = scale * (sums / n) ** (1.0 / p)
+            return total / n
+        return top * (total / n) ** (1.0 / p)
 
-    _run_blocks(n, theta.shape[0], 1 if in_place else 2, block)
+    _run_blocks(theta, pts, 1 if in_place else 2, block, out)
     return out
 
 
@@ -221,8 +254,10 @@ def zp_touching_points(samples: SampleSet, p: float, directions: np.ndarray) -> 
     grad h_{Z_p}(theta) = h^{1-p} (1/N) sum |<x,theta>|^{p-1} sign(<x,theta>) x,
     which normalizes to (h/M) w X / sum|u|^p with u = |X theta|/M, M its row
     max and w = sign(X theta) u^{p-1}, so powers only ever underflow.
-    Blocks are direction-major as in zp_support, and u^{p-1} comes from the
-    same squarings for integer p and from np.power otherwise.  At p = 2 the
+    Tiles are direction-major as in zp_support, and u^{p-1} comes from the
+    same squarings for integer p and from np.power otherwise.  Each row
+    carries the running gradient sum w X across its tiles as zp_support
+    carries sum u^p, with the exponent p - 1 in place of p.  At p = 2 the
     gradient is Sigma theta / h in closed form, with no (m, N) product; there
     a direction is taken as orthogonal to every sample when h is exactly 0.
     Since h is 1-homogeneous, <theta, grad h(theta)> = h(theta) (Euler), so
@@ -242,20 +277,25 @@ def zp_touching_points(samples: SampleSet, p: float, directions: np.ndarray) -> 
     out = np.empty_like(theta)
 
     def block(rows, buffers):
-        dots, u, w = buffers
-        np.matmul(theta[rows], pts.T, out=dots)  # (b, N)
-        np.abs(dots, out=u)
-        scale = u.max(axis=1)
-        if np.any(scale == 0):
+        top = total = np.zeros(_TILE_ROWS)
+        grad = np.zeros_like(rows)
+        for x, (dots, u, w) in _tiles(pts, buffers):
+            np.matmul(rows, x.T, out=dots)
+            np.abs(dots, out=u)
+            tile_top = u.max(axis=1)
+            u *= (1.0 / np.where(tile_top > 0.0, tile_top, 1.0))[:, None]
+            _power(u, p - 1.0, w)  # u^{p-1}
+            sums = np.vecdot(u, w)  # sum u^p
+            np.copysign(w, dots, out=w)
+            top, kept, fresh = _carry(top, tile_top)
+            total = total * kept**p + sums * fresh**p
+            grad = grad * (kept ** (p - 1.0))[:, None] + (w @ x) * (fresh ** (p - 1.0))[:, None]
+        if np.any(top == 0):
             raise ValueError("a direction is orthogonal to every sample")
-        u *= (1.0 / scale)[:, None]
-        _power(u, p - 1.0, w)  # u^{p-1}
-        wp_sum = np.vecdot(u, w)  # sum u^p
-        h = scale * (wp_sum / n) ** (1.0 / p)
-        np.copysign(w, dots, out=w)
-        out[rows] = (w @ pts) * (h / (scale * wp_sum))[:, None]  # (b, dim)
+        h = top * (total / n) ** (1.0 / p)
+        return grad * (h / (top * total))[:, None]  # (rows, dim)
 
-    _run_blocks(n, theta.shape[0], 3, block)
+    _run_blocks(theta, pts, 3, block, out)
     return out
 
 

@@ -155,6 +155,8 @@ def _body_grid_cloud(body: ConvexBody, step: float):
     Any x in K has a cloud point within slack = (step*sqrt(k)/2)(1 + R/r):
     shrink x toward the origin by step*sqrt(k)/(2r) so a full grid cell fits
     inside K around it (r = inradius, R = circumradius, origin interior).
+    The cloud is an (M, k) view of a (k, M) array, so each of its columns is
+    contiguous.
     """
     if body.membership is None:
         raise UnsupportedOracleError("greedy covering needs a membership oracle")
@@ -167,17 +169,19 @@ def _body_grid_cloud(body: ConvexBody, step: float):
     lo = -body.support(-eye)
     axes = [np.arange(lo[j], hi[j] + step, step) for j in range(k)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    inside = body.membership(pts)
-    cloud = pts[inside]
-    if cloud.shape[0] == 0:
+    # (k, M): one contiguous row per coordinate, so the membership oracle's
+    # reductions over the k coordinates run along long rows
+    cols = np.stack([m.ravel() for m in mesh])
+    del mesh
+    cols = cols[:, body.membership(cols.T)]
+    if cols.shape[1] == 0:
         raise ValueError("grid too coarse: no points landed inside the body")
-    norm2 = cloud[:, 0] * cloud[:, 0]
+    norm2 = cols[0] * cols[0]
     for i in range(1, k):
-        norm2 += cloud[:, i] * cloud[:, i]
+        norm2 += cols[i] * cols[i]
     r_circ = math.sqrt(float(norm2.max()))
     slack = 0.5 * step * math.sqrt(k) * (1.0 + r_circ / r_in)
-    return cloud, slack
+    return cols.T, slack
 
 
 _BRICK_POINTS = 2**11

@@ -119,45 +119,61 @@ def kernel_workers(count, cores):
 
 
 def test_zp_kernels_blocks_fit_the_dot_budget():
-    # every (b, N) temporary of a worker's block, the extra copy that an
-    # integer p other than a power of two needs included, fits in its 8 MB;
-    # 400 directions give each of two lanes at least two full blocks
+    # each worker holds t tile temporaries of 32 x 4096 doubles (1 MB): t = 1
+    # at p = 1, fractional p and powers of two, 2 at any other integer p, 3
+    # for touching points, none at p = 2.  400 directions give each of two
+    # lanes several blocks, and 1.5e6 samples, drawn before tracing, check
+    # that the bound does not grow with N
     s = draw_samples(gaussian_measure(8), 20_000, seed=30)
     dirs = sphere_directions(8, 400, seed=31)
-    cases = [(zp_support, p) for p in (1.0, 1.5, 3.0, 8.0)]
-    cases += [(zp_touching_points, p) for p in (2.0, 3.0, 4.5)]
+    wide = draw_samples(gaussian_measure(2), 1_500_000, seed=38)
+    plane = sphere_directions(2, 64, seed=39)
+    cases = [(zp_support, s, dirs, p, t) for p, t in ((1.0, 1), (1.5, 1), (3.0, 2), (8.0, 1))]
+    cases += [(zp_touching_points, s, dirs, p, t) for p, t in ((2.0, 0), (3.0, 3), (4.5, 3))]
+    cases += [(zp_support, wide, plane, 3.0, 2), (zp_touching_points, wide, plane, 3.0, 3)]
     for workers in (1, 2):
         with kernel_workers(workers, cores=2):
-            for kernel, p in cases:
+            for kernel, samples, d, p, t in cases:
                 tracemalloc.start()
                 try:
-                    kernel(s, p, dirs)
+                    kernel(samples, p, d)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak <= (8 * workers + 2) * 2**20, (workers, kernel.__name__, p, peak)
+                assert peak <= (t * workers + 2) * 2**20, (workers, kernel.__name__,
+                                                          samples.count, p, peak)
 
 
 def test_zp_kernels_do_not_depend_on_the_worker_or_core_count():
-    # BLAS rounds a row differently in blocks of other heights, so the blocks
-    # follow neither count; 5 workers is more than there are cores, and the
-    # short switch interval interleaves them as often as it can
+    # BLAS rounds a row differently in products of other shapes, so the tiles
+    # follow neither count, nor the direction count: a prefix of the
+    # directions, ending at several offsets within a 32-row block, gives the
+    # prefix of the tiled kernels' values (p = 2 takes the closed form, whose
+    # single-row product is a gemv).  5 workers is more than there are cores,
+    # and the short switch interval interleaves them as often as it can
     s = draw_samples(gaussian_measure(8), 20_000, seed=32)
     dirs = sphere_directions(8, 701, seed=33)
+
+    def kernels(d):
+        return ([zp_support(s, p, d) for p in (1.0, 1.5, 3.0, 8.0, 64.0, P_CAP)]
+                + [zp_touching_points(s, p, d) for p in (1.5, 3.0, 4.5, 8.0)])
+
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers, cores in itertools.product((1, 2, 5), (1, 2, 5)):
             with kernel_workers(workers, cores):
-                runs.append(
-                    [zp_support(s, p, dirs) for p in (1.0, 1.5, 2.0, 3.0, 8.0, 64.0, P_CAP)]
-                    + [zp_touching_points(s, p, dirs) for p in (2.0, 3.0, 4.5)])
+                runs.append(kernels(dirs) + [zp_support(s, 2.0, dirs),
+                                             zp_touching_points(s, 2.0, dirs)])
+        with kernel_workers(2, 2):
+            for k in (1, 5, 31, 33, 64, 100, 250, 500, 700):
+                runs.append(kernels(dirs[:k]))
     finally:
         sys.setswitchinterval(interval)
     for other in runs[1:]:
         for a, b in zip(runs[0], other):
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a[:len(b)], b)
 
 
 def test_orthogonal_direction_error_reaches_the_caller_from_a_worker():
@@ -208,6 +224,43 @@ def test_zp_support_huge_p_no_overflow():
     assert np.all(np.isfinite(h))
     # Z_p -> conv(S u -S) as p -> inf
     assert np.allclose(h, sup, rtol=1e-4)
+
+
+def test_zp_kernels_combine_sample_tiles_exactly():
+    # 2 * 4096 + 7 samples in R^2 make three tiles: the first lies on the
+    # x-axis, so it is all zero for e2, the second reaches farther, and the
+    # largest |<x, theta>| of every direction, 4 (|theta_1| + |theta_2|), is in
+    # the short last tile, so the running max rises from tile to tile
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(60)
+    pts = np.vstack([np.column_stack([rng.uniform(-1.0, 1.0, 4096), np.zeros(4096)]),
+                     rng.uniform(-2.0, 2.0, (4096, 2)),
+                     rng.uniform(-2.0, 2.0, (5, 2)), [[4.0, 4.0], [4.0, -4.0]]])
+    s = SampleSet(pts)
+    dirs = np.vstack([[1.0, 0.0], [0.0, 1.0], sphere_directions(2, 1, seed=61)])
+    with mpmath.workdps(30):
+        xs = [(mpmath.mpf(a), mpmath.mpf(b)) for a, b in pts]
+        for p in (1.0, 3.0, 4.5, 64.0):
+            h, grad = zp_support(s, p, dirs), zp_touching_points(s, p, dirs)
+            for theta, h_got, grad_got in zip(dirs, h, grad):
+                t = [a * theta[0] + b * theta[1] for a, b in xs]
+                w = [abs(ti) ** (p - 1) * mpmath.sign(ti) for ti in t]  # |t|^{p-1} sign(t)
+                h_ref = (mpmath.fsum(wi * ti for wi, ti in zip(w, t)) / len(t)) ** (1 / p)
+                assert h_got == pytest.approx(float(h_ref), rel=1e-12, abs=0.0), (p, theta)
+                # relative to the point's length: at e1 the (4, +-4) terms of
+                # its second coordinate cancel exactly, leaving ~1e-19
+                g = [float(mpmath.fsum(wi * x[j] for wi, x in zip(w, xs)) / len(t)
+                           / h_ref ** (p - 1)) for j in range(2)]
+                assert np.linalg.norm(grad_got - g) <= 1e-12 * np.linalg.norm(g), (p, theta)
+    # Z_p -> conv(S u -S) as p -> inf: h is the largest |<x, theta>|, and the
+    # touching point the mean of sign(<x, theta>) x over the samples that reach it
+    t = pts @ dirs.T
+    top = np.abs(t).max(axis=0)
+    np.testing.assert_allclose(zp_support(s, P_CAP, dirs), top, rtol=1e-4)
+    for grad_got, t_j, top_j in zip(zp_touching_points(s, P_CAP, dirs), t.T, top):
+        reach = np.abs(t_j) == top_j
+        corner = (np.sign(t_j[reach])[:, None] * pts[reach]).mean(axis=0)
+        np.testing.assert_allclose(grad_got, corner, rtol=1e-4, atol=1e-4 * top_j)
 
 
 def test_zp_support_p_out_of_range():
