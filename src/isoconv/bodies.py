@@ -33,9 +33,9 @@ class UnsupportedOracleError(ValueError):
     """Operation needs an oracle (membership, sampler) the body lacks."""
 
 
-def ball_volume(dim: int, radius: float = 1.0) -> float:
-    """Volume of radius*B_2^dim, exact closed form."""
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius**dim
+def ball_volume(dim: int) -> float:
+    """Volume of B_2^dim, exact closed form."""
+    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
 def volume_radius(volume: float, dim: int) -> float:
@@ -154,9 +154,9 @@ def cube(dim: int, side: float = 2.0) -> ConvexBody:
     )
 
 
-def cross_polytope(dim: int, radius: float = 1.0) -> ConvexBody:
-    """radius * B_1^dim; h(theta) = radius*||theta||_inf."""
-    return lp_ball(dim, 1.0, radius)
+def cross_polytope(dim: int) -> ConvexBody:
+    """B_1^dim; h(theta) = ||theta||_inf."""
+    return lp_ball(dim, 1.0)
 
 
 def lp_ball(dim: int, p: float, radius: float = 1.0) -> ConvexBody:

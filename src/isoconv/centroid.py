@@ -25,21 +25,20 @@ classical inclusion/projection identities hold EXACTLY at the empirical level
 Z_2 = B_2 for whitened samples), so acceptance criterion 1 checks them on
 zp_support itself, to floating-point round-off.
 
-Every p shares one kernel.  It works on tiles of 32 directions by 4096
-samples, formed direction-major as theta_b x_c^T, so the abs, max, scaling,
-power and sum of each direction run along contiguous rows of a 1 MB
-temporary that stays in L2.  Each tile row is scaled by its max before the
-p-th power, and each direction carries a running max M and scaled sum S
-across its tiles (see _carry), so h = M (S/N)^{1/p} can only underflow,
-never overflow, up to the p cap; at p = 1 the state is a plain sum.
-Integer p is formed by in-place squarings plus a multiply per set bit of p;
-only fractional p goes through np.power, with the entries whose power would
-be subnormal zeroed first.  At p = 2 the exact identity
-h_{Z_2}(theta)^2 = theta^T Sigma theta with Sigma = X^T X / N skips the
-(m, N) product altogether, for the support values and for the touching
-points Sigma theta / h alike.  The touching points grad h(theta) also give
-the support values, by Euler's identity h(theta) = <theta, grad h(theta)>
-for the 1-homogeneous h, so one pass yields both.
+Every p takes one pass shape: fixed blocks of 32 directions (_run_blocks).  At
+p = 2, where h_{Z_2}(theta)^2 = theta^T Sigma theta with Sigma = X^T X / N, a
+block is one (32, dim) product with Sigma.  Any other p runs on tiles of 32
+directions by 4096 samples, formed direction-major as theta_b x_c^T, so the
+abs, max, scaling, power and sum of each direction run along contiguous rows
+of a 1 MB temporary that stays in L2.  Each tile row is scaled by its max
+before the p-th power, and each direction carries a running max M and scaled
+sum S across its tiles (see _carry), so h = M (S/N)^{1/p} can only underflow,
+never overflow, up to the p cap; at p = 1 the state is a plain sum.  Integer p
+is formed by in-place squarings plus a multiply per set bit of p; only
+fractional p goes through np.power, with the entries whose power would be
+subnormal zeroed first.  The touching points grad h(theta) also give the
+support values, by Euler's identity h(theta) = <theta, grad h(theta)> for the
+1-homogeneous h, so one pass yields both.
 
 This module owns the kernels and their tiles; isoconv.pool owns the threads
 that run the direction blocks and their count WORKERS.  The tile geometry
@@ -87,11 +86,11 @@ def _run_blocks(theta: np.ndarray, pts: np.ndarray, temporaries: int, work,
     The directions are cut into blocks of exactly _TILE_ROWS; the last is
     padded by repeating its last real direction (a zero row would trip the
     orthogonality error), and the padded values are dropped.
-    work(block, buffers) returns one value per row of its block and runs it
-    over the samples tile by tile (_tiles).  BLAS may round a row differently
-    in a product of another shape, so the geometry comes from the tile
-    constants alone.  Block j goes to lane j mod WORKERS; each lane runs its
-    blocks on one worker with `temporaries` buffers of its own, of
+    work(block, buffers) returns one value (or row) per row of its block, at
+    p = 2 from one product and else tile by tile (_tiles).  BLAS may round a
+    row differently in a product of another shape, so the geometry comes
+    from the tile constants alone.  Block j goes to lane j mod WORKERS; each
+    lane runs its blocks on one worker with `temporaries` buffers of its own, of
     _TILE_ROWS * min(N, _TILE_COLS) doubles each, allocated here, once per
     call and in the calling thread.  The lanes are pool.run_tasks tasks:
     every lane finishes before the first error, if any, reaches the caller,
@@ -135,7 +134,7 @@ def _carry(top: np.ndarray, tile_top: np.ndarray):
 
 
 def _power(base: np.ndarray, p: float, out: np.ndarray) -> None:
-    """out <- base**p for base >= 0 and p >= 0.
+    """out <- base**p for base >= 0 and p >= 0, p != 1 (p = 1 and 2 skip it).
 
     Integer p is left-to-right binary powering: one squaring per bit after
     the leading one, the first written into `out`, and a multiply by `base`
@@ -144,22 +143,16 @@ def _power(base: np.ndarray, p: float, out: np.ndarray) -> None:
     times as much, and `out` may be `base` there too.  It first zeroes the
     entries below 2^(-1022/p), whose powers would fall below the smallest
     normal double, where np.power is many times slower still; the callers'
-    rows each hold a 1.0, so those entries cannot move a row's sum.  The
-    zeroing runs row by row so that its mask stays one row long.
+    rows each hold a 1.0, so those entries cannot move a row's sum.  One
+    mask covers the whole tile.
     """
     if p != int(p):
-        tiny = 2.0 ** (-1022.0 / p)
-        keep = np.empty(base.shape[-1], dtype=bool)
-        for base_row, out_row in zip(base, out):
-            np.greater_equal(base_row, tiny, out=keep)
-            np.multiply(base_row, keep, out=out_row)
+        np.multiply(base, base >= 2.0 ** (-1022.0 / p), out=out)
         np.power(out, p, out=out)
         return
     k = int(p)
     if k == 0:
         np.sign(base, out=out)  # 0^0 = 0, as d|t|/dt at t = 0 is taken to be
-    elif k == 1:
-        np.copyto(out, base)
     acc = base
     for bit in bin(k)[3:]:
         np.multiply(acc, acc, out=out)
@@ -179,11 +172,12 @@ def _directions(samples: SampleSet, directions: np.ndarray) -> np.ndarray:
 def _z2_form(pts: np.ndarray, theta: np.ndarray):
     """(Sigma theta, h_{Z_2}(theta)) for each row theta, Sigma = X^T X / N.
 
-    h^2 = theta^T Sigma theta, clipped at 0 against round-off; no (m, N)
-    product is formed.
+    h^2 = theta^T Sigma theta, clipped at 0 against round-off; Sigma theta
+    is formed on the blocks of _run_blocks, with no (m, N) product.
     """
     sigma = pts.T @ pts / len(pts)
-    grad = theta @ sigma
+    grad = np.empty_like(theta)
+    _run_blocks(theta, pts, 0, lambda rows, buffers: rows @ sigma, grad)
     return grad, np.sqrt(np.maximum((grad * theta).sum(axis=1), 0.0))
 
 
@@ -258,8 +252,8 @@ def zp_touching_points(samples: SampleSet, p: float, directions: np.ndarray) -> 
     same squarings for integer p and from np.power otherwise.  Each row
     carries the running gradient sum w X across its tiles as zp_support
     carries sum u^p, with the exponent p - 1 in place of p.  At p = 2 the
-    gradient is Sigma theta / h in closed form, with no (m, N) product; there
-    a direction is taken as orthogonal to every sample when h is exactly 0.
+    gradient is Sigma theta / h in closed form, on the same blocks; there a
+    direction is taken as orthogonal to every sample when h is exactly 0.
     Since h is 1-homogeneous, <theta, grad h(theta)> = h(theta) (Euler), so
     the points also give the support values, to round-off.
     Convex hulls of these points are inner approximations of Z_p (the dual

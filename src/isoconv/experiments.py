@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -32,10 +33,11 @@ from .centroid import centroid_body, exact_zp
 from .estimates import Estimate
 from .functionals import (DEFAULT_SPHERE_SAMPLES, RadModel, bound_rhs, entropy_numbers,
                           mean_width)
-from .grassmann import (DEFAULT_HULL_DIRECTIONS, VOLUME_DIM_CAP, project_body, random_subspace,
+from .grassmann import (DEFAULT_HULL_DIRECTIONS, VOLUME_DIM_CAP, random_subspace,
                         support_hull_task, support_hull_volrad)
 from .isotropy import estimate_moments, exact_isotropic_constant
-from .measures import draw_samples, gaussian_measure, pushforward_measure, uniform_body_measure
+from .measures import (draw_samples, gaussian_measure, project_samples, pushforward_measure,
+                       uniform_body_measure)
 from .seeds import child_seed, sphere_directions
 
 @dataclass(frozen=True)
@@ -411,12 +413,13 @@ def _suite_kubota(dims, cfg: SuiteConfig):
     both lhs brackets go into the report.  Each p makes one Z_p pass over the
     hull directions: the touching points grad h(theta) span the inner hull,
     and Euler's identity h(theta) = <theta, grad h(theta)> gives the outer
-    hull's support values from them.  The support values of every hull are
-    taken first; then the outer, inner and projection hulls of one p, which
-    are independent, run together on the pool.  The p-mean's SE comes from
-    `trials` projections, so the gate's multiplier is the Student-t quantile
-    with trials - 1 degrees of freedom at the one-sided rate Phi(-3) of a
-    3-SE normal gate.
+    hull's support values from them.  P_F Z_p(mu) = Z_p(P_F mu) holds exactly
+    for samples, so each projection is a Z_p pass over projected samples.  The
+    support values of every hull are taken first; then the outer, inner and
+    projection hulls of one p, which are independent, run together on the
+    pool.  The p-mean's SE comes from `trials` projections, so the gate's
+    multiplier is the Student-t quantile with trials - 1 degrees of freedom
+    at the one-sided rate Phi(-3) of a 3-SE normal gate.
     """
     from scipy.spatial import ConvexHull
     from scipy.special import ndtr, stdtrit
@@ -434,14 +437,14 @@ def _suite_kubota(dims, cfg: SuiteConfig):
     for i, p in enumerate((2, 3)):
         seed = child_seed(cfg.seed, i)
         samples = draw_samples(gaussian_measure(n), cfg.samples, child_seed(seed, 0))
-        zp = centroid_body(samples, float(p))
         dirs = sphere_directions(n, cfg.hull_directions, child_seed(seed, 1))
         touching = zp_touching_points(samples, float(p), dirs)
         h = np.vecdot(dirs, touching)  # Euler's identity h(theta) = <theta, grad h(theta)>
         projections = []
         for t in range(cfg.trials):
             F = random_subspace(n, p, child_seed(seed, 100 + 2 * t))
-            projections.append(support_hull_task(project_body(zp, F), cfg.hull_directions,
+            zp_f = centroid_body(project_samples(samples, F), float(p))
+            projections.append(support_hull_task(zp_f, cfg.hull_directions,
                                                  child_seed(seed, 101 + 2 * t)))
         lhs_outer, inner_vol, *projected = pool.run_tasks(
             [functools.partial(support_hull_volrad, dirs, h),
@@ -492,7 +495,7 @@ def _suite_zn_volrad(dims, cfg: SuiteConfig):
         ratio = vr.value * l_k / (math.sqrt(n) * det_root)
         rows += [
             Row("zn-volrad", n, float(n), f"volrad-zn-{fam}", vr.value, 0.0,
-                "upper", seed, cfg.samples),
+                vr.direction, seed, cfg.samples),
             Row("zn-volrad", n, float(n), f"zn-ratio-{fam}", ratio, 0.0,
                 "upper", seed, cfg.samples),
         ]
@@ -529,7 +532,7 @@ def _suite_covering_regularity(dims, cfg: SuiteConfig):
         log_counts = np.arange(1, j_max + 1) * math.log(2.0)
         for j, u in enumerate(uppers, start=1):
             rows.append(Row("covering-regularity", n, None, f"cover-radius-j{j}",
-                            u.value, 0.0, "upper", seed, u.n_samples))
+                            u.value, 0.0, u.direction, seed, u.n_samples))
 
         def ratios_for(kind):
             with warnings.catch_warnings():
@@ -661,11 +664,11 @@ def emit_report(result: SuiteResult, config: dict, fmt: str, path: Optional[str]
     is written.  The report goes to `path`, or to stdout when path is None.
     """
     if fmt == "csv":
-        def dump(fh):
-            w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-            w.writeheader()
-            for rec in rows_to_records(result.rows):
-                w.writerow(rec)
+        buf = io.StringIO()
+        w = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows_to_records(result.rows))
+        text = buf.getvalue()
     elif fmt == "json":
         payload = {
             "meta": {
@@ -684,16 +687,13 @@ def emit_report(result: SuiteResult, config: dict, fmt: str, path: Optional[str]
         except ValueError as exc:
             raise ValueError(f"{result.suite} report has a non-finite value, "
                              "which JSON cannot hold") from exc
-
-        def dump(fh):
-            fh.write(text)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     if path is None:
-        dump(sys.stdout)
-        return
-    with open(path, "w", newline="") as fh:
-        dump(fh)
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
 
 
 def _version() -> str:

@@ -32,7 +32,6 @@ def test_ball_volume_known_values():
     assert ball_volume(1) == pytest.approx(2.0, rel=1e-14)
     assert ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
     assert ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
-    assert ball_volume(2, radius=3.0) == pytest.approx(9.0 * math.pi, rel=1e-14)
 
 
 def test_lp_ball_volume_matches_special_cases():
@@ -121,7 +120,7 @@ def test_scale_body_scales_support_and_volume():
     assert K2.support(theta) == pytest.approx(0.5 * K.support(theta), rel=1e-14)
     assert K2.analytic["log_volume"] == pytest.approx(0.0, abs=1e-12)
     assert K2.analytic["cube_half_side"] == 0.5
-    assert scale_body(cross_polytope(3, 2.0), 0.25).analytic["cross_radius"] == 0.5
+    assert scale_body(lp_ball(3, 1.0, 2.0), 0.25).analytic["cross_radius"] == 0.5
 
 
 def test_unit_volume_copy():
@@ -245,7 +244,7 @@ def _direct_cross_polytope_sample(dim, radius, count, seed):
 @pytest.mark.parametrize("n", [1, 3, 128])
 def test_cross_polytope_sampler_is_bit_identical_to_the_direct_formula(n):
     for radius in (1.0, 2.5):
-        K = cross_polytope(n, radius)
+        K = lp_ball(n, 1.0, radius)
         t = math.exp(-K.analytic["log_volume"] / n)
         for seed in (4, 5):
             direct = _direct_cross_polytope_sample(n, radius, 2000, seed)

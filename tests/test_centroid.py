@@ -148,15 +148,15 @@ def test_zp_kernels_do_not_depend_on_the_worker_or_core_count():
     # BLAS rounds a row differently in products of other shapes, so the tiles
     # follow neither count, nor the direction count: a prefix of the
     # directions, ending at several offsets within a 32-row block, gives the
-    # prefix of the tiled kernels' values (p = 2 takes the closed form, whose
-    # single-row product is a gemv).  5 workers is more than there are cores,
-    # and the short switch interval interleaves them as often as it can
+    # prefix of the kernels' values, p = 2's quadratic form among them.  5
+    # workers is more than there are cores, and the short switch interval
+    # interleaves them as often as it can
     s = draw_samples(gaussian_measure(8), 20_000, seed=32)
     dirs = sphere_directions(8, 701, seed=33)
 
     def kernels(d):
-        return ([zp_support(s, p, d) for p in (1.0, 1.5, 3.0, 8.0, 64.0, P_CAP)]
-                + [zp_touching_points(s, p, d) for p in (1.5, 3.0, 4.5, 8.0)])
+        return ([zp_support(s, p, d) for p in (1.0, 1.5, 2.0, 3.0, 8.0, 64.0, P_CAP)]
+                + [zp_touching_points(s, p, d) for p in (1.5, 2.0, 3.0, 4.5, 8.0)])
 
     runs = []
     interval = sys.getswitchinterval()
@@ -164,8 +164,7 @@ def test_zp_kernels_do_not_depend_on_the_worker_or_core_count():
     try:
         for workers, cores in itertools.product((1, 2, 5), (1, 2, 5)):
             with kernel_workers(workers, cores):
-                runs.append(kernels(dirs) + [zp_support(s, 2.0, dirs),
-                                             zp_touching_points(s, 2.0, dirs)])
+                runs.append(kernels(dirs))
         with kernel_workers(2, 2):
             for k in (1, 5, 31, 33, 64, 100, 250, 500, 700):
                 runs.append(kernels(dirs[:k]))

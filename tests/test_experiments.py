@@ -219,6 +219,22 @@ def test_theorem1_l_rows_are_exact_and_ratios_carry_the_mstar_se():
             assert ratio.std_error == pytest.approx(mstar.std_error / den, rel=1e-12)
 
 
+def test_one_dimensional_rows_take_their_estimates_exact_label():
+    # in R^1 the greedy covering radii are e_j = L / 2^{j+1} and a Z_n hull is
+    # its interval, both exact; from n = 2 on both are upper bounds
+    cover = run_suite("covering-regularity", [1, 2], FAST)
+    radii = {(r.n, r.quantity): r for r in cover.rows if r.quantity.startswith("cover-radius")}
+    for j in range(1, 9):
+        assert radii[1, f"cover-radius-j{j}"].direction == "exact"
+        assert radii[1, f"cover-radius-j{j}"].value == 0.5 ** (j + 1)
+        assert radii[2, f"cover-radius-j{j}"].direction == "upper"
+    zn = run_suite("zn-volrad", [1, 3], FAST)
+    labels = {(r.n, r.quantity): r.direction for r in zn.rows}
+    for fam in ("cube", "cross"):
+        assert labels[1, f"volrad-zn-{fam}"] == "exact"
+        assert labels[3, f"volrad-zn-{fam}"] == "upper"
+
+
 def test_suite_seed_recorded_in_rows():
     r = run_suite("zn-volrad", [3], FAST)
     assert all(isinstance(row.seed, int) for row in r.rows)
@@ -361,15 +377,15 @@ def test_gaussian_mstar_rows_are_exact_and_ratios_carry_their_se():
 
 def test_kubota_makes_one_full_dimensional_zp_pass_per_p(monkeypatch):
     # the touching points give the inner hull, and by Euler's identity the
-    # outer hull's support values; only the projections (rank 2 and 3 in R^4)
-    # pass over the samples again
+    # outer hull's support values; only the projections pass over samples
+    # again, and those are the samples projected to R^2 and R^3
     from isoconv import centroid
 
     passes = []
 
     def counting(kernel):
         def wrapped(samples, p, directions):
-            if np.linalg.matrix_rank(np.atleast_2d(directions)) == samples.dim:
+            if samples.dim == 4:
                 passes.append((kernel.__name__, p))
             return kernel(samples, p, directions)
         return wrapped

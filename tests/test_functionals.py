@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from isoconv.bodies import ConvexBody, ball, cross_polytope, cube, scale_body, unit_volume_copy
+from isoconv.bodies import (ConvexBody, ball, cross_polytope, cube, lp_ball, scale_body,
+                            unit_volume_copy)
 from isoconv.functionals import (
     ENTROPY_DIM_CAP,
     RadModel,
@@ -82,12 +83,12 @@ def test_exact_cross_polytope_mean_width_agrees_with_its_sampled_support(n):
 
 
 def test_mean_width_of_a_one_dimensional_cross_polytope_is_its_radius():
-    assert mean_width(cross_polytope(1, radius=2.5)).value == pytest.approx(2.5, rel=1e-14)
+    assert mean_width(lp_ball(1, 1.0, 2.5)).value == pytest.approx(2.5, rel=1e-14)
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.7, 3.0, 1e5])
 def test_exact_cross_polytope_mean_width_is_linear(t):
-    K = cross_polytope(17, radius=1.3)
+    K = lp_ball(17, 1.0, 1.3)
     assert mean_width(scale_body(K, t)).value == pytest.approx(t * mean_width(K).value,
                                                                rel=1e-15, abs=0.0)
 

@@ -10,6 +10,7 @@ from isoconv.bodies import (
     ball_volume,
     cross_polytope,
     cube,
+    lp_ball,
     lp_ball_log_volume,
     scale_body,
     unit_volume_copy,
@@ -69,7 +70,7 @@ def test_project_ball_is_ball():
     F = random_subspace(7, 3, seed=2)
     P = project_body(ball(7, radius=2.0), F)
     assert P.dim == 3
-    assert P.analytic["log_volume"] == pytest.approx(math.log(ball_volume(3, 2.0)), abs=1e-12)
+    assert P.analytic["log_volume"] == pytest.approx(math.log(2.0**3 * ball_volume(3)), abs=1e-12)
     u = sphere_directions(3, 16, seed=3)
     assert np.allclose(P.support(u), 2.0, atol=1e-12)
 
@@ -413,7 +414,7 @@ def test_projected_cross_polytope_volume_is_exact(k):
     # n = k: P_F is a rotation, so vol = vol(r B_1^k) = (2r)^k / k!
     r = 1.5
     F = random_subspace(k, k, seed=16 + k)
-    P = project_body(cross_polytope(k, r), F)
+    P = project_body(lp_ball(k, 1.0, r), F)
     assert P.vertices.shape == (2 * k, k) and P.generators is None
     est = volume_radius_lowdim(P)
     assert est.direction == "exact"
@@ -422,7 +423,7 @@ def test_projected_cross_polytope_volume_is_exact(k):
     # n = 8: the tangent polytope at the hull's own facet normals is P itself
     from scipy.spatial import ConvexHull
 
-    P = project_body(cross_polytope(8, r), random_subspace(8, k, seed=20 + k))
+    P = project_body(lp_ball(8, 1.0, r), random_subspace(8, k, seed=20 + k))
     normals = ConvexHull(P.vertices).equations[:, :k]
     vol = _support_hull_volume(normals, P.support(normals))
     est = volume_radius_lowdim(P)

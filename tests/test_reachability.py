@@ -11,6 +11,12 @@ of every dataclass of src/isoconv: a field counts as read when some attribute
 load in src/isoconv (its own class's methods included) carries its name, or
 some string constant is its name, as the CSV columns and the SUITES `reads`
 strings are.  Passing a field to the constructor does not count.
+
+A defaulted parameter that no call passes is a knob that only tests set, so
+the same holds for the defaulted parameters of every module-level function of
+src/isoconv: one counts as passed when some call in src/isoconv whose callee
+(a Name or Attribute) carries the function's name passes it by position or by
+keyword.  A call with *args or **kwargs counts as passing every parameter.
 """
 
 import ast
@@ -19,13 +25,20 @@ from pathlib import Path
 _SRC = Path(__file__).resolve().parents[1] / "src" / "isoconv"
 
 # name -> why it may stay without a caller in the library
-ALLOWED = {
-    "project_samples": "the reference side of the projection identity "
-                       "P_F Z_p(mu) = Z_p(P_F mu) that criterion 1 checks",
-}
+ALLOWED = {}
 
 # "Class.field" -> why it may stay without a reader in the library
 ALLOWED_FIELDS = {}
+
+# "module.function.parameter" -> why its default may stay the only value the
+# library passes
+ALLOWED_DEFAULTS = {
+    "grassmann.volume_radius_lowdim.method": "the benchmark's tracer binds it to count "
+                                             "the hull halfspaces",
+    "grassmann.volume_radius_lowdim.n_directions": "the benchmark's tracer binds it to "
+                                                   "count the hull halfspaces",
+    "cli.main.argv": "the entry point: the console script passes nothing, tests pass argv",
+}
 
 
 def _trees():
@@ -89,3 +102,43 @@ def test_every_record_field_is_read_by_the_library():
 def test_field_allowlist_names_only_unread_fields():
     # an entry whose field gained a reader, or is gone, is stale
     assert sorted(ALLOWED_FIELDS) == _unread_fields()
+
+
+def _unpassed_defaults():
+    trees = _trees()
+    params = {}  # (module, function, parameter) -> the function's positional names
+    for path, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for name in defaulted:
+                params[path.stem, fn.name, name] = positional
+    passed = set()
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func
+            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            spread = (any(isinstance(a, ast.Starred) for a in call.args)
+                      or any(k.arg is None for k in call.keywords))
+            keywords = {k.arg for k in call.keywords}
+            for key, positional in params.items():
+                if key[1] == name and (spread or key[2] in keywords
+                                       or key[2] in positional[:len(call.args)]):
+                    passed.add(key)
+    return sorted(".".join(key) for key in set(params) - passed)
+
+
+def test_every_defaulted_parameter_is_passed_by_the_library():
+    assert [key for key in _unpassed_defaults() if key not in ALLOWED_DEFAULTS] == []
+
+
+def test_default_allowlist_names_only_unpassed_parameters():
+    # an entry whose parameter gained a caller that passes it, or is gone, is stale
+    assert sorted(ALLOWED_DEFAULTS) == _unpassed_defaults()
