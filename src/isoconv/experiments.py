@@ -497,7 +497,7 @@ def _suite_zn_volrad(dims, cfg: SuiteConfig):
             Row("zn-volrad", n, float(n), f"volrad-zn-{fam}", vr.value, 0.0,
                 vr.direction, seed, cfg.samples),
             Row("zn-volrad", n, float(n), f"zn-ratio-{fam}", ratio, 0.0,
-                "upper", seed, cfg.samples),
+                "mc", seed, cfg.samples),
         ]
         assertions.append(Assertion(
             f"zn-ratio-finite-{fam}-n{n}",
@@ -584,8 +584,7 @@ def _suite_covering_regularity(dims, cfg: SuiteConfig):
 class Suite:
     """A verify suite as data: its function, the SuiteConfig fields it reads besides
     seed, its default dims and its dims rule, which run_suite checks: every n in
-    [lo, hi] (hi None: no cap), and `shape` "any", "one" (a single n) or "slope"
-    (n that check_slope_dims accepts).
+    [lo, hi] (hi None: no cap), and `shape` "any" or "one" (a single n).
     """
 
     run: Callable
@@ -601,7 +600,7 @@ SUITES = {
     "paouris": Suite(_suite_paouris, ("samples", "sphere_samples", "p_values"), (16,)),
     "thm-main-aniso": Suite(_suite_thm_main_aniso, ("sphere_samples", "rad", "p_values"),
                             (16,), shape="one"),
-    "b1-scaling": Suite(_suite_b1_scaling, (), (8, 16, 32, 64), shape="slope"),
+    "b1-scaling": Suite(_suite_b1_scaling, (), (8, 16, 32, 64)),
     "qm-isotropy": Suite(_suite_qm_isotropy, ("samples",), (3,)),
     "kubota": Suite(_suite_kubota, ("samples", "trials", "hull_directions"), (4,),
                     lo=3, hi=VOLUME_DIM_CAP, shape="one"),  # projects to k = 2 and 3
@@ -622,8 +621,6 @@ def run_suite(name: str, dims: Sequence[int], config: SuiteConfig) -> SuiteResul
         raise ValueError(f"{name} needs at least one dimension")
     if suite.shape == "one" and len(dims) != 1:
         raise ValueError(f"{name} runs at one dimension, got dims {list(dims)}")
-    if suite.shape == "slope":
-        check_slope_dims(dims)
     for n in dims:
         if n < suite.lo or (suite.hi is not None and n > suite.hi):
             span = f"n >= {suite.lo}" if suite.hi is None else f"{suite.lo} <= n <= {suite.hi}"

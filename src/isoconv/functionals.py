@@ -70,52 +70,13 @@ def parse_rad_model(text: str) -> RadModel:
 # ---------------------------------------------------------------------------
 
 
-# E||g||_inf: composite Gauss-Legendre, _GL_PANELS_PER_UNIT panels per unit
-# of t, each with the 16-point rule mapped from [-1, 1] to [0, 1]
-_GL_PANELS_PER_UNIT = 4
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
-# the integrand is below n exp(-t^2/2) = e^-_GL_TAIL < 1e-18 past t^2 = 2 (ln n + _GL_TAIL)
-_GL_TAIL = 42.0
-
-
-def _gaussian_max_abs_mean(n: int) -> float:
-    """E||g||_inf for g standard Gaussian in R^n.
-
-    E||g||_inf = int_0^inf 1 - (1 - erfc(t/sqrt 2))^n dt, the integrand
-    evaluated as -expm1(n log1p(-erfc(t/sqrt 2))) so that it keeps full
-    relative precision at every n, and integrated by the fixed composite rule
-    above on [0, sqrt(2 (ln n + _GL_TAIL))].
-    """
-    top = math.sqrt(2.0 * (math.log(n) + _GL_TAIL))
-    panels = math.ceil(_GL_PANELS_PER_UNIT * top)
-    width = top / panels
-    t = (np.arange(panels)[:, None] + _GL_NODES) * width
-    tail = np.array([math.erfc(x / math.sqrt(2.0)) for x in t.ravel()])
-    integrand = -np.expm1(n * np.log1p(-tail))
-    return width * float((integrand.reshape(panels, -1) @ _GL_WEIGHTS).sum())
-
-
-def _gaussian_norm_mean(n: int) -> float:
-    """E|g| = sqrt(2) Gamma((n+1)/2) / Gamma(n/2) for g standard Gaussian in R^n."""
-    return math.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
-
-
 def mean_width(
     body: ConvexBody, sphere_samples: int = DEFAULT_SPHERE_SAMPLES, seed: int = 0
 ) -> Estimate:
     """(Half) mean width M*(K): average of h_K over the uniform sphere.
 
-    Two families are exact, after the sphere_samples >= 100 check every body
-    gets.  A ball r B_2^n (analytic ball_radius) has M* = r.  An l1 ball
-    r B_1^n (analytic cross_radius) has M* = r E||theta||_inf =
-    r E||g||_inf / E|g|, by the polar decomposition g = |g| theta with |g|
-    and theta independent; E||g||_inf is a fixed one-dimensional quadrature
-    (_gaussian_max_abs_mean) and E|g| a ratio of Gamma functions.  Against
-    mpmath at 30 digits its relative error is at most 1e-14 +
-    2^-50 |lgamma((n+1)/2)|, four ulps of the log-Gamma values, whose
-    difference sets it past n ~ 10^3: measured <= 1.7e-14 up to n = 160,
-    9.4e-12 at n = 10^4 and 5.5e-10 at n = 10^6.
+    A body that states its exact mean width (analytic mean_width: balls and
+    l1 balls, see bodies) gets it, after the sphere_samples >= 100 check.
 
     Everything else is Monte Carlo over seeded directions, value +- SE.
     Linearity M*(tK) = t M*(K) is exact on matched seeds since the direction
@@ -125,12 +86,8 @@ def mean_width(
     """
     if sphere_samples < 100:
         raise ValueError(f"need sphere_samples >= 100, got {sphere_samples}")
-    if "ball_radius" in body.analytic:
-        return Estimate(float(body.analytic["ball_radius"]), 0.0, 0, "exact")
-    if "cross_radius" in body.analytic:
-        n = body.dim
-        ratio = _gaussian_max_abs_mean(n) / _gaussian_norm_mean(n)
-        return Estimate(float(body.analytic["cross_radius"]) * ratio, 0.0, 0, "exact")
+    if "mean_width" in body.analytic:
+        return Estimate(float(body.analytic["mean_width"]), 0.0, 0, "exact")
     h = np.empty(sphere_samples)
     start = 0
     for dirs in sphere_direction_blocks(body.dim, sphere_samples, seed):

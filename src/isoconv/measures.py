@@ -106,25 +106,25 @@ def draw_samples(measure: LogConcaveMeasure, count: int, seed: int) -> SampleSet
 
     Chunk i of size <= DEFAULT_CHUNK uses child_seed(seed, i), so the same
     (measure, count, seed) replays bit-identically.  The chunks are drawn in
-    turn, in the calling thread.
+    turn, in the calling thread, into one (count, dim) array, so a draw peaks
+    at its output plus one chunk.
     Each chunk must come back from the sampler with shape (size, dim).
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    blocks = []
-    done = 0
-    index = 0
-    while done < count:
+    for index, done in enumerate(range(0, count, DEFAULT_CHUNK)):
         take = min(DEFAULT_CHUNK, count - done)
         block = measure.sampler(take, child_seed(seed, index))
         if np.shape(block) != (take, measure.dim):
             raise ValueError(
                 f"sampler returned shape {np.shape(block)}, expected ({take}, {measure.dim})"
             )
-        blocks.append(block)
-        done += take
-        index += 1
-    pts = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+        if take == count:
+            return SampleSet(block)  # one chunk: the sampler's array, uncopied
+        if index == 0:
+            pts = np.empty((count, measure.dim), dtype=block.dtype)
+        pts[done:done + take] = block
+        del block  # before the next chunk is drawn
     return SampleSet(pts)
 
 

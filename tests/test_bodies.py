@@ -224,6 +224,62 @@ def test_parse_body_ellipsoid_from_file(tmp_path):
     assert E.analytic["log_volume"] == pytest.approx(math.log(ball_volume(3)), abs=1e-12)
 
 
+def _family_descriptors(tmp_path, dim):
+    # one descriptor per family and field count it takes; a family that takes
+    # a field needs a valid one here
+    f = tmp_path / "diag.csv"
+    f.write_text("\n".join(["1.5"] * dim))
+    field = {"cube": "1.5", "lpball": "3", "unitlpball": "3", "ellipsoid": f"@{f}"}
+    for family, (counts, _) in bodies._FAMILIES.items():
+        for count in counts:
+            yield ":".join([family, str(dim), *[field.get(family)] * count])
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_every_family_in_the_table_builds_a_body_of_its_dim(tmp_path, dim):
+    assert set(bodies._FAMILIES) == {
+        "ball", "cube", "cross", "crosspoly", "cross-polytope", "lpball", "ellipsoid",
+        "unitball", "unitcube", "unitcross", "b1tilde", "unitlpball"}
+    descriptors = list(_family_descriptors(tmp_path, dim))
+    assert len(descriptors) == 13
+    for descriptor in descriptors:
+        assert parse_body(descriptor).dim == dim, descriptor
+
+
+def test_each_alias_is_its_family_bit_for_bit():
+    records = {}
+    for family, record in bodies._FAMILIES.items():
+        records.setdefault(id(record), []).append(family)
+    groups = sorted(names for names in records.values() if len(names) > 1)
+    assert groups == [["cross", "crosspoly", "cross-polytope"], ["unitcross", "b1tilde"]]
+    dirs = sphere_directions(5, 200, seed=9)
+    for canonical, *aliases in groups:
+        K = parse_body(f"{canonical}:5")
+        for alias in aliases:
+            L = parse_body(f"{alias}:5")
+            assert np.array_equal(L.support(dirs), K.support(dirs)), alias
+            assert L.analytic == K.analytic, alias
+
+
+# the field counts each family takes, as its error message states them
+_TAKES = {"ball": "0 fields", "cube": "0 or 1 fields", "cross": "0 fields",
+          "crosspoly": "0 fields", "cross-polytope": "0 fields", "lpball": "1 field",
+          "ellipsoid": "1 field", "unitball": "0 fields", "unitcube": "0 fields",
+          "unitcross": "0 fields", "b1tilde": "0 fields", "unitlpball": "1 field"}
+
+
+def test_every_family_rejects_a_wrong_field_count_with_its_message():
+    assert set(_TAKES) == set(bodies._FAMILIES)
+    for family, takes in _TAKES.items():
+        accepted = {int(word) for word in takes.split() if word.isdigit()}
+        for count in sorted(set(range(4)) - accepted):
+            descriptor = ":".join([family, "3", *["2"] * count])
+            with pytest.raises(BodyConstructionError) as exc:
+                parse_body(descriptor)
+            assert str(exc.value) == (f"body family {family!r} takes {takes} after the dim, "
+                                      f"got {count} in {descriptor!r}")
+
+
 # ---------------------------------------------------------------------------
 # exact samplers
 # ---------------------------------------------------------------------------

@@ -221,7 +221,8 @@ def test_theorem1_l_rows_are_exact_and_ratios_carry_the_mstar_se():
 
 def test_one_dimensional_rows_take_their_estimates_exact_label():
     # in R^1 the greedy covering radii are e_j = L / 2^{j+1} and a Z_n hull is
-    # its interval, both exact; from n = 2 on both are upper bounds
+    # its interval, both exact; from n = 2 on both are upper bounds.  The
+    # zn-ratio rows divide by a sampled det_root, so they are mc at every n
     cover = run_suite("covering-regularity", [1, 2], FAST)
     radii = {(r.n, r.quantity): r for r in cover.rows if r.quantity.startswith("cover-radius")}
     for j in range(1, 9):
@@ -233,6 +234,7 @@ def test_one_dimensional_rows_take_their_estimates_exact_label():
     for fam in ("cube", "cross"):
         assert labels[1, f"volrad-zn-{fam}"] == "exact"
         assert labels[3, f"volrad-zn-{fam}"] == "upper"
+        assert labels[1, f"zn-ratio-{fam}"] == labels[3, f"zn-ratio-{fam}"] == "mc"
 
 
 def test_suite_seed_recorded_in_rows():

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from isoconv.bodies import (ConvexBody, ball, cross_polytope, cube, lp_ball, scale_body,
-                            unit_volume_copy)
+from isoconv.bodies import (ConvexBody, ball, cross_polytope, cube, lp_ball, product_body,
+                            scale_body, unit_volume_copy)
 from isoconv.functionals import (
     ENTROPY_DIM_CAP,
     RadModel,
@@ -17,7 +17,7 @@ from isoconv.functionals import (
     mean_width,
     parse_rad_model,
 )
-from isoconv.grassmann import vk_estimate
+from isoconv.grassmann import project_body, random_subspace, vk_estimate
 from isoconv.seeds import DIRECTION_BLOCK, rng_from, sphere_directions
 
 
@@ -59,7 +59,7 @@ def test_mean_width_cross_polytope_3d_oracle():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 160, 10**3, 10**4, 10**6])
 def test_mean_width_cross_polytope_matches_mpmath(n):
-    # the error bound mean_width's docstring states
+    # the error bound lp_ball's docstring states
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         edge = mpmath.sqrt(2 * mpmath.log(n)) if n > 1 else mpmath.mpf(1)
@@ -91,6 +91,36 @@ def test_exact_cross_polytope_mean_width_is_linear(t):
     K = lp_ball(17, 1.0, 1.3)
     assert mean_width(scale_body(K, t)).value == pytest.approx(t * mean_width(K).value,
                                                                rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("K", [ball(6, 1.7), lp_ball(6, 1.0, 1.7)], ids=["ball", "l1"])
+def test_exact_mean_width_survives_scaling_and_unit_volume_copies(K):
+    stated = K.analytic["mean_width"]
+    t = math.exp(-K.analytic["log_volume"] / 6)
+    for body, factor in ((scale_body(K, 0.3), 0.3), (unit_volume_copy(K), t)):
+        est = mean_width(body)
+        assert (est.value, est.std_error, est.n_samples, est.direction) == (
+            stated * factor, 0.0, 0, "exact")
+
+
+def test_exact_mean_width_survives_the_projection_of_a_ball():
+    est = mean_width(project_body(ball(6, 1.7), random_subspace(6, 2, seed=1)))
+    assert (est.value, est.direction) == (1.7, "exact")
+
+
+def test_bodies_that_state_no_mean_width_are_sampled():
+    for K in (product_body(ball(2), lp_ball(3, 1.0)),
+              project_body(cross_polytope(5), random_subspace(5, 3, seed=2))):
+        assert "mean_width" not in K.analytic
+        est = mean_width(K, 500, seed=4)
+        assert est.direction == "mc" and est.n_samples == 500 and est.std_error > 0
+
+
+def test_mean_width_reads_the_stated_fact_not_the_family_key():
+    # a ball_radius alone names the family for projections; it states no M*
+    K = ConvexBody(4, support=cube(4).support, analytic={"ball_radius": 1.0})
+    est = mean_width(K, 500, seed=5)
+    assert est.direction == "mc" and est.value == mean_width(cube(4), 500, seed=5).value
 
 
 def test_mean_width_validates_samples():

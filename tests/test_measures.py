@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,35 @@ def test_draw_samples_multi_chunk_replays():
     assert np.array_equal(a.points[: measures.DEFAULT_CHUNK], head.points)
     tail = mu.sampler(1000, child_seed(1, 1))
     assert np.array_equal(a.points[measures.DEFAULT_CHUNK :], tail)
+
+
+def test_a_multi_chunk_draw_fills_one_array():
+    # three chunks, each the sampler's own draw from child_seed(seed, i), are
+    # written into one (count, dim) array: the draw peaks near its output plus
+    # one chunk, where stacking a list of chunks peaks at twice its output
+    mu = gaussian_measure(4)
+    count = 3 * measures.DEFAULT_CHUNK - 1000
+    tracemalloc.start()
+    try:
+        s = draw_samples(mu, count, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunks = [mu.sampler(min(measures.DEFAULT_CHUNK, count - lo), child_seed(3, i))
+              for i, lo in enumerate(range(0, count, measures.DEFAULT_CHUNK))]
+    assert len(chunks) == 3 and np.array_equal(s.points, np.vstack(chunks))
+    assert peak < 1.6 * s.points.nbytes, peak / s.points.nbytes
+
+
+def test_a_single_chunk_draw_is_the_samplers_array_uncopied():
+    drawn = []
+
+    def sampler(count, seed):
+        drawn.append(gaussian_measure(3).sampler(count, seed))
+        return drawn[-1]
+
+    s = draw_samples(measures.LogConcaveMeasure(3, sampler), measures.DEFAULT_CHUNK, seed=4)
+    assert len(drawn) == 1 and np.shares_memory(s.points, drawn[0])
 
 
 def test_draw_samples_validates_count():
