@@ -6,8 +6,8 @@ constant, inradius, mean width) are known for the family.  This module alone
 knows which families have an exact mean width: balls and l1 balls state it
 as a fact, and scaling carries it along.  The standard families and their
 constructions are oracles over closed forms, so dimensions up to ~128 stay
-cheap; only polytopes carry geometry, as the (m, dim) generators or vertices
-arrays of a projected cube or cross-polytope.
+cheap.  A projected cube or cross-polytope is an oracle with facts too: it
+states its exact volume as its log_volume (grassmann.project_body).
 
 Oracles take batches only: support maps an (m, dim) array of directions to
 an (m,) float array, and membership an (m, dim) array of points to an (m,)
@@ -56,8 +56,8 @@ def lp_ball_log_volume(dim: int, p: float) -> float:
 class ConvexBody:
     """Immutable oracle bundle for a convex body K in R^dim.
 
-    A body holds its dimension, its oracles, its exact facts and its polytope
-    data, and nothing else: it carries no name.
+    A body holds its dimension, its oracles and its exact facts, and nothing
+    else: it carries no name.
 
     support: (m, dim) directions theta -> (m,) float array h_K(theta),
         positively homogeneous and subadditive.
@@ -65,18 +65,13 @@ class ConvexBody:
     analytic: known exact quantities keyed by name (log_volume, inradius,
         mean_width, ball_radius, cube_half_side, cross_radius,
         isotropic_constant).  The volume is carried only as its log, which
-        stays finite where the volume itself over- or underflows.  mean_width,
-        the exact M*(K), is stated by balls r*B_2 and l1 balls r*B_1 only.
-        ball_radius, cube_half_side and cross_radius name the family r*B_2,
-        [-a, a]^dim and r*B_1, so that projections can keep an exact
-        description.
+        stays finite where the volume itself over- or underflows, and it is
+        the one fact a volume is read from (grassmann.volume_radius_lowdim).
+        mean_width, the exact M*(K), is stated by balls r*B_2 and l1 balls
+        r*B_1 only.  ball_radius, cube_half_side and cross_radius name the
+        family r*B_2, [-a, a]^dim and r*B_1, so that projections can keep an
+        exact description.
     sample_exact: optional (count, seed) -> (count, dim) exact uniform sampler.
-    generators: optional (m, dim) array G; K is the zonotope sum_i [-g_i, g_i].
-    vertices: optional (m, dim) array; K is the convex hull of its rows.
-
-    The arrays are frozen read-only.  A volume is read from the first of
-    log_volume, generators and vertices that the body has (see
-    grassmann.volume_radius_lowdim).
     """
 
     dim: int
@@ -84,23 +79,10 @@ class ConvexBody:
     membership: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic: Mapping[str, float] = field(default_factory=dict)
     sample_exact: Optional[Callable[[int, int], np.ndarray]] = None
-    generators: Optional[np.ndarray] = None
-    vertices: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise BodyConstructionError(f"dim must be >= 1, got {self.dim}")
-        for name in ("generators", "vertices"):
-            points = getattr(self, name)
-            if points is None:
-                continue
-            points = np.asarray(points, dtype=float).view()  # freeze a view only
-            if points.ndim != 2 or points.shape[1] != self.dim:
-                raise BodyConstructionError(
-                    f"{name} must have shape (m, {self.dim}), got {points.shape}"
-                )
-            points.setflags(write=False)
-            object.__setattr__(self, name, points)
 
 
 def interval_length(body: ConvexBody) -> float:
@@ -454,8 +436,10 @@ def parse_body(descriptor: str) -> ConvexBody:
     unitcross, b1tilde, unitlpball:<dim>:<p>) are the unit-volume homothets.
     Each family is one _FAMILIES record, an alias one more key for it.  A
     family given any other number of fields is an error, raised before
-    anything is built.  The ball and l1 ball families (lpball at p = 1, 2
-    too) carry their exact mean width, as their constructors state it.
+    anything is built, and so is a field that does not parse, such as a side
+    or p that is not a number; either error names the descriptor.  The ball
+    and l1 ball families (lpball at p = 1, 2 too) carry their exact mean
+    width, as their constructors state it.
     """
     parts = descriptor.strip().split(":")
     if len(parts) < 2:
@@ -476,4 +460,9 @@ def parse_body(descriptor: str) -> ConvexBody:
         noun = "field" if counts == "1" else "fields"
         raise BodyConstructionError(f"body family {family!r} takes {counts} {noun} after "
                                     f"the dim, got {len(params)} in {descriptor!r}")
-    return build(dim, *params)
+    try:
+        return build(dim, *params)
+    except BodyConstructionError:
+        raise
+    except ValueError as exc:
+        raise BodyConstructionError(f"bad field in body descriptor {descriptor!r}: {exc}") from exc

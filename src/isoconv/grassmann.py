@@ -1,16 +1,18 @@
 """Random subspaces, projected bodies, and low-dimensional volume radii.
 
 Projection of a body is exact at the support level: for an orthonormal basis
-B of F, h_{P_F K}(u) = h_K(B u).  Cubes and cross-polytopes also project
-exactly as polytopes: P_F [-a, a]^n is the zonotope with generators a B^T e_i,
-and P_F (r B_1^n) is the hull of the points +-r B^T e_i.  Their volumes are
-exact in any dimension k (the zonotope's by a Cauchy-Binet sum over k-subsets
-of generators, within a subset budget).  Only the qhull paths are capped at
-k <= 6: a tangent polytope's volume takes one qhull pass over its polar points
-and then a signed sum over flags with k!/2 determinants per dual facet, so its
-cost grows like k! times the facet count.  The sup/inf functionals over the
-Grassmannian are sampled over Haar subspaces and therefore only ever one-sided
--- results are tagged accordingly and the tags are load-bearing downstream.
+B of F, h_{P_F K}(u) = h_K(B u).  Cubes and cross-polytopes also project to
+polytopes of known shape: P_F [-a, a]^n is the zonotope with generators
+a B^T e_i, and P_F (r B_1^n) is the hull of the points +-r B^T e_i.  The
+projection states their exact volume as its log_volume, the zonotope's by a
+Cauchy-Binet sum over k-subsets of generators at any k (within a subset
+budget), the hull's by qhull; a volume radius then reads that one fact.
+Only the qhull paths are capped at k <= 6: a tangent polytope's volume takes
+one qhull pass over its polar points and then a signed sum over flags with
+k!/2 determinants per dual facet, so its cost grows like k! times the facet
+count.  The sup/inf functionals over the Grassmannian are sampled over Haar
+subspaces and therefore only ever one-sided -- results are tagged
+accordingly and the tags are load-bearing downstream.
 
 A Subspace holds its orthonormal basis and nothing else; ambient and k are
 read from the basis's shape.
@@ -93,24 +95,33 @@ def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
     """P_F K as a body in R^k via h_{P_F K}(u) = h_K(B u).
 
     Balls project to balls of the same radius and keep their exact analytic
-    data.  A cube [-a, a]^n becomes the zonotope with the n generators a B^T e_i
-    (the rows of a B), and a cross-polytope r B_1^n the hull of the 2n vertices
-    +-r B^T e_i; either is a support oracle that carries its polytope as data.
-    Everything else becomes a bare support oracle.  The oracle lifts a batch
-    of directions to R^n in blocks of at most LIFT_BLOCK doubles.
+    data.  Cubes and cross-polytopes project to polytopes whose exact volume
+    the projection states as its log_volume:
+      - [-a, a]^n becomes the zonotope with the n generators a B^T e_i (the
+        rows of a B), whose volume is the Cauchy-Binet sum
+        2^k sum_S |det (a B)_S| at any k, while C(n, k) is within
+        SUBSET_BUDGET (scaled by (6/k)^3 above k = 6);
+      - r B_1^n becomes the hull of the 2n points +-r B^T e_i, whose volume
+        is that of their convex hull for 1 < k <= VOLUME_DIM_CAP.
+    Everything else, and a polytope outside those ranges, becomes a bare
+    support oracle.  The oracle lifts a batch of directions to R^n in blocks
+    of at most LIFT_BLOCK doubles.
     """
     if F.ambient != body.dim:
         raise ValueError(f"subspace ambient {F.ambient} != body dim {body.dim}")
     if "ball_radius" in body.analytic:
         return bodies.ball(F.k, body.analytic["ball_radius"])
-    B = F.basis
+    B, k = F.basis, F.k
     inner = body.support
-    polytope = {}
-    if "cube_half_side" in body.analytic:
-        polytope["generators"] = body.analytic["cube_half_side"] * B
-    if "cross_radius" in body.analytic:
+    analytic = {}
+    if ("cube_half_side" in body.analytic
+            and math.comb(len(B), k) * max(k, 6) ** 3 <= SUBSET_BUDGET * 6**3):
+        analytic["log_volume"] = _zonotope_log_volume(body.analytic["cube_half_side"] * B)
+    if "cross_radius" in body.analytic and 1 < k <= VOLUME_DIM_CAP:
+        from scipy.spatial import ConvexHull
+
         rows = body.analytic["cross_radius"] * B
-        polytope["vertices"] = np.vstack([rows, -rows])
+        analytic["log_volume"] = math.log(ConvexHull(np.vstack([rows, -rows])).volume)
 
     step = max(1, LIFT_BLOCK // len(B))
 
@@ -120,7 +131,7 @@ def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
         return np.concatenate([inner(u[i:i + step] @ B.T)
                                for i in range(0, len(u), step)])
 
-    return ConvexBody(dim=F.k, support=sup, **polytope)
+    return ConvexBody(dim=k, support=sup, analytic=analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -328,33 +339,18 @@ def volume_radius_lowdim(
     """volrad(K) = (Vol K / Vol B_2^k)^{1/k}; the hulls are capped at k <= 6.
 
     methods: `support-hull` (outer polytope from `n_directions` tangent
-    halfspaces at seeded directions -> upper bound), and `auto`, which takes
-    the first exact fact the body has, in this order:
-      1. its log-volume, at any k;
-      2. its zonotope generators, when C(m, k) is within SUBSET_BUDGET: the
-         Cauchy-Binet sum 2^k sum_S |det G_S|, any k;
-      3. its vertices, when 1 < k <= 6: the volume of their convex hull;
-    and the support hull otherwise.  Every exact fact gives an `exact`
-    estimate.  The support hull in dimension 1 is exact (interval length from
-    two support values).
+    halfspaces at seeded directions -> upper bound), and `auto`, which reads
+    the body's log_volume, an `exact` estimate at any k, and takes the
+    support hull when the body states none.  A projected cube or
+    cross-polytope states its volume (see project_body).  The support hull
+    in dimension 1 is exact (interval length from two support values).
     """
-    k = body.dim
-
-    def log_to_volrad(log_vol):
-        # in logs, so the volume radius stays finite at any k
-        return math.exp((log_vol - bodies.lp_ball_log_volume(k, 2.0)) / k)
-
     if method == "auto":
-        G, V = body.generators, body.vertices
         if "log_volume" in body.analytic:
-            return Estimate(log_to_volrad(body.analytic["log_volume"]), 0.0, 0, "exact")
-        if G is not None and math.comb(len(G), k) * max(k, 6) ** 3 <= SUBSET_BUDGET * 6**3:
-            vr = log_to_volrad(_zonotope_log_volume(G))
-            return Estimate(vr, 0.0, math.comb(len(G), k), "exact")
-        if V is not None and 1 < k <= VOLUME_DIM_CAP:
-            from scipy.spatial import ConvexHull
-
-            return Estimate(volume_radius(ConvexHull(V).volume, k), 0.0, len(V), "exact")
+            # in logs, so the volume radius stays finite at any k
+            k = body.dim
+            vr = math.exp((body.analytic["log_volume"] - bodies.lp_ball_log_volume(k, 2.0)) / k)
+            return Estimate(vr, 0.0, 0, "exact")
     elif method != "support-hull":
         raise ValueError(f"unknown volume method {method!r}")
     return support_hull_task(body, n_directions, seed)()
@@ -388,10 +384,11 @@ def vk_estimate(body: ConvexBody, k: int, trials: int, seed: int) -> Estimate:
 
     The true v_k is a supremum, so finitely many trials of exact volume radii
     can only undershoot it: the result is labelled `lower`, with SE 0, when
-    every trial is `exact`.  Trials are exact for balls (analytic), cubes
-    (zonotope generators, within SUBSET_BUDGET), cross-polytopes (vertex hull)
-    and at k = 1 (interval).  Otherwise the result is `mc`: a sup of outer
-    support-hull volume radii bounds v_k from neither side.
+    every trial is `exact`.  Trials are exact for balls, cubes (within
+    SUBSET_BUDGET) and cross-polytopes (1 < k <= VOLUME_DIM_CAP), whose
+    projections state their log_volume (project_body), and at k = 1
+    (interval).  Otherwise the result is `mc`: a sup of outer support-hull
+    volume radii bounds v_k from neither side.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")

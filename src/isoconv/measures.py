@@ -251,7 +251,11 @@ def parse_measure(descriptor: str) -> LogConcaveMeasure:
         if len(parts) != 2:
             raise ValueError(f"descriptor {descriptor!r} must be {head}:<dim>")
         make = gaussian_measure if head == "gaussian" else exponential_product_measure
-        return make(int(parts[1]))
+        try:
+            dim = int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"bad dim in measure descriptor {descriptor!r}") from exc
+        return make(dim)
     if head == "uniform":
         if len(parts) < 3:
             raise ValueError(

@@ -720,6 +720,30 @@ def test_readme_verify_table_matches_the_suites():
                          if field != "hull_directions"], name
 
 
+def test_readme_record_list_matches_the_dataclasses():
+    # each bullet "- `Record`: ..." backticks every field of its record, and
+    # backticks nothing but its fields and properties
+    import re
+
+    from isoconv import bodies, estimates, grassmann, measures
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("The records hold only what the library reads")
+    bullets = re.split(r"\n(?=- `)", text[start:].split("\n\n")[1])
+    records = {name: obj for module in (bodies, estimates, grassmann, measures)
+               for name, obj in vars(module).items()
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    assert len(bullets) == 5
+    for bullet in bullets:
+        name, *names = re.findall(r"`([^`]+)`", bullet)
+        record = records[name]
+        fields = {f.name for f in dataclasses.fields(record)}
+        properties = {attr for attr, value in vars(record).items()
+                      if isinstance(value, property)}
+        assert fields <= set(names), (name, fields - set(names))
+        assert set(names) <= fields | properties, (name, set(names) - fields - properties)
+
+
 def test_verify_flags_are_the_suite_config_fields_with_their_defaults(monkeypatch):
     (sub,) = [a for a in cli.build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
@@ -816,6 +840,20 @@ def test_body_descriptor_with_a_wrong_field_count_exits_2_before_any_body(argv, 
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,descriptor", [
+    (["meanwidth", "--body", "cube:3:abc"], "'cube:3:abc'"),
+    (["meanwidth", "--body", "lpball:3:x"], "'lpball:3:x'"),
+    (["zp", "--measure", "gaussian:abc", "--p", "2"], "'gaussian:abc'"),
+    (["zp", "--measure", "exponential:2.5", "--p", "2"], "'exponential:2.5'"),
+])
+def test_descriptor_field_that_does_not_parse_names_the_descriptor(argv, descriptor, capsys):
+    rc = cli.main([*argv, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: bad ") and descriptor in captured.err
     assert captured.err.count("\n") == 1
 
 

@@ -198,6 +198,23 @@ def test_theorem1_draws_no_samples(monkeypatch):
     assert calls == []
 
 
+def test_theorem1_builds_one_cross_polytope_per_n(monkeypatch):
+    # each cross-polytope build runs its E||g||_inf quadrature, so the cube
+    # family's rows build none
+    from isoconv import bodies
+
+    builds = []
+    lp_ball = bodies.lp_ball
+
+    def counting(dim, p, radius=1.0):
+        builds.append((dim, p))
+        return lp_ball(dim, p, radius)
+
+    monkeypatch.setattr(bodies, "lp_ball", counting)
+    run_suite("theorem1", [4, 8], SuiteConfig(seed=2, sphere_samples=200))
+    assert [dim for dim, p in builds if p == 1.0] == [4, 8]
+
+
 def test_theorem1_l_rows_are_exact_and_ratios_carry_the_mstar_se():
     from isoconv.isotropy import exact_isotropic_constant
 
@@ -353,12 +370,17 @@ def test_gaussian_sources_draw_no_samples(suite, draws, p_values, monkeypatch):
 
 def test_gaussian_mstar_rows_are_exact_and_ratios_carry_their_se():
     # an exact ball's M* is exact; the cube's exact Z_8 has an mc M* over the
-    # 200 sphere directions, and only its sampled Z_1 counts the 2000 samples
+    # 200 sphere directions, and only its sampled Z_1 counts the 2000 samples.
+    # thm-main-aniso's M* rows state sqrt(n) M*(Z_p) and its ratios
+    # M*(Z_p)/bound, so there the M* row is divided by sqrt(n) too, which
+    # rounds differently from the suite's own quotient
     cfg = SuiteConfig(seed=4, samples=2000, sphere_samples=200, p_values=(1.0, 2.0, 8.0))
-    for suite, mstar, ratio, exact_rows in (
-        ("thm-main-aniso", "sqrtn-mstar-zp", "ratio", {"flat": (1.0, 2.0, 8.0)}),
-        ("paouris", "mstar-zp", "paouris-ratio", {"gaussian": (1.0, 2.0, 8.0), "cube": (2.0,)}),
+    for suite, mstar, ratio, scale, exact_rows in (
+        ("thm-main-aniso", "sqrtn-mstar-zp", "ratio", math.sqrt(8), {"flat": (1.0, 2.0, 8.0)}),
+        ("paouris", "mstar-zp", "paouris-ratio", 1.0,
+         {"gaussian": (1.0, 2.0, 8.0), "cube": (2.0,)}),
     ):
+        rel = 0.0 if scale == 1.0 else 1e-15
         rows = run_suite(suite, [8], cfg).rows
         bounds = {(r.quantity, r.p): r.value for r in rows if r.quantity.startswith("bound-")}
         by_key = {(r.quantity, r.p): r for r in rows}
@@ -371,10 +393,11 @@ def test_gaussian_mstar_rows_are_exact_and_ratios_carry_their_se():
             else:
                 assert r.direction == "mc" and r.std_error > 0, r
                 assert r.samples == (2000 if (kind, r.p) == ("cube", 1.0) else 200), r
-            den = bounds.get((f"bound-arith-{kind}", r.p), math.sqrt(r.p))
+            den = scale * bounds.get((f"bound-arith-{kind}", r.p), math.sqrt(r.p))
             q = by_key[(f"{ratio}-{kind}", r.p)]
             assert q.direction == r.direction
-            assert q.value == r.value / den and q.std_error == r.std_error / den
+            assert q.value == pytest.approx(r.value / den, rel=rel, abs=0.0)
+            assert q.std_error == pytest.approx(r.std_error / den, rel=rel, abs=0.0)
 
 
 def test_kubota_makes_one_full_dimensional_zp_pass_per_p(monkeypatch):

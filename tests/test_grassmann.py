@@ -336,12 +336,14 @@ def test_projected_cube_k5_has_a_finite_outer_volume():
 # ---------------------------------------------------------------------------
 
 
-def test_projected_cube_carries_frozen_generators():
+def test_projected_cube_states_its_zonotope_log_volume():
+    # the generators of P_F([-1.5, 1.5]^6) are the rows of 1.5 B
     F = random_subspace(6, 3, seed=12)
     P = project_body(scale_body(cube(6, side=1.0), 3.0), F)  # half-side 1.5
-    assert np.array_equal(P.generators, 1.5 * F.basis)
-    assert not P.generators.flags.writeable
-    assert P.vertices is None
+    assert P.analytic == {"log_volume": _zonotope_log_volume(1.5 * F.basis)}
+    assert math.exp(P.analytic["log_volume"]) == pytest.approx(
+        _cauchy_binet_volume(1.5 * F.basis), rel=1e-12
+    )
 
 
 @pytest.mark.parametrize("m,k", [(3, 3), (5, 2), (8, 4), (9, 6)])
@@ -415,7 +417,9 @@ def test_projected_cross_polytope_volume_is_exact(k):
     r = 1.5
     F = random_subspace(k, k, seed=16 + k)
     P = project_body(lp_ball(k, 1.0, r), F)
-    assert P.vertices.shape == (2 * k, k) and P.generators is None
+    log_truth = k * math.log(2.0 * r) - math.lgamma(k + 1)
+    assert P.analytic.keys() == {"log_volume"}
+    assert P.analytic["log_volume"] == pytest.approx(log_truth, abs=1e-12)
     est = volume_radius_lowdim(P)
     assert est.direction == "exact"
     truth = ((2.0 * r) ** k / math.factorial(k) / ball_volume(k)) ** (1.0 / k)
@@ -423,9 +427,12 @@ def test_projected_cross_polytope_volume_is_exact(k):
     # n = 8: the tangent polytope at the hull's own facet normals is P itself
     from scipy.spatial import ConvexHull
 
-    P = project_body(lp_ball(8, 1.0, r), random_subspace(8, k, seed=20 + k))
-    normals = ConvexHull(P.vertices).equations[:, :k]
+    F = random_subspace(8, k, seed=20 + k)
+    P = project_body(lp_ball(8, 1.0, r), F)
+    vertices = r * np.vstack([F.basis, -F.basis])  # +-r B^T e_i
+    normals = ConvexHull(vertices).equations[:, :k]
     vol = _support_hull_volume(normals, P.support(normals))
+    assert math.exp(P.analytic["log_volume"]) == pytest.approx(vol, rel=1e-12)
     est = volume_radius_lowdim(P)
     assert est.direction == "exact"
     assert est.value == pytest.approx((vol / ball_volume(k)) ** (1.0 / k), rel=1e-12)
