@@ -1,13 +1,14 @@
 """Convex bodies as immutable oracle bundles.
 
-A body is its support function h_K(theta) = sup{<x, theta> : x in K}, plus an
-optional membership oracle and whatever analytic facts (log-volume, isotropic
-constant, inradius, mean width) are known for the family.  This module alone
-knows which families have an exact mean width: balls and l1 balls state it
-as a fact, and scaling carries it along.  The standard families and their
-constructions are oracles over closed forms, so dimensions up to ~128 stay
-cheap.  A projected cube or cross-polytope is an oracle with facts too: it
-states its exact volume as its log_volume (grassmann.project_body).
+A body is its support function h_K(theta) = sup{<x, theta> : x in K}, plus
+whatever analytic facts (log-volume, isotropic constant, mean width) are known
+for the family.  Only cubes and l_p balls add a membership oracle and their
+inradius, which the greedy covering reads.  This module alone knows which
+families have an exact mean width: balls and l1 balls state it as a fact, and
+scaling carries it along.  The standard families and their constructions are
+oracles over closed forms, so dimensions up to ~128 stay cheap.  A projected
+cube or cross-polytope is an oracle with facts too: it states its exact volume
+as its log_volume (grassmann.project_body).
 
 Oracles take batches only: support maps an (m, dim) array of directions to
 an (m,) float array, and membership an (m, dim) array of points to an (m,)
@@ -61,12 +62,15 @@ class ConvexBody:
 
     support: (m, dim) directions theta -> (m,) float array h_K(theta),
         positively homogeneous and subadditive.
-    membership: optional (m, dim) points x -> (m,) bool array, x in K.
+    membership: optional (m, dim) points x -> (m,) bool array, x in K, on
+        the bodies cube and lp_ball build only.
     analytic: known exact quantities keyed by name (log_volume, inradius,
         mean_width, ball_radius, cube_half_side, cross_radius,
         isotropic_constant).  The volume is carried only as its log, which
         stays finite where the volume itself over- or underflows, and it is
         the one fact a volume is read from (grassmann.volume_radius_lowdim).
+        inradius is stated exactly when membership is carried, and only the
+        greedy covering (functionals.entropy_numbers) reads either.
         mean_width, the exact M*(K), is stated by balls r*B_2 and l1 balls
         r*B_1 only.  ball_radius, cube_half_side and cross_radius name the
         family r*B_2, [-a, a]^dim and r*B_1, so that projections can keep an
@@ -289,15 +293,10 @@ def ellipsoid(matrix: np.ndarray) -> ConvexBody:
     sign, logdet = np.linalg.slogdet(A)
     if sign == 0 or not np.isfinite(logdet):
         raise BodyConstructionError("matrix must be non-singular (positive-definite image)")
-    A_inv = np.linalg.inv(A)
     return ConvexBody(
         dim=n,
         support=lambda t: np.linalg.norm(t @ A, axis=1),
-        membership=lambda x: np.linalg.norm(x @ A_inv.T, axis=1) <= 1 + 1e-12,
-        analytic={
-            "log_volume": lp_ball_log_volume(n, 2.0) + logdet,
-            "inradius": float(np.linalg.svd(A, compute_uv=False).min()),
-        },
+        analytic={"log_volume": lp_ball_log_volume(n, 2.0) + logdet},
         sample_exact=_ellipsoid_sampler(n, A),
     )
 
@@ -321,9 +320,9 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
     if not 0 < t < math.inf:
         raise BodyConstructionError(f"scale factor must be positive and finite, got {t}")
     t = float(t)
-    inner_sup, inner_mem, inner_samp = body.support, body.membership, body.sample_exact
-    analytic = dict(body.analytic)
-    for key in ("inradius", "mean_width", "ball_radius", "cube_half_side", "cross_radius"):
+    inner_sup, inner_samp = body.support, body.sample_exact
+    analytic = {key: value for key, value in body.analytic.items() if key != "inradius"}
+    for key in ("mean_width", "ball_radius", "cube_half_side", "cross_radius"):
         if key in analytic:
             analytic[key] = analytic[key] * t
     if "log_volume" in analytic:
@@ -338,7 +337,6 @@ def scale_body(body: ConvexBody, t: float) -> ConvexBody:
     return ConvexBody(
         dim=body.dim,
         support=lambda theta: t * inner_sup(theta),
-        membership=(lambda x: inner_mem(x / t)) if inner_mem else None,
         analytic=analytic,
         sample_exact=sampler if inner_samp else None,
     )
@@ -356,17 +354,10 @@ def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
     """K x L in R^{dimK+dimL}.
 
     Support decouples exactly: sup over (x,y) of <x,a>+<y,b> = h_K(a)+h_L(b).
-    Membership is the conjunction of the factors'.
     """
     a, b = K.dim, L.dim
     k_sup, l_sup = K.support, L.support
-    k_mem, l_mem = K.membership, L.membership
     k_samp, l_samp = K.sample_exact, L.sample_exact
-
-    membership = None
-    if k_mem is not None and l_mem is not None:
-        def membership(x):
-            return np.logical_and(k_mem(x[:, :a]), l_mem(x[:, a:]))
 
     sampler = None
     if k_samp is not None and l_samp is not None:
@@ -381,12 +372,9 @@ def product_body(K: ConvexBody, L: ConvexBody) -> ConvexBody:
     analytic = {}
     if "log_volume" in K.analytic and "log_volume" in L.analytic:
         analytic["log_volume"] = K.analytic["log_volume"] + L.analytic["log_volume"]
-    if "inradius" in K.analytic and "inradius" in L.analytic:
-        analytic["inradius"] = min(K.analytic["inradius"], L.analytic["inradius"])
     return ConvexBody(
         dim=a + b,
         support=lambda t: k_sup(t[:, :a]) + l_sup(t[:, a:]),
-        membership=membership,
         analytic=analytic,
         sample_exact=sampler,
     )

@@ -40,12 +40,18 @@ def _resolve_out(out: Optional[str]):
     return out, "json" if out.endswith(".json") else "csv"
 
 
-def _parse_values(text: str):
-    """Comma-separated numbers, or @file with one value per line."""
+def _parse_values(text: str, flag: str):
+    """Comma-separated numbers, or @file with one value per line; an entry
+    that is not a number is an error that names the flag."""
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            return [float(line) for line in fh.read().split()]
-    return [float(tok) for tok in text.split(",") if tok]
+            tokens = fh.read().split()
+    else:
+        tokens = [tok for tok in text.split(",") if tok]
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"argument {flag}: expected numbers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +131,9 @@ def _cmd_bound(args, log) -> None:
     from .functionals import bound_rhs, parse_rad_model
 
     # every flag given goes to bound_rhs, which rejects those its kind does not read
-    parsers = {"spectrum": _parse_values, "vk_values": _parse_values,
-               "ek_values": _parse_values, "rad": parse_rad_model}
+    parsers = {"spectrum": lambda v: _parse_values(v, "--spectrum"),
+               "vk_values": lambda v: _parse_values(v, "--vk-values"),
+               "ek_values": lambda v: _parse_values(v, "--ek-values"), "rad": parse_rad_model}
     params = {name: parsers.get(name, lambda v: v)(value)
               for name, value in vars(args).items()
               if value is not None and name not in ("command", "fn", "kind")}
@@ -143,7 +150,7 @@ def _cmd_verify(args, log):
     # every SuiteConfig field but hull_directions is set by the flag of its name
     names = [f.name for f in fields(SuiteConfig) if f.name in vars(args)]
     parse = {"rad": parse_rad_model,
-             "p_values": lambda v: None if v is None else tuple(_parse_values(v))}
+             "p_values": lambda v: None if v is None else tuple(_parse_values(v, "--p-values"))}
     cfg = SuiteConfig(**{name: parse.get(name, lambda v: v)(getattr(args, name))
                          for name in names})
     # the config echo holds only the flags the suite reads
@@ -175,7 +182,11 @@ def _cmd_scaling(args, log):
 
 
 def _dims_list(text: str):
-    return [int(tok) for tok in text.split(",") if tok]
+    """Comma-separated integers; argparse names --dims in the error for a bad entry."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -33,11 +33,10 @@ from .centroid import centroid_body, exact_zp
 from .estimates import Estimate
 from .functionals import (DEFAULT_SPHERE_SAMPLES, RadModel, bound_rhs, entropy_numbers,
                           mean_width)
-from .grassmann import (DEFAULT_HULL_DIRECTIONS, VOLUME_DIM_CAP, random_subspace,
-                        support_hull_task, support_hull_volrad)
+from .grassmann import (DEFAULT_HULL_DIRECTIONS, VOLUME_DIM_CAP, project_samples,
+                        random_subspace, support_hull_task, support_hull_volrad)
 from .isotropy import estimate_moments, exact_isotropic_constant
-from .measures import (draw_samples, gaussian_measure, project_samples, pushforward_measure,
-                       uniform_body_measure)
+from .measures import draw_samples, gaussian_measure, pushforward_measure, uniform_body_measure
 from .seeds import child_seed, sphere_directions
 
 @dataclass(frozen=True)

@@ -111,12 +111,14 @@ def _body_grid_cloud(body: ConvexBody, step: float):
 
     Any x in K has a cloud point within slack = (step*sqrt(k)/2)(1 + R/r):
     shrink x toward the origin by step*sqrt(k)/(2r) so a full grid cell fits
-    inside K around it (r = inradius, R = circumradius, origin interior).
-    The cloud is an (M, k) view of a (k, M) array, so each of its columns is
-    contiguous.
+    inside K around it (r = inradius, R = circumradius, origin interior);
+    only cubes and l_p balls carry the membership oracle and inradius this
+    reads.  The cloud is an (M, k) view of a (k, M) array, so each of its
+    columns is contiguous.
     """
     if body.membership is None:
-        raise UnsupportedOracleError("greedy covering needs a membership oracle")
+        raise UnsupportedOracleError("greedy covering needs a membership oracle, which only "
+                                     "cubes and l_p balls (balls, cross-polytopes) carry")
     r_in = body.analytic.get("inradius")
     if r_in is None or r_in <= 0:
         raise ValueError("greedy covering needs a positive analytic inradius")
@@ -260,7 +262,8 @@ def entropy_numbers(
     """Upper estimates of e_j(K) for j = 1..j_max, dim <= 4.
 
     Greedy farthest-point covering of a grid cloud with 2^j centers, plus
-    the grid fill slack; `seed` picks the greedy start.  The covering prunes
+    the grid fill slack; `seed` picks the greedy start.  Above dim 1 any body
+    but a cube or an l_p ball raises UnsupportedOracleError.  The covering prunes
     by bricks of the cloud: a centre updates only the bricks its ball can
     reach, a brick being skipped only when the minimum would leave it as it
     is, and ties go to the first point in grid order, so the radii are

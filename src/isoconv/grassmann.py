@@ -1,4 +1,4 @@
-"""Random subspaces, projected bodies, and low-dimensional volume radii.
+"""Random subspaces, projected bodies and samples, and low-dimensional volume radii.
 
 Projection of a body is exact at the support level: for an orthonormal basis
 B of F, h_{P_F K}(u) = h_K(B u).  Cubes and cross-polytopes also project to
@@ -30,6 +30,7 @@ import numpy as np
 from . import bodies
 from .bodies import ConvexBody, interval_length, volume_radius
 from .estimates import Estimate
+from .measures import SampleSet
 from .seeds import child_seed, rng_from, sphere_directions
 
 VOLUME_DIM_CAP = 6
@@ -132,6 +133,16 @@ def project_body(body: ConvexBody, F: Subspace) -> ConvexBody:
                                for i in range(0, len(u), step)])
 
     return ConvexBody(dim=k, support=sup, analytic=analytic)
+
+
+def project_samples(samples: SampleSet, subspace: Subspace) -> SampleSet:
+    """Push a SampleSet forward to coordinates in a Subspace's (ambient, k) basis."""
+    basis = subspace.basis
+    if basis.shape[0] != samples.dim:
+        raise ValueError(
+            f"basis shape {basis.shape} incompatible with ambient dim {samples.dim}"
+        )
+    return SampleSet(samples.points @ basis)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +318,9 @@ def check_hull_dim(k: int) -> None:
     Closed-form volumes are fine at any dimension; hulls are not.
     """
     if k > VOLUME_DIM_CAP:
-        raise ValueError(
-            f"volume method 'support-hull' capped at dim {VOLUME_DIM_CAP}, got {k}"
-        )
+        raise ValueError(f"hull volumes are capped at dim {VOLUME_DIM_CAP}, got {k}; only bodies "
+                         "that state their volume (balls, and cubes within the subset budget) "
+                         "go beyond it")
 
 
 def support_hull_volrad(dirs: np.ndarray, h: np.ndarray) -> Estimate:

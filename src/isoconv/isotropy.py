@@ -37,11 +37,14 @@ class MomentSummary:
     position), sorted descending.  det_root = det(C)^{1/(2n)}.
     """
 
-    dim: int
     barycenter: np.ndarray
     covariance: np.ndarray
     eigenvalues: np.ndarray  # descending
     det_root: float
+
+    @property
+    def dim(self) -> int:
+        return self.covariance.shape[0]
 
 
 def estimate_moments(samples: SampleSet) -> MomentSummary:
@@ -70,8 +73,7 @@ def estimate_moments(samples: SampleSet) -> MomentSummary:
     clipped = np.clip(evals, 0.0, None)
     with np.errstate(divide="ignore"):  # a zero eigenvalue: log -inf, det_root 0
         det_root = math.exp(np.log(clipped).sum() / (2 * dim))
-    return MomentSummary(dim=dim, barycenter=b, covariance=cov, eigenvalues=clipped,
-                         det_root=det_root)
+    return MomentSummary(barycenter=b, covariance=cov, eigenvalues=clipped, det_root=det_root)
 
 
 def isotropic_constant(summary: MomentSummary, log_density_sup: Optional[float]) -> float:

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import bodies
 from .bodies import ConvexBody, UnsupportedOracleError
-from .grassmann import Subspace
 from .seeds import child_seed, rng_from
 
 #: draws are made in chunks of this many points, each with its own sub-seed
@@ -214,21 +213,6 @@ def pushforward_measure(base: LogConcaveMeasure, T: np.ndarray) -> LogConcaveMea
         else base.log_density_sup - logabsdet,
         gaussian_map=None if base.gaussian_map is None else T @ base.gaussian_map,
     )
-
-
-# ---------------------------------------------------------------------------
-# projection
-# ---------------------------------------------------------------------------
-
-
-def project_samples(samples: SampleSet, subspace: Subspace) -> SampleSet:
-    """Push a SampleSet forward to coordinates in a Subspace's (ambient, k) basis."""
-    basis = subspace.basis
-    if basis.shape[0] != samples.dim:
-        raise ValueError(
-            f"basis shape {basis.shape} incompatible with ambient dim {samples.dim}"
-        )
-    return SampleSet(samples.points @ basis)
 
 
 # ---------------------------------------------------------------------------

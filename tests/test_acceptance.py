@@ -13,14 +13,13 @@ from isoconv.bodies import ball, cross_polytope, cube, unit_volume_copy
 from isoconv.centroid import zp_support
 from isoconv.experiments import SuiteConfig, qm_body, rows_to_records, run_suite
 from isoconv.functionals import bound_rhs, entropy_numbers, mean_width
-from isoconv.grassmann import random_subspace, vk_estimate, volume_radius_lowdim
+from isoconv.grassmann import project_samples, random_subspace, vk_estimate, volume_radius_lowdim
 from isoconv.isotropy import estimate_moments, isotropic_constant
 from isoconv.measures import (
     SampleSet,
     draw_samples,
     exponential_product_measure,
     gaussian_measure,
-    project_samples,
     uniform_body_measure,
 )
 from isoconv.seeds import child_seed, rng_from, sphere_directions

@@ -181,12 +181,6 @@ def test_product_body_support_is_sum():
     assert P.analytic["log_volume"] == pytest.approx(math.log(4.0 * ball_volume(3)), abs=1e-12)
 
 
-def test_product_body_membership():
-    P = product_body(cube(1, side=2.0), ball(2))
-    points = np.array([[0.9, 0.3, 0.3], [1.1, 0.0, 0.0], [0.0, 1.0, 0.5]])
-    assert P.membership(points).tolist() == [True, False, False]
-
-
 # ---------------------------------------------------------------------------
 # descriptor grammar
 # ---------------------------------------------------------------------------

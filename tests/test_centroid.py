@@ -16,14 +16,13 @@ from isoconv import pool as isoconv_pool
 from isoconv.bodies import cube
 from isoconv.centroid import (P_CAP, ZP_SERIES_BUDGET, centroid_body, exact_zp, zp_support,
                               zp_touching_points)
-from isoconv.grassmann import random_subspace
+from isoconv.grassmann import project_samples, random_subspace
 from isoconv.isotropy import estimate_moments
 from isoconv.measures import (
     SampleSet,
     draw_samples,
     exponential_product_measure,
     gaussian_measure,
-    project_samples,
     pushforward_measure,
     uniform_body_measure,
 )

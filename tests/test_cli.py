@@ -857,6 +857,30 @@ def test_descriptor_field_that_does_not_parse_names_the_descriptor(argv, descrip
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--suite", "paouris", "--p-values", "1,x"], "--p-values"),
+    (["bound", "--kind", "thm-main-arith", "--p", "8", "--spectrum", "3,x,1"], "--spectrum"),
+    (["bound", "--kind", "mp-sum", "--vk-values", "1,x"], "--vk-values"),
+    (["bound", "--kind", "dudley-sum", "--ek-values", "x"], "--ek-values"),
+    (["verify", "--suite", "paouris", "--dims", "4,x"], "--dims"),
+    (["scaling", "--body", "ball:{n}", "--dims", "4,x"], "--dims"),
+])
+def test_list_flag_entry_that_does_not_parse_names_the_flag(argv, flag, capsys):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: argument {flag}: ") and repr(argv[-1]) in captured.err
+    assert "_dims_list" not in captured.err and captured.err.count("\n") == 1
+
+
+def test_hull_cap_names_no_volume_method(capsys):
+    rc = cli.main(["vk", "--body", "cross:9", "--k", "7", "--trials", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: hull volumes are capped at dim 6, got 7")
+    assert "support-hull" not in captured.err and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("suite", ["paouris", "thm-main-aniso"])
 def test_empty_p_grid_is_one_line_exit_2_before_any_sampling(suite, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):

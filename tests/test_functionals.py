@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from isoconv.bodies import (ConvexBody, ball, cross_polytope, cube, lp_ball, product_body,
-                            scale_body, unit_volume_copy)
+from isoconv.bodies import (ConvexBody, UnsupportedOracleError, ball, cross_polytope, cube,
+                            ellipsoid, lp_ball, product_body, scale_body, unit_volume_copy)
 from isoconv.functionals import (
     ENTROPY_DIM_CAP,
     RadModel,
@@ -159,6 +159,12 @@ def test_entropy_brackets_square():
 def test_entropy_dim_cap():
     with pytest.raises(ValueError):
         entropy_numbers(cube(ENTROPY_DIM_CAP + 1, side=1.0), j_max=2)
+
+
+def test_entropy_numbers_of_an_ellipsoid_need_a_membership_oracle():
+    # only the bodies cube and lp_ball build carry membership; the error names them
+    with pytest.raises(UnsupportedOracleError, match="cubes and l_p balls"):
+        entropy_numbers(ellipsoid(np.diag([2.0, 0.5])), 2)
 
 
 def _direct_covering_radii(cloud, n_centers, seed):

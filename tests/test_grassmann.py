@@ -25,12 +25,13 @@ from isoconv.grassmann import (
     _support_hull_volume,
     _zonotope_log_volume,
     project_body,
+    project_samples,
     random_subspace,
     support_hull_volrad,
     vk_estimate,
     volume_radius_lowdim,
 )
-from isoconv.measures import draw_samples, gaussian_measure, project_samples
+from isoconv.measures import draw_samples, gaussian_measure
 from isoconv.seeds import child_seed, sphere_directions
 
 
@@ -120,6 +121,14 @@ def test_projection_composition_consistency():
     # support of projected body dominates dots of projected samples scaled in
     hP = project_body(K, F).support(u)
     assert hP.shape == (8,)
+
+
+def test_project_samples_identity():
+    s = draw_samples(gaussian_measure(5), 1000, seed=12)
+    F = random_subspace(5, 2, seed=13)
+    proj = project_samples(s, F)
+    assert proj.dim == 2
+    assert np.allclose(proj.points, s.points @ F.basis, atol=1e-12)
 
 
 def test_volume_radius_interval_exact():

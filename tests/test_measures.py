@@ -12,7 +12,6 @@ from isoconv.measures import (
     exponential_product_measure,
     gaussian_measure,
     parse_measure,
-    project_samples,
     pushforward_measure,
     uniform_body_measure,
 )
@@ -173,14 +172,6 @@ def test_pushforward_density_sup_scales_by_det():
     assert mu.log_density_sup == pytest.approx(0.0, abs=1e-12)  # det T = 1
     mu2 = pushforward_measure(uniform_body_measure(K), np.diag([2.0, 2.0]))
     assert mu2.log_density_sup == pytest.approx(math.log(0.25), abs=1e-12)
-
-
-def test_project_samples_identity():
-    s = draw_samples(gaussian_measure(5), 1000, seed=12)
-    F = random_subspace(5, 2, seed=13)
-    proj = project_samples(s, F)
-    assert proj.dim == 2
-    assert np.allclose(proj.points, s.points @ F.basis, atol=1e-12)
 
 
 def test_parse_measure_grammar():

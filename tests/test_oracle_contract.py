@@ -50,6 +50,17 @@ def test_oracles_map_an_m_by_dim_batch_to_an_m_array(name, m):
         assert inside.shape == (m,)
 
 
+# the covering reads membership and inradius, so only the families it covers carry them
+CARRY_MEMBERSHIP = {"cube", "cross_polytope", "lp_ball-p3", "ball"}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_only_the_covered_families_carry_membership_and_inradius(name):
+    body = CONSTRUCTIONS[name]()
+    assert (body.membership is not None) == (name in CARRY_MEMBERSHIP)
+    assert ("inradius" in body.analytic) == (body.membership is not None)
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("kernel", [zp_support, zp_touching_points])
 def test_zp_kernels_reject_anything_but_an_m_by_dim_batch(kernel, p):
