@@ -13,8 +13,8 @@ returns through experiments.emit_report (every command's one report shape and
 one config echo), announces a generated seed as its last stderr line, and
 returns the exit code.  A report sent to stdout gets stdout to itself, and the
 human-readable lines go to stderr.  A warning raised while the handler runs,
-such as a bound evaluated outside its stated range, is one `warning:` line on
-stderr.
+such as a bound evaluated outside its stated range or a verify flag that the
+suite does not read, is one `warning:` line on stderr.
 
 Exit codes: 0 success, 1 verify-suite assertion failure, 2 usage or any other
 error: one `error:` line on stderr, with no traceback, which names the seed
@@ -147,16 +147,28 @@ def _cmd_verify(args, log):
     suite = SUITES[args.suite]
     if args.dims is None:
         args.dims = list(suite.dims)
-    # every SuiteConfig field but hull_directions is set by the flag of its name
+    # every SuiteConfig field but hull_directions is set by the flag of its name; a
+    # flag left out is None and takes SuiteConfig's default
+    defaults = SuiteConfig()
     names = [f.name for f in fields(SuiteConfig) if f.name in vars(args)]
-    parse = {"rad": parse_rad_model,
-             "p_values": lambda v: None if v is None else tuple(_parse_values(v, "--p-values"))}
-    cfg = SuiteConfig(**{name: parse.get(name, lambda v: v)(getattr(args, name))
+    unread = []
+    for name in names:
+        if getattr(args, name) is None:
+            setattr(args, name, defaults.rad.kind if name == "rad" else getattr(defaults, name))
+        elif name not in ("seed", *suite.reads):
+            unread.append(name)
+    if args.p_values is not None:  # echoed as the grid it parses to, not as typed
+        args.p_values = tuple(_parse_values(args.p_values, "--p-values"))
+    cfg = SuiteConfig(**{name: parse_rad_model(args.rad) if name == "rad" else getattr(args, name)
                          for name in names})
     # the config echo holds only the flags the suite reads
     for name in set(names) - {"seed", *suite.reads}:
         delattr(args, name)
     result = run_suite(args.suite, args.dims, cfg)
+    # a typed flag the suite does not read warns once the run has gone through,
+    # so that an error stays the one line a bad input prints
+    for name in unread:
+        warnings.warn(f"--{name.replace('_', '-')} is not read by suite {args.suite}; ignored")
     for a in result.assertions:
         print(f"{'PASS' if a.passed else 'FAIL'} {a.name}: {a.detail}", file=log)
     return result
@@ -198,9 +210,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .experiments import SUITE_NAMES, SuiteConfig
-
-    defaults = SuiteConfig()
+    from .experiments import SUITE_NAMES
 
     top = _Parser(
         prog="isoconv",
@@ -215,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="csv or json: that report on stdout; "
                        "else a path, JSON when it ends in .json, CSV otherwise")
 
-    p = sub.add_parser("meanwidth", help="mean width of a body: exact for balls and "
-                       "l1 balls, Monte Carlo otherwise")
+    p = sub.add_parser("meanwidth", help="mean width of a body: exact for cubes, balls "
+                       "and l1 balls, Monte Carlo otherwise")
     p.add_argument("--body", required=True, help="body descriptor, e.g. ball:8 or cube:4:2")
     p.add_argument("--sphere-samples", type=int, default=10_000)
     add_common(p)
@@ -263,10 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--dims", type=_dims_list, default=None, help="comma list, e.g. 4,8,16 "
                    "(default: the suite's own), checked against the suite's dims rule")
-    p.add_argument("--samples", type=int, default=defaults.samples)
-    p.add_argument("--sphere-samples", type=int, default=defaults.sphere_samples)
-    p.add_argument("--trials", type=int, default=defaults.trials)
-    p.add_argument("--rad", default=defaults.rad.kind)
+    # None marks a flag left out; _cmd_verify fills it from SuiteConfig's defaults
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--sphere-samples", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--rad", default=None)
     p.add_argument("--p-values", default=None, help="override the suite's p grid")
     add_common(p)
     p.set_defaults(fn=_cmd_verify)

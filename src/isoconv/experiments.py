@@ -193,12 +193,11 @@ def qm_body(K: ConvexBody, m: int) -> ConvexBody:
 def _suite_theorem1(dims, cfg: SuiteConfig):
     """M*(K) against sqrt(n) log^2(1+n) L_K for the two exact unit-volume families.
 
-    L_K is exact (exact_isotropic_constant), and so is the cross-polytope's M*
-    (mean_width of an l1 ball): the cube's sphere directions are all the
-    suite's randomness.  An M* row counts the directions behind it, 0 when
-    exact, and a ratio row carries its M* row's SE over the exact denominator,
-    and its label.  Each family's ratio may not exceed twice its value at the
-    smallest tested n.
+    L_K is exact (exact_isotropic_constant), and so is M* of both the cube and
+    the cross-polytope (their bodies state it), so the suite reads no
+    SuiteConfig field but seed and draws nothing: every row is `exact`, with
+    SE 0 and 0 samples.  Each family's ratio may not exceed twice its value
+    at the smallest tested n.
     """
     rows, assertions = [], []
     for fam_idx, fam in enumerate(("cube", "cross")):
@@ -206,7 +205,7 @@ def _suite_theorem1(dims, cfg: SuiteConfig):
         for j, n in enumerate(dims):
             K = parse_body(f"unit{fam}:{n}")
             seed = child_seed(cfg.seed, 100 * fam_idx + j)
-            mstar = mean_width(K, cfg.sphere_samples, child_seed(seed, 0))
+            mstar = mean_width(K, DEFAULT_SPHERE_SAMPLES, child_seed(seed, 0))
             l_k = exact_isotropic_constant(K)
             denom = math.sqrt(n) * math.log(1 + n) ** 2 * l_k
             ratio = mstar.value / denom
@@ -511,7 +510,9 @@ def _suite_covering_regularity(dims, cfg: SuiteConfig):
     j-range, second half must stay below 1.25x the fitted curve.  The
     log-corrected profile is only stated on a narrow t-band that the radii
     barely enter, so its constant is fitted over in-band radii and recorded
-    without a held-out assertion.
+    without a held-out assertion.  The Sudakov profile reads the cube's exact
+    M* (its body states it), so the greedy covering's start is the suite's
+    only randomness and it reads no SuiteConfig field but seed.
     """
     j_max = 8
     rows, assertions = [], []
@@ -519,7 +520,7 @@ def _suite_covering_regularity(dims, cfg: SuiteConfig):
         K = cube(n, side=1.0)
         l_k = exact_isotropic_constant(K)
         seed = child_seed(cfg.seed, d_idx)
-        mstar = mean_width(K, cfg.sphere_samples, child_seed(seed, 0))
+        mstar = mean_width(K, DEFAULT_SPHERE_SAMPLES, child_seed(seed, 0))
         uppers = entropy_numbers(K, j_max, step=0.01 if n < 3 else 0.012,
                                  seed=child_seed(seed, 1))
         cover_r = np.array([u.value for u in uppers])
@@ -590,7 +591,7 @@ class Suite:
 
 
 SUITES = {
-    "theorem1": Suite(_suite_theorem1, ("sphere_samples",), (4, 8)),
+    "theorem1": Suite(_suite_theorem1, (), (4, 8)),
     "paouris": Suite(_suite_paouris, ("samples", "sphere_samples", "p_values"), (16,)),
     "thm-main-aniso": Suite(_suite_thm_main_aniso, ("sphere_samples", "rad", "p_values"),
                             (16,), shape="one"),
@@ -600,8 +601,7 @@ SUITES = {
                     lo=3, hi=VOLUME_DIM_CAP, shape="one"),  # projects to k = 2 and 3
     "zn-volrad": Suite(_suite_zn_volrad, ("samples", "hull_directions"), (3, 4),
                        hi=VOLUME_DIM_CAP),
-    "covering-regularity": Suite(_suite_covering_regularity, ("sphere_samples",), (2, 3),
-                                 hi=3),
+    "covering-regularity": Suite(_suite_covering_regularity, (), (2, 3), hi=3),
 }
 SUITE_NAMES = tuple(SUITES)
 

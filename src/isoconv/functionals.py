@@ -75,8 +75,9 @@ def mean_width(
 ) -> Estimate:
     """(Half) mean width M*(K): average of h_K over the uniform sphere.
 
-    A body that states its exact mean width (analytic mean_width: balls and
-    l1 balls, see bodies) gets it, after the sphere_samples >= 100 check.
+    A body that states its exact mean width (analytic mean_width: cubes,
+    balls and l1 balls, see bodies) gets it, after the sphere_samples >= 100
+    check.
 
     Everything else is Monte Carlo over seeded directions, value +- SE.
     Linearity M*(tK) = t M*(K) is exact on matched seeds since the direction

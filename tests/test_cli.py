@@ -205,14 +205,15 @@ def test_isotropy_gaussian_l_value(capsys):
 
 def test_meanwidth_out_csv_file(tmp_path, capsys):
     path = tmp_path / "mw.csv"
-    rc = cli.main(["meanwidth", "--body", "cube:2:2", "--sphere-samples", "500",
+    rc = cli.main(["meanwidth", "--body", "lpball:2:3", "--sphere-samples", "500",
                    "--seed", "2", "--out", str(path)])
     assert rc == 0
     rows = list(csv.DictReader(open(path, newline="")))
     assert len(rows) == 1
     assert rows[0]["quantity"] == "mstar"
     assert rows[0]["direction"] == "mc"
-    assert float(rows[0]["value"]) == pytest.approx(4.0 / 3.141592653589793, abs=0.05)
+    # E||theta||_{3/2} over S^1, by 30-digit mpmath quadrature
+    assert float(rows[0]["value"]) == pytest.approx(1.0734989993720321, abs=0.05)
 
 
 def test_vk_command(capsys):
@@ -255,7 +256,7 @@ def test_scaling_command(capsys):
     assert out.startswith("slope:")
 
 
-@pytest.mark.parametrize("template,label", [("b1tilde:{n}", "exact"), ("cube:{n}:1", "mc")])
+@pytest.mark.parametrize("template,label", [("b1tilde:{n}", "exact"), ("lpball:{n}:3", "mc")])
 def test_scaling_slope_is_exact_when_every_mstar_is(template, label, capsys):
     rc = cli.main(["scaling", "--body", template, "--dims", "8,16,32,64",
                    "--sphere-samples", "200", "--seed", "2", "--out", "json"])
@@ -286,6 +287,31 @@ def test_verify_writes_report(tmp_path, capsys):
         "suite": "zn-volrad", "dims": [3], "samples": 3000, "seed": 11,
     }
     assert payload["rows"]
+
+
+def test_verify_warns_about_a_typed_flag_the_suite_does_not_read(capsys):
+    # one stderr line; the exit code and the report are those of the run without it
+    argv = ["verify", "--suite", "thm-main-aniso", "--dims", "4", "--sphere-samples", "200",
+            "--seed", "1", "--out", "json"]
+    assert cli.main(argv) == 0
+    quiet = capsys.readouterr()
+    assert cli.main([*argv, "--samples", "5"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    assert loud.err == ("warning: --samples is not read by suite thm-main-aniso; ignored\n"
+                        + quiet.err)
+
+
+def test_verify_echoes_the_parsed_p_grid(tmp_path, capsys):
+    # a report replays from its config even when the @file changes later
+    grid = tmp_path / "p.txt"
+    grid.write_text("2\n8\n")
+    for text in (f"@{grid}", "2,8"):
+        rc = cli.main(["verify", "--suite", "thm-main-aniso", "--dims", "4",
+                       "--sphere-samples", "200", "--p-values", text, "--seed", "1",
+                       "--out", "json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["config"]["p_values"] == [2.0, 8.0]
 
 
 def test_verify_failing_assertion_exits_1(monkeypatch, capsys):

@@ -168,6 +168,16 @@ def test_b1_scaling_rows_are_exact_and_read_no_sphere_samples():
                      dataclasses.replace(FAST, sphere_samples=1)).rows == rows
 
 
+@pytest.mark.parametrize("suite,dims", [("theorem1", [4, 8]), ("covering-regularity", [2])])
+def test_suites_that_read_the_cubes_stated_mstar_read_no_sphere_samples(suite, dims):
+    assert SUITES[suite].reads == ()
+    rows = run_suite(suite, dims, FAST).rows
+    # an unread field is not checked either: mean_width would reject 1 direction
+    assert run_suite(suite, dims, dataclasses.replace(FAST, sphere_samples=1)).rows == rows
+    if suite == "theorem1":  # exact throughout
+        assert {(r.direction, r.std_error, r.samples) for r in rows} == {("exact", 0.0, 0)}
+
+
 def test_theorem1_bound_is_twice_the_ratio_at_the_smallest_n():
     # the dims are not sorted: n = 4 is the reference, not the first listed
     result = run_suite("theorem1", [8, 4], SuiteConfig(seed=1, samples=2000,
@@ -215,25 +225,34 @@ def test_theorem1_builds_one_cross_polytope_per_n(monkeypatch):
     assert [dim for dim, p in builds if p == 1.0] == [4, 8]
 
 
-def test_theorem1_l_rows_are_exact_and_ratios_carry_the_mstar_se():
+def test_theorem1_l_rows_are_exact_and_ratios_carry_the_mstar_se(monkeypatch):
+    from isoconv import experiments
+    from isoconv.bodies import ConvexBody
+    from isoconv.functionals import mean_width
     from isoconv.isotropy import exact_isotropic_constant
 
-    rows = {(r.quantity, r.n): r for r in
-            run_suite("theorem1", [4, 8], SuiteConfig(seed=3, sphere_samples=300)).rows}
-    for n in (4, 8):
-        for fam, K in (("cube", cube(n, side=1.0)),
-                       ("cross", unit_volume_copy(cross_polytope(n)))):
-            l_k = rows[(f"l-{fam}", n)]
-            assert (l_k.value, l_k.std_error, l_k.direction, l_k.samples) == (
-                exact_isotropic_constant(K), 0.0, "exact", 0)
-            mstar, ratio = rows[(f"mstar-{fam}", n)], rows[(f"thm1-ratio-{fam}", n)]
-            den = math.sqrt(n) * math.log1p(n) ** 2 * l_k.value
-            # the cube's M* is sampled, the cross-polytope's exact
-            label, samples = {"cube": ("mc", 300), "cross": ("exact", 0)}[fam]
-            assert mstar.direction == ratio.direction == label
-            assert mstar.samples == samples and (mstar.std_error == 0.0) == (label == "exact")
-            assert ratio.value == pytest.approx(mstar.value / den, rel=1e-12)
-            assert ratio.std_error == pytest.approx(mstar.std_error / den, rel=1e-12)
+    def check(label, samples):
+        rows = {(r.quantity, r.n): r for r in
+                run_suite("theorem1", [4, 8], SuiteConfig(seed=3)).rows}
+        for n in (4, 8):
+            for fam, K in (("cube", cube(n, side=1.0)),
+                           ("cross", unit_volume_copy(cross_polytope(n)))):
+                l_k = rows[(f"l-{fam}", n)]
+                assert (l_k.value, l_k.std_error, l_k.direction, l_k.samples) == (
+                    exact_isotropic_constant(K), 0.0, "exact", 0)
+                mstar, ratio = rows[(f"mstar-{fam}", n)], rows[(f"thm1-ratio-{fam}", n)]
+                den = math.sqrt(n) * math.log1p(n) ** 2 * l_k.value
+                assert mstar.direction == ratio.direction == label
+                assert mstar.samples == samples and (mstar.std_error == 0.0) == (label == "exact")
+                assert ratio.value == pytest.approx(mstar.value / den, rel=1e-12)
+                assert ratio.std_error == pytest.approx(mstar.std_error / den, rel=1e-12)
+
+    # both bodies state their M*, so every row is exact
+    check("exact", 0)
+    # an M* sampled over the same support carries its SE and label into the ratio
+    monkeypatch.setattr(experiments, "mean_width", lambda K, m, seed: mean_width(
+        ConvexBody(K.dim, support=K.support), 300, seed))
+    check("mc", 300)
 
 
 def test_one_dimensional_rows_take_their_estimates_exact_label():

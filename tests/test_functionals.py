@@ -35,14 +35,16 @@ def test_mean_width_ball_exact():
 
 
 def test_mean_width_square_oracle():
-    # E(|t1| + |t2|) on S^1 = 4/pi
-    est = mean_width(cube(2, side=2.0), sphere_samples=200_000, seed=1)
+    # E(|t1| + |t2|) on S^1 = 4/pi; the product of two segments has the
+    # square's support and states no M*, so it is sampled
+    est = mean_width(product_body(cube(1, 2.0), cube(1, 2.0)), sphere_samples=200_000, seed=1)
+    assert est.direction == "mc"
     assert abs(est.value - 4.0 / math.pi) < 3.0 * est.std_error + 1e-4
     assert est.std_error < 0.002
 
 
 def test_mean_width_linearity_matched_seeds():
-    K = cube(3, side=2.0)
+    K = lp_ball(3, 3.0, 2.0)
     a = mean_width(K, sphere_samples=5000, seed=2)
     b = mean_width(scale_body(K, 3.0), sphere_samples=5000, seed=2)
     assert b.value == pytest.approx(3.0 * a.value, rel=1e-12)
@@ -55,6 +57,34 @@ def test_mean_width_cross_polytope_3d_oracle():
     est = mean_width(cross_polytope(3))
     assert (est.std_error, est.n_samples, est.direction) == (0.0, 0, "exact")
     assert est.value == pytest.approx(0.83118963596935798, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 128, 10**3, 10**4, 10**6])
+def test_mean_width_cube_matches_mpmath(n):
+    # the error bound cube's docstring states: M* = (side/2) n E|theta_1|
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        half_n = mpmath.mpf(n) / 2
+        ref = 1.5 * n * mpmath.gamma(half_n) / (
+            mpmath.sqrt(mpmath.pi) * mpmath.gamma(half_n + mpmath.mpf(1) / 2))
+        err = abs(mean_width(cube(n, side=3.0)).value / ref - 1)
+    assert err <= 1e-14 + 2.0**-50 * abs(math.lgamma((n + 1) / 2)), err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 32, 64, 128])
+def test_unit_cube_mean_width_is_the_benchmarks_reference_bit_for_bit(n):
+    # perfbench/checks.py compares theorem1's exact mstar-cube rows with its
+    # cube_mean_width inside a window of zero width
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    est = mean_width(cube(n, side=1.0))
+    assert (est.value, est.std_error, est.n_samples, est.direction) == (
+        checks.cube_mean_width(n), 0.0, 0, "exact")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 160, 10**3, 10**4, 10**6])
@@ -82,6 +112,15 @@ def test_exact_cross_polytope_mean_width_agrees_with_its_sampled_support(n):
     assert abs(sampled.value - exact.value) <= 4.0 * sampled.std_error
 
 
+@pytest.mark.parametrize("n", [3, 40, 160])
+def test_exact_cube_mean_width_agrees_with_its_sampled_support(n):
+    K = cube(n, side=1.0)
+    exact = mean_width(K)
+    sampled = mean_width(ConvexBody(n, support=K.support), 200_000, seed=n)
+    assert (exact.direction, sampled.direction) == ("exact", "mc")
+    assert abs(sampled.value - exact.value) <= 4.0 * sampled.std_error
+
+
 def test_mean_width_of_a_one_dimensional_cross_polytope_is_its_radius():
     assert mean_width(lp_ball(1, 1.0, 2.5)).value == pytest.approx(2.5, rel=1e-14)
 
@@ -93,7 +132,8 @@ def test_exact_cross_polytope_mean_width_is_linear(t):
                                                                rel=1e-15, abs=0.0)
 
 
-@pytest.mark.parametrize("K", [ball(6, 1.7), lp_ball(6, 1.0, 1.7)], ids=["ball", "l1"])
+@pytest.mark.parametrize("K", [ball(6, 1.7), lp_ball(6, 1.0, 1.7), cube(6, 1.7)],
+                         ids=["ball", "l1", "cube"])
 def test_exact_mean_width_survives_scaling_and_unit_volume_copies(K):
     stated = K.analytic["mean_width"]
     t = math.exp(-K.analytic["log_volume"] / 6)
@@ -110,7 +150,9 @@ def test_exact_mean_width_survives_the_projection_of_a_ball():
 
 def test_bodies_that_state_no_mean_width_are_sampled():
     for K in (product_body(ball(2), lp_ball(3, 1.0)),
-              project_body(cross_polytope(5), random_subspace(5, 3, seed=2))):
+              product_body(cube(1), cube(2)),
+              project_body(cross_polytope(5), random_subspace(5, 3, seed=2)),
+              project_body(cube(5), random_subspace(5, 3, seed=2))):
         assert "mean_width" not in K.analytic
         est = mean_width(K, 500, seed=4)
         assert est.direction == "mc" and est.n_samples == 500 and est.std_error > 0
@@ -118,9 +160,9 @@ def test_bodies_that_state_no_mean_width_are_sampled():
 
 def test_mean_width_reads_the_stated_fact_not_the_family_key():
     # a ball_radius alone names the family for projections; it states no M*
-    K = ConvexBody(4, support=cube(4).support, analytic={"ball_radius": 1.0})
+    K = ConvexBody(4, support=lp_ball(4, 3.0).support, analytic={"ball_radius": 1.0})
     est = mean_width(K, 500, seed=5)
-    assert est.direction == "mc" and est.value == mean_width(cube(4), 500, seed=5).value
+    assert est.direction == "mc" and est.value == mean_width(lp_ball(4, 3.0), 500, seed=5).value
 
 
 def test_mean_width_validates_samples():
@@ -268,7 +310,7 @@ def test_mean_width_memory_does_not_grow_with_the_directions():
     # the directions come DIRECTION_BLOCK rows at a time: past the first
     # block only the (m,) support values grow, not the (m, n) directions
     n = 8
-    K = cube(n, side=1.0)
+    K = lp_ball(n, 3.0)
     peaks = []
     for m in (DIRECTION_BLOCK, 4 * DIRECTION_BLOCK + 5):
         tracemalloc.start()
